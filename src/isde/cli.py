@@ -9,7 +9,8 @@ kappa-sweep, marginal-check, verify-weights. The CSV table is written to
 --out and a JSON manifest (config echo, seeds, slopes, stats, runtime) is
 written alongside with the suffix .manifest.json. --seed overrides the seed
 in the config file. Exit status: 0 on success, 1 on runtime failures
-(divergence, stiffness), 2 on config or usage errors.
+(divergence, stiffness), 2 on config or usage errors and when the output
+cannot be written.
 """
 
 from __future__ import annotations
@@ -75,7 +76,11 @@ def main(argv=None) -> int:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
-    result.write(args.out)
+    try:
+        result.write(args.out)
+    except OSError as e:
+        print(f"error: cannot write {args.out!r}: {e}", file=sys.stderr)
+        return 2
     print(f"{result.study}: wrote {args.out} "
           f"({len(result.rows)} rows, {result.runtime_s:.3f}s)")
     for key in sorted(result.slopes):

@@ -3,6 +3,8 @@
 Every error raised by this package derives from IsdeError so callers can
 catch the whole family with one clause. Subclasses also inherit from the
 closest builtin (ValueError, ArithmeticError, ...) where one applies.
+:func:`real_parameter` turns a malformed numeric argument into a
+ParameterError.
 """
 
 from __future__ import annotations
@@ -62,3 +64,11 @@ class StiffnessError(IsdeError, ArithmeticError):
 
 class ConfigError(IsdeError, ValueError):
     """Invalid or incomplete experiment configuration; message names the offender."""
+
+
+def real_parameter(name: str, value) -> float:
+    """``float(value)``, raising ParameterError naming ``name`` when value is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")

@@ -186,10 +186,10 @@ def _entry_from_dict(block, index: int) -> SolverEntry:
     except ParameterError as e:
         raise ConfigError(f"invalid solver entry {index}: {e}")
     m_nodes = block.get("m_nodes")
-    if m_nodes is not None:
-        m_nodes = int(m_nodes)
-        if m_nodes < 2:
-            raise ConfigError(f"solver entry {index}: m_nodes must be >= 2, got {m_nodes}")
+    if m_nodes is not None and (isinstance(m_nodes, bool) or not isinstance(m_nodes, int)
+                                or m_nodes < 2):
+        raise ConfigError(
+            f"solver entry {index}: m_nodes must be an integer >= 2, got {m_nodes!r}")
     label = str(block.get("label", _default_label(spec)))
     return SolverEntry(spec=spec, label=label, m_nodes=m_nodes)
 
@@ -197,7 +197,7 @@ def _entry_from_dict(block, index: int) -> SolverEntry:
 def _int_tuple(value, key: str, minimum: int) -> tuple:
     try:
         items = tuple(int(v) for v in value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r} must be a list of integers")
     if not items or any(v < minimum for v in items):
         raise ConfigError(f"config key {key!r} entries must be >= {minimum}, got {items!r}")
@@ -232,7 +232,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown sde keys: {', '.join(unknown)}")
     try:
-        sde = make_sde(SdeParams(kind=kind, **sde_kwargs), delta=float(delta))
+        sde = make_sde(SdeParams(kind=kind, **sde_kwargs), delta=delta)
     except ParameterError as e:
         raise ConfigError(f"invalid sde block: {e}")
 
@@ -242,6 +242,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         y = float(data["y"])
     except (TypeError, ValueError):
         raise ConfigError(f"config key 'y' must be a number, got {data['y']!r}")
+    if not math.isfinite(y):
+        raise ConfigError(f"config key 'y' must be finite, got {y!r}")
     seed_raw = data["seed"]
     if isinstance(seed_raw, bool) or not isinstance(seed_raw, int):
         raise ConfigError(f"config key 'seed' must be an integer, got {seed_raw!r}")

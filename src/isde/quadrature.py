@@ -1,10 +1,13 @@
 """Adaptive one-dimensional quadrature on a Gauss-Kronrod 7-15 pair.
 
 The 15-point Kronrod rule is evaluated per panel together with its embedded
-7-point Gauss rule; their difference drives a globally-adaptive bisection of
-the worst panel. This module is the integration fallback for solver weights
-and the oracle used by schedule-consistency checks, so tolerances default far
-below solver truncation error.
+7-point Gauss rule; their difference drives the adaptive bisection.
+:func:`integrate` takes a scalar integrand and bisects the worst panel of one
+interval at a time; it is the oracle used by schedule-consistency checks and
+weight cross-checks. :func:`integrate_batch` takes a vectorized integrand and
+integrates many intervals at once, evaluating every open panel in one call;
+it computes the solver weights of whole grids. Tolerances default far below
+solver truncation error.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureDomainError, QuadratureToleranceError
 
-__all__ = ["QuadResult", "integrate", "signed_integrate"]
+__all__ = ["QuadResult", "integrate", "integrate_batch", "signed_integrate"]
 
 # Kronrod-15 abscissae (positive half, descending) and weights; embedded
 # Gauss-7 weights pair with every second abscissa. Values are the standard
@@ -55,13 +58,20 @@ _WEIGHTS_K = np.concatenate([_WGK[:7], _WGK[::-1]])
 # Gauss nodes sit at indices 1,3,...,13 of the 15-node set
 _GAUSS_IDX = np.arange(1, 15, 2)
 _WEIGHTS_G = np.concatenate([_WG[:3], _WG[::-1]])
+# Kronrod and Gauss weights as the columns of one (15, 2) matrix
+_WEIGHTS_KG = np.stack([_WEIGHTS_K, np.zeros(15)], axis=1)
+_WEIGHTS_KG[_GAUSS_IDX, 1] = _WEIGHTS_G
 
 _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Outcome of a quadrature call: value, error estimate, evaluation count."""
+    """Outcome of a quadrature call: value, error estimate, evaluation count.
+
+    Scalars from :func:`integrate`; arrays with one entry per interval from
+    :func:`integrate_batch`.
+    """
 
     value: float
     error_estimate: float
@@ -152,6 +162,102 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-12, rel_tol: float = 1e
         heapq.heappush(heap, (-le, counter, pa, mid, lv, le))
         counter += 1
         heapq.heappush(heap, (-re_, counter, mid, pb, rv, re_))
+
+
+def _gk_panels(f, lo, hi, rows):
+    """GK7-15 on every panel [lo[j], hi[j]] in one integrand call; returns (value, error)."""
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    fx = np.broadcast_to(np.asarray(f(xs, rows), dtype=float), xs.shape)
+    finite = np.isfinite(fx)
+    if not finite.all():
+        raise QuadratureDomainError(
+            f"integrand returned a nonfinite value at x={float(xs[~finite][0])!r}")
+    sum_k, sum_g = (fx @ _WEIGHTS_KG).T
+    resk = half * sum_k
+    err = np.abs(resk - half * sum_g)
+    resabs, resasc = np.abs(half) * (np.abs([fx, fx - 0.5 * sum_k[:, None]]) @ _WEIGHTS_K)
+    # the scaled estimate of _panel, elementwise
+    scale = (resasc != 0.0) & (err != 0.0)
+    ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=scale)
+    err = np.where(scale, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    return resk, np.maximum(err, 50.0 * _EPS * resabs)
+
+
+def integrate_batch(f, a, b, abs_tol: float = 1e-12, rel_tol: float = 1e-10,
+                    max_subdivisions: int = 2000) -> QuadResult:
+    """Integrate ``f`` over every interval [a[i], b[i]] at once.
+
+    ``f(x, rows)`` is vectorized: ``x`` is an (m, 15) array whose row j holds
+    the nodes of one panel inside interval ``rows[j]``, and ``f`` returns its
+    values at every node. Each round evaluates all new panels in one call.
+    An interval is final once its summed error estimate meets
+    max(abs_tol, rel_tol |value|); in each interval that misses it, every
+    panel whose error exceeds its even share of the tolerance, and the worst
+    panel, is bisected. Requires a <= b elementwise. Returns a QuadResult of
+    arrays. Raises QuadratureDomainError on a nonfinite integrand sample and
+    QuadratureToleranceError, carrying the best estimate of the first failing
+    interval, when an interval exhausts its subdivision budget or a panel
+    reaches the rounding floor.
+    """
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ParameterError(f"bounds must be 1-d arrays of one shape, got {a.shape}, {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ParameterError("integration bounds must be finite")
+    if np.any(a > b):
+        i = int(np.argmax(a > b))
+        raise ParameterError(
+            f"integrate_batch requires a <= b, got a={float(a[i])!r} > b={float(b[i])!r} "
+            f"at index {i}")
+    if abs_tol < 0 or rel_tol < 0:
+        raise ParameterError("tolerances must be nonnegative")
+
+    n = a.size
+    rows = np.arange(n)
+    value, err = _gk_panels(f, a, b, rows)
+    panels = np.stack([a, b, value, err], axis=1)  # lo, hi, value, error per panel
+    evals = np.full(n, 15)
+    subdivisions = np.zeros(n, dtype=int)
+
+    def failure(i, reason):
+        return QuadratureToleranceError(
+            f"{reason} on [{float(a[i])!r}, {float(b[i])!r}]: error estimate "
+            f"{total_err[i]:.3e} > {tol[i]:.3e}",
+            QuadResult(float(total[i]), float(total_err[i]), int(evals[i])))
+
+    while True:
+        lo, hi, value, err = panels.T
+        total = np.bincount(rows, weights=value, minlength=n)
+        total_err = np.bincount(rows, weights=err, minlength=n)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        open_ = ~(total_err <= tol)  # an overflowed (nan) estimate stays open
+        if not open_.any():
+            return QuadResult(total, total_err, evals)
+        spent = open_ & (subdivisions >= max_subdivisions)
+        if spent.any():
+            i = int(np.argmax(spent))
+            raise failure(i, f"tolerance not met after {int(subdivisions[i])} subdivisions")
+        worst = np.zeros(n)
+        np.maximum.at(worst, rows, err)
+        share = tol / np.bincount(rows, minlength=n)
+        split = open_[rows] & (~(err <= share[rows]) | (err == worst[rows]))
+        s_lo, s_hi, s_rows = lo[split], hi[split], rows[split]
+        mid = 0.5 * (s_lo + s_hi)
+        stuck = (mid <= s_lo) | (mid >= s_hi)
+        if stuck.any():
+            raise failure(int(s_rows[np.argmax(stuck)]), "a panel cannot be subdivided further")
+        new_lo = np.concatenate([s_lo, mid])
+        new_hi = np.concatenate([mid, s_hi])
+        new_rows = np.concatenate([s_rows, s_rows])
+        new_value, new_err = _gk_panels(f, new_lo, new_hi, new_rows)
+        counts = np.bincount(s_rows, minlength=n)
+        evals += 30 * counts
+        subdivisions += counts
+        panels = np.concatenate([panels[~split],
+                                 np.stack([new_lo, new_hi, new_value, new_err], axis=1)])
+        rows = np.concatenate([rows[~split], new_rows])
 
 
 def signed_integrate(f, a: float, b: float, abs_tol: float = 1e-12, rel_tol: float = 1e-10,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ParameterError, ShapeError, SingularityError
+from .errors import ParameterError, ShapeError, SingularityError, real_parameter
 from .sde_core import InterpolatingSde
 
 __all__ = [
@@ -39,7 +39,10 @@ __all__ = [
 
 
 def _check_dimension(dimension) -> int:
-    d = int(dimension)
+    try:
+        d = int(dimension)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"dimension must be an integer, got {dimension!r}")
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {dimension!r}")
     return d
@@ -53,7 +56,7 @@ class DeltaPrior:
     dimension: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", float(self.x0))
+        object.__setattr__(self, "x0", real_parameter("x0", self.x0))
         object.__setattr__(self, "dimension", _check_dimension(self.dimension))
         if not math.isfinite(self.x0):
             raise ParameterError(f"x0 must be finite, got {self.x0!r}")
@@ -74,8 +77,8 @@ class GaussianPrior:
     dimension: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "m0", float(self.m0))
-        object.__setattr__(self, "s0", float(self.s0))
+        object.__setattr__(self, "m0", real_parameter("m0", self.m0))
+        object.__setattr__(self, "s0", real_parameter("s0", self.s0))
         object.__setattr__(self, "dimension", _check_dimension(self.dimension))
         if not math.isfinite(self.m0):
             raise ParameterError(f"m0 must be finite, got {self.m0!r}")
@@ -102,9 +105,9 @@ class MixturePrior:
     dimension: int = 1
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        m = tuple(float(v) for v in self.means)
-        v = tuple(float(s) for s in self.variances)
+        w = tuple(real_parameter("mixture weights", v) for v in self.weights)
+        m = tuple(real_parameter("mixture means", v) for v in self.means)
+        v = tuple(real_parameter("mixture variances", s) for s in self.variances)
         if not (len(w) == len(m) == len(v)) or len(w) == 0:
             raise ParameterError(
                 f"weights/means/variances must be equal nonzero lengths, got "

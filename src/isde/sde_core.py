@@ -42,6 +42,7 @@ from .errors import (
     ScheduleConsistencyError,
     ShapeError,
     SingularityError,
+    real_parameter,
 )
 from .quadrature import integrate
 
@@ -74,7 +75,7 @@ class SdeKind(str, Enum):
 def _require_positive(name: str, value) -> float:
     if value is None:
         raise ParameterError(f"parameter {name!r} is required for this SDE kind")
-    value = float(value)
+    value = real_parameter(f"parameter {name!r}", value)
     if not math.isfinite(value) or value <= 0.0:
         raise ParameterError(f"parameter {name!r} must be a positive finite real, got {value!r}")
     return value
@@ -194,9 +195,7 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
     """
     if not isinstance(params, SdeParams):
         params = SdeParams(**params) if isinstance(params, dict) else SdeParams(params)
-    delta = float(delta)
-    if delta <= 0.0:
-        raise ParameterError(f"delta must be positive, got {delta!r}")
+    delta = _require_positive("delta", delta)
     kind = params.kind
 
     if kind in (SdeKind.FOUVE, SdeKind.OUVE):

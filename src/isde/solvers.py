@@ -25,15 +25,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DivergenceError,
     ParameterError,
     ShapeError,
     StiffnessError,
+    real_parameter,
 )
-from .quadrature import integrate
+from .quadrature import integrate_batch
 from .sde_core import InterpolatingSde, SdeKind
 from .score import ScoreModel
 
@@ -113,6 +113,8 @@ class SolverSpec:
         if self.kind not in _SOLVER_KINDS:
             raise ParameterError(
                 f"unknown solver kind {self.kind!r}; expected one of {_SOLVER_KINDS}")
+        for name in ("kappa", "corrector_stepsize", "rtol", "atol"):
+            object.__setattr__(self, name, real_parameter(name, getattr(self, name)))
         if self.p not in (1, 2):
             raise ParameterError(f"p must be 1 or 2, got {self.p!r}")
         if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
@@ -190,6 +192,64 @@ def _omega_constants(sde: InterpolatingSde):
     return c, zeta
 
 
+def _omega_weights(sde: InterpolatingSde, n, t_from: np.ndarray, t_to: np.ndarray,
+                   abs_tol: float = 1e-14, rel_tol: float = 1e-10) -> np.ndarray:
+    """:func:`omega_weight` of every step t_from[i] -> t_to[i], unchecked.
+
+    ``n`` is one order for all steps or one per step; without a closed form,
+    all steps share one batched quadrature.
+    """
+    n = np.broadcast_to(np.asarray(n, dtype=int), t_from.shape)
+    closed = _omega_constants(sde)
+    if closed is not None and np.all(n <= 1):
+        c, zeta = closed
+        out = []
+        for order, th, tl in zip(n.tolist(), t_from.tolist(), t_to.tolist()):
+            h = th - tl
+            e_lo = math.exp(zeta * tl)
+            growth = math.expm1(zeta * h)
+            if order == 0:
+                # ascending integral c/zeta (e^{zeta th} - e^{zeta tl}), negated
+                out.append(-(c / zeta) * e_lo * growth)
+            else:
+                # ascending integral about th: c e^{zeta tl} (h - expm1(zeta h)/zeta)/zeta, negated
+                out.append(-(c * e_lo / zeta) * (h - growth / zeta))
+        return np.array(out)
+
+    fact = np.array([math.factorial(order) for order in n.tolist()], dtype=float)
+
+    def integrand(u, rows):
+        base = sde.g(u) ** 2 / (2.0 * (1.0 - sde.k(u)))
+        return base * (u - t_from[rows, None]) ** n[rows, None] / fact[rows, None]
+
+    res = integrate_batch(integrand, t_to, t_from, abs_tol=abs_tol, rel_tol=rel_tol)
+    return -res.value
+
+
+def _ito_stds(sde: InterpolatingSde, t_from: np.ndarray, t_to: np.ndarray,
+              abs_tol: float = 1e-14, rel_tol: float = 1e-10) -> np.ndarray:
+    """:func:`ito_increment` of every step (t_from[i] -> t_to[i]), unchecked."""
+    p = sde.params
+    omk_lo = 1.0 - np.asarray(sde.k(t_to), dtype=float)
+    if p.kind in (SdeKind.FOUVE, SdeKind.OUVE):
+        rho = math.log(p.sigma_max / p.sigma_min)
+        zeta2 = 2.0 * (rho + p.gamma0)
+        out = []
+        for th, tl, omk in zip(t_from.tolist(), t_to.tolist(), omk_lo.tolist()):
+            span = math.exp(zeta2 * th) - math.exp(zeta2 * tl)
+            base = p.sigma_min * omk * math.sqrt(span)
+            if p.kind is SdeKind.OUVE:
+                base *= math.sqrt(rho / (rho + p.gamma0))
+            out.append(base)
+        return np.array(out)
+
+    def integrand(u, rows):
+        return (sde.g(u) / (1.0 - sde.k(u))) ** 2
+
+    res = integrate_batch(integrand, t_to, t_from, abs_tol=abs_tol, rel_tol=rel_tol)
+    return omk_lo * np.sqrt(np.maximum(res.value, 0.0))
+
+
 def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float,
                  abs_tol: float = 1e-14, rel_tol: float = 1e-10) -> float:
     """Signed exponential weight of the reverse step from t_from down to t_to:
@@ -199,7 +259,8 @@ def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float,
     For n = 0 the integrand is positive, so the descending value is negative;
     for n = 1 the (u - t_from) factor is negative over the step, so the value
     is positive. Closed forms are used for fOUVE and OUVE (integrand
-    C e^{zeta u}); other kinds fall back to adaptive quadrature.
+    C e^{zeta u}); other kinds fall back to adaptive quadrature. This is the
+    one-step case of the weights :func:`isde_solve` computes per grid.
     """
     n = int(n)
     if n < 0:
@@ -214,27 +275,8 @@ def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float,
         raise ParameterError(f"times must satisfy 0 <= t_to <= t_from < t_max={sde.t_max!r}")
     if t_to == t_from:
         return 0.0
-
-    closed = _omega_constants(sde)
-    if closed is not None and n in (0, 1):
-        c, zeta = closed
-        th, tl = t_from, t_to
-        h = th - tl
-        e_lo = math.exp(zeta * tl)
-        growth = math.expm1(zeta * h)
-        if n == 0:
-            # ascending integral c/zeta (e^{zeta th} - e^{zeta tl}), negated
-            return -(c / zeta) * e_lo * growth
-        # ascending integral about th: c e^{zeta tl} (h - expm1(zeta h)/zeta)/zeta, negated
-        return -(c * e_lo / zeta) * (h - growth / zeta)
-
-    def integrand(u: float) -> float:
-        omk = 1.0 - float(sde.k(u))
-        base = float(sde.g(u)) ** 2 / (2.0 * omk)
-        return base * (u - t_from) ** n / math.factorial(n)
-
-    res = integrate(integrand, t_to, t_from, abs_tol=abs_tol, rel_tol=rel_tol)
-    return -res.value
+    return float(_omega_weights(sde, n, np.array([t_from]), np.array([t_to]),
+                                abs_tol=abs_tol, rel_tol=rel_tol)[0])
 
 
 def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float,
@@ -257,23 +299,8 @@ def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float,
         raise ParameterError(f"times must satisfy 0 <= t_to <= t_from < t_max={sde.t_max!r}")
     if t_to == t_from:
         return 0.0
-
-    p = sde.params
-    omk_lo = 1.0 - float(sde.k(t_to))
-    if p.kind in (SdeKind.FOUVE, SdeKind.OUVE):
-        rho = math.log(p.sigma_max / p.sigma_min)
-        zeta2 = 2.0 * (rho + p.gamma0)
-        span = math.exp(zeta2 * t_from) - math.exp(zeta2 * t_to)
-        base = p.sigma_min * omk_lo * math.sqrt(span)
-        if p.kind is SdeKind.OUVE:
-            base *= math.sqrt(rho / (rho + p.gamma0))
-        return base
-
-    def integrand(u: float) -> float:
-        return (float(sde.g(u)) / (1.0 - float(sde.k(u)))) ** 2
-
-    res = integrate(integrand, t_to, t_from, abs_tol=abs_tol, rel_tol=rel_tol)
-    return omk_lo * math.sqrt(max(res.value, 0.0))
+    return float(_ito_stds(sde, np.array([t_from]), np.array([t_to]),
+                           abs_tol=abs_tol, rel_tol=rel_tol)[0])
 
 
 def _prepare_state(sde, y, seed, x_init, shape=None):
@@ -303,15 +330,107 @@ def _check_finite(x, step_index: int, t: float):
                               step_index=step_index, time=t)
 
 
-def _half_log_snr(sde: InterpolatingSde, t: float) -> float:
-    return math.log((1.0 - float(sde.k(t))) / float(sde.sigma(t)))
+def _half_log_snr(sde: InterpolatingSde, t):
+    return np.log((1.0 - np.asarray(sde.k(t), dtype=float)) / sde.sigma(t))
 
 
-def _invert_half_log_snr(sde: InterpolatingSde, target: float,
-                         t_lo: float, t_hi: float) -> float:
-    # strictly decreasing in t, so the root is bracketed by [t_lo, t_hi]
-    return float(brentq(lambda t: _half_log_snr(sde, t) - target, t_lo, t_hi,
-                        xtol=1e-14, rtol=4.0 * np.finfo(float).eps))
+def _lambda_midpoints(sde: InterpolatingSde, times: np.ndarray,
+                      lam: np.ndarray) -> np.ndarray:
+    """Stage times t_mid[i] in [times[i + 1], times[i]] where lambda reaches
+    the midpoint of the step's node values lam[i] and lam[i + 1].
+
+    lambda is strictly decreasing in t, so every root is bracketed by its
+    step. All brackets shrink at once until each is at most xtol = 1e-14 wide
+    (or 100 rounds pass): each round evaluates an Illinois false-position
+    point and, as in Brent's method, a point xtol/2 from it towards the
+    farther end, which closes the bracket once the first point is that close
+    to the root. The root is read off the secant through the final bracket.
+    """
+    xtol = 1e-14
+    target = 0.5 * (lam[:-1] + lam[1:])
+    lo, hi = times[1:], times[:-1]
+    f_lo = lam[1:] - target  # positive
+    f_hi = lam[:-1] - target  # negative
+    w_lo = np.ones_like(lo)  # Illinois weights: the end kept twice in a row is halved
+    w_hi = np.ones_like(hi)
+    last = np.zeros(lo.shape, dtype=int)  # 1: lo moved last, -1: hi moved last
+    for _ in range(100):
+        open_ = hi - lo > xtol
+        if not open_.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = lo + w_lo * f_lo * (hi - lo) / (w_lo * f_lo - w_hi * f_hi)
+        t = np.where(np.isfinite(t), np.clip(t, lo, hi), 0.5 * (lo + hi))
+        nudge = np.clip(t + np.where(hi - t > t - lo, 0.5, -0.5) * xtol, lo, hi)
+        ft, f_nudge = np.split(_half_log_snr(sde, np.concatenate([t, nudge]))
+                               - np.concatenate([target, target]), 2)
+        up = open_ & (ft >= 0.0)
+        down = open_ & (ft < 0.0)
+        w_hi = np.where(down, 1.0, np.where(up & (last == 1), 0.5 * w_hi, w_hi))
+        w_lo = np.where(up, 1.0, np.where(down & (last == -1), 0.5 * w_lo, w_lo))
+        last = np.where(up, 1, np.where(down, -1, last))
+        for point, fp in ((t, ft), (nudge, f_nudge)):
+            up = open_ & (fp >= 0.0) & (point > lo)
+            down = open_ & (fp <= 0.0) & (point < hi)
+            lo, f_lo = np.where(up, point, lo), np.where(up, fp, f_lo)
+            hi, f_hi = np.where(down, point, hi), np.where(down, fp, f_hi)
+    span = f_lo - f_hi
+    frac = np.divide(f_lo, span, out=np.zeros_like(span), where=span != 0.0)
+    return lo + frac * (hi - lo)
+
+
+@dataclass(frozen=True)
+class _StepPlan:
+    """Coefficients of every :func:`isde_solve` step that do not depend on the state.
+
+    Node arrays have one entry per grid node, step arrays one per step
+    (times[i] -> times[i + 1]). Fields the mode (score or eps), order p or
+    kappa does not use are None.
+    """
+
+    k: np.ndarray                        # k at the nodes
+    phi: np.ndarray                      # (1 - k_lo) / (1 - k_hi) per step
+    t_mid: np.ndarray | None = None      # p = 2 stage times
+    k_mid: np.ndarray | None = None      # p = 2: k(t_mid)
+    phi_mid: np.ndarray | None = None    # p = 2: (1 - k(t_mid)) / (1 - k_hi)
+    w0: np.ndarray | None = None         # score mode: -omega_0 over the step
+    w0_half: np.ndarray | None = None    # score mode, p = 2: -omega_0 from t_hi to t_mid
+    w1: np.ndarray | None = None         # score mode, p = 2: -omega_1 over the step
+    lam: np.ndarray | None = None        # eps mode: half-log-SNR at the nodes
+    sigma: np.ndarray | None = None      # eps mode: sigma at the nodes
+    sigma_mid: np.ndarray | None = None  # eps mode, p = 2: sigma(t_mid)
+    ito_std: np.ndarray | None = None    # kappa > 0: ito_increment per step
+
+
+def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
+               eps_mode: bool) -> _StepPlan:
+    """Every state-independent coefficient of an isde_solve run on ``times``.
+
+    In score mode the p = 2 stage sits at the step's midpoint in t; in eps
+    mode it sits where lambda reaches the midpoint of the step's lambda values.
+    """
+    t_hi, t_lo = times[:-1], times[1:]
+    k = np.asarray(sde.k(times), dtype=float)
+    plan = {"k": k, "phi": (1.0 - k[1:]) / (1.0 - k[:-1])}
+    if eps_mode:
+        plan["lam"] = lam = _half_log_snr(sde, times)
+        plan["sigma"] = np.asarray(sde.sigma(times), dtype=float)
+        if p == 2:
+            plan["t_mid"] = _lambda_midpoints(sde, times, lam)
+            plan["sigma_mid"] = np.asarray(sde.sigma(plan["t_mid"]), dtype=float)
+    elif p == 1:
+        plan["w0"] = -_omega_weights(sde, 0, t_hi, t_lo)
+    else:
+        plan["t_mid"] = t_mid = 0.5 * (t_hi + t_lo)
+        weights = -_omega_weights(sde, np.repeat([0, 0, 1], t_hi.size), np.tile(t_hi, 3),
+                                  np.concatenate([t_lo, t_mid, t_lo]))
+        plan["w0"], plan["w0_half"], plan["w1"] = np.split(weights, 3)
+    if p == 2:
+        plan["k_mid"] = k_mid = np.asarray(sde.k(plan["t_mid"]), dtype=float)
+        plan["phi_mid"] = (1.0 - k_mid) / (1.0 - k[:-1])
+    if kappa > 0.0:
+        plan["ito_std"] = _ito_stds(sde, t_hi, t_lo)
+    return _StepPlan(**plan)
 
 
 def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -325,6 +444,8 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     models are expanded in t; eps-parameterized models are expanded in the
     half-log-SNR variable lambda = ln((1 - k)/sigma), where the order-1 update
     has the closed form Phi x + (1 - Phi) y - (1+kappa^2) sigma_lo expm1(h) eps_hat.
+    Every coefficient that does not depend on the state is computed for the
+    whole grid before the first step (:func:`_step_plan`).
     """
     if p not in (1, 2):
         raise ParameterError(f"p must be 1 or 2, got {p!r}")
@@ -338,59 +459,51 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     ya = np.asarray(y, dtype=float)
     eps_mode = getattr(model, "parameterization", "score") == "eps"
     times = grid.times
+    plan = _step_plan(sde, times, p, kappa, eps_mode)
+    k, phi = plan.k, plan.phi
     calls = 0
     traj = [np.array(x, copy=True)] if keep_trajectory else None
 
     for i in range(times.size - 1):
         th = float(times[i])
         tl = float(times[i + 1])
-        k_hi = float(sde.k(th))
-        k_lo = float(sde.k(tl))
-        phi = (1.0 - k_lo) / (1.0 - k_hi)
         out_hi = np.asarray(model(x, ya, th), dtype=float)
         calls += 1
 
         if not eps_mode:
-            w0 = -omega_weight(sde, 0, th, tl)
             if p == 1:
-                corr = out_hi * w0
+                corr = out_hi * plan.w0[i]
             else:
-                tm = 0.5 * (th + tl)
-                k_m = float(sde.k(tm))
-                phi_m = (1.0 - k_m) / (1.0 - k_hi)
-                w0_half = -omega_weight(sde, 0, th, tm)
-                x_mid = phi_m * x + (1.0 - phi_m) * ya + (1.0 - k_m) * out_hi * w0_half
+                tm = float(plan.t_mid[i])
+                phi_m = plan.phi_mid[i]
+                x_mid = (phi_m * x + (1.0 - phi_m) * ya
+                         + (1.0 - plan.k_mid[i]) * out_hi * plan.w0_half[i])
                 s_mid = np.asarray(model(x_mid, ya, tm), dtype=float)
                 calls += 1
                 s_dot = (out_hi - s_mid) / (th - tm)
-                w1 = -omega_weight(sde, 1, th, tl)
-                corr = out_hi * w0 + s_dot * w1
-            x = phi * x + (1.0 - phi) * ya + (1.0 + kappa ** 2) * (1.0 - k_lo) * corr
+                corr = out_hi * plan.w0[i] + s_dot * plan.w1[i]
+            x = phi[i] * x + (1.0 - phi[i]) * ya + (1.0 + kappa ** 2) * (1.0 - k[i + 1]) * corr
         else:
-            lam_hi = _half_log_snr(sde, th)
-            lam_lo = _half_log_snr(sde, tl)
+            lam_hi, lam_lo = plan.lam[i], plan.lam[i + 1]
             h = lam_lo - lam_hi  # positive: lambda decreases with t
-            sig_lo = float(sde.sigma(tl))
+            sig_lo = plan.sigma[i + 1]
             if p == 1:
                 step_term = sig_lo * math.expm1(h) * out_hi
             else:
                 lam_mid = 0.5 * (lam_hi + lam_lo)
-                tm = _invert_half_log_snr(sde, lam_mid, tl, th)
-                k_m = float(sde.k(tm))
-                phi_m = (1.0 - k_m) / (1.0 - k_hi)
+                phi_m = plan.phi_mid[i]
                 x_mid = (phi_m * x + (1.0 - phi_m) * ya
-                         - float(sde.sigma(tm)) * math.expm1(0.5 * h) * out_hi)
-                eps_mid = np.asarray(model(x_mid, ya, tm), dtype=float)
+                         - plan.sigma_mid[i] * math.expm1(0.5 * h) * out_hi)
+                eps_mid = np.asarray(model(x_mid, ya, float(plan.t_mid[i])), dtype=float)
                 calls += 1
                 eps_dot = (out_hi - eps_mid) / (lam_hi - lam_mid)
                 # (1 - k_lo) omega0 = sigma_lo expm1(h); (1 - k_lo) omega1 = sigma_lo (expm1(h) - h)
                 step_term = sig_lo * (math.expm1(h) * out_hi
                                       + (math.expm1(h) - h) * eps_dot)
-            x = phi * x + (1.0 - phi) * ya - (1.0 + kappa ** 2) * step_term
+            x = phi[i] * x + (1.0 - phi[i]) * ya - (1.0 + kappa ** 2) * step_term
 
         if kappa > 0.0:
-            incr = ito_increment(sde, th, tl)
-            x = x + kappa * incr * rng_ito.standard_normal(np.shape(x))
+            x = x + kappa * plan.ito_std[i] * rng_ito.standard_normal(np.shape(x))
         _check_finite(x, i, tl)
         if keep_trajectory:
             traj.append(np.array(x, copy=True))

@@ -1,5 +1,8 @@
+import copy
+import hashlib
 import importlib.metadata as md
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,9 @@ from isde.errors import DivergenceError
 REPO = Path(__file__).resolve().parents[1]
 CONFIG_DIR = REPO / "configs"
 PYPROJECT = REPO / "pyproject.toml"
+# SHA-256 of every shipped config's CSV per CLI seed (bench/golden.json)
+GOLDEN = REPO / "bench" / "golden.json"
+GOLDEN_SEED = 1234
 
 
 def write_cfg(tmp_path, data, name="cfg.yaml"):
@@ -41,12 +47,17 @@ def test_shipped_configs_cover_every_study():
 def test_shipped_config_runs(tmp_path, study):
     cfg = CONFIG_DIR / f"{study}.yaml"
     out = tmp_path / f"{study}.csv"
-    rc = cli.main([study, "--config", str(cfg), "--out", str(out)])
+    rc = cli.main([study, "--config", str(cfg), "--out", str(out),
+                   "--seed", str(GOLDEN_SEED)])
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) >= 2  # header plus at least one row
     manifest = json.loads(out.with_suffix(".manifest.json").read_text())
     assert manifest["study"] == study
+    # the shipped studies reproduce the recorded CSVs byte for byte
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["csv"][str(GOLDEN_SEED)][study]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == golden["sha256"], \
+        f"{study} CSV differs from bench/golden.json"
 
 
 def test_seed_override_changes_output(tmp_path):
@@ -92,6 +103,43 @@ def test_config_error_exits_2(tmp_path, canonical_config_dict, capsys):
                    "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "typo_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    (("sde", "sigma_min"), "abc"),
+    (("sde", "sigma_min"), math.nan),
+    (("sde", "delta"), "abc"),
+    (("sde", "delta"), math.nan),
+    (("prior", "m0"), "abc"),
+    (("prior", "m0"), math.nan),
+    (("solvers", 0, "kappa"), "abc"),
+    (("solvers", 0, "kappa"), math.nan),
+    (("solvers", 0, "m_nodes"), "abc"),
+    (("solvers", 0, "m_nodes"), math.nan),
+    (("y",), "abc"),
+    (("y",), math.nan),
+    (("m_values",), [5, math.inf]),
+])
+def test_malformed_number_exits_2(tmp_path, canonical_config_dict, capsys, path, value):
+    data = copy.deepcopy(canonical_config_dict)
+    data["solvers"] = [{"kind": "isde", "p": 2, "kappa": 0.1, "m_nodes": 5}]
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cfg = write_cfg(tmp_path, data)
+    rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and str(path[-1]) in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_unwritable_output_exits_2(tmp_path, canonical_config_dict, capsys):
+    cfg = write_cfg(tmp_path, canonical_config_dict)
+    rc = cli.main(["verify-weights", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_1(tmp_path, canonical_config_dict, monkeypatch, capsys):

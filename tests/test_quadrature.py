@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 
 from isde import integrate, signed_integrate
+from isde.quadrature import integrate_batch
 from isde.errors import (
     ParameterError,
     QuadratureDomainError,
@@ -102,3 +103,48 @@ def test_random_smooth_integrands_match_library_quadrature():
         mine = integrate(f, lo, hi).value
         ref, _ = scipy.integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13)
         assert abs(mine - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+# ------------------------------------------------------- batched quadrature
+
+def test_batch_matches_scalar_integrate():
+    rng = np.random.default_rng(43)
+    a1, a2, w = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(1.0, 6.0)
+    lo = np.sort(rng.uniform(0.0, 0.9, size=30))
+    hi = lo + rng.uniform(0.0, 0.099, size=30)
+    hi[0] = lo[0]  # a zero-width interval integrates to 0
+
+    def f(t):
+        # steepens toward t = 1, so some intervals need several subdivisions
+        return np.exp(a1 * np.sin(w * t)) + a2 * t * t + 1.0 / (1.0 - t) ** 2
+
+    res = integrate_batch(lambda x, rows: f(x), lo, hi, abs_tol=1e-14, rel_tol=1e-12)
+    assert res.value[0] == 0.0 and res.evaluations[0] == 15
+    assert res.evaluations.max() > 15
+    for i in range(lo.size):
+        want = integrate(lambda t: float(f(t)), lo[i], hi[i], abs_tol=1e-14, rel_tol=1e-12)
+        assert abs(res.value[i] - want.value) <= 1e-11 * max(1.0, abs(want.value)), i
+        assert 0.0 <= res.error_estimate[i] <= max(1e-14, 1e-12 * abs(res.value[i]))
+
+
+def test_batch_integrand_sees_interval_rows():
+    a = np.array([0.0, 1.0, 2.0])
+    res = integrate_batch(lambda x, rows: (x - a[rows, None]) ** 2, a, a + 1.0)
+    np.testing.assert_allclose(res.value, 1.0 / 3.0, rtol=1e-14)
+
+
+def test_batch_errors():
+    with pytest.raises(QuadratureDomainError):
+        # x = 0 is a panel node on [-1, 1]
+        integrate_batch(lambda x, rows: np.where(x == 0.0, np.inf, x), [-1.0, 1.0], [1.0, 2.0])
+    with pytest.raises(QuadratureToleranceError) as err:
+        integrate_batch(lambda x, rows: np.sin(200.0 * x), [0.0, 0.0], [0.1, 10.0],
+                        abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=16)
+    best = err.value.result
+    assert "[0.0, 10.0]" in str(err.value)
+    assert math.isfinite(best.value) and best.error_estimate > 0.0
+    assert best.evaluations >= 15 * 16
+    for a, b in (([1.0], [0.0]), ([0.0, 1.0], [1.0]), ([math.nan], [1.0])):
+        with pytest.raises(ParameterError):
+            integrate_batch(lambda x, rows: x, a, b)
+

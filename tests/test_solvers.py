@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from isde import (
     analytic_score_model,
     eps_adapter,
     euler_maruyama,
+    integrate,
     isde_solve,
     ito_increment,
     linear_step,
@@ -29,9 +31,11 @@ from isde import (
 from isde.errors import (
     DivergenceError,
     ParameterError,
+    QuadratureDomainError,
     ShapeError,
     StiffnessError,
 )
+from isde.solvers import _step_plan
 
 
 def zero_model():
@@ -218,6 +222,89 @@ def test_ito_increment_variance_identity(all_sdes):
         assert ito_increment(sde, 0.5, 0.5) == 0.0
     with pytest.raises(ParameterError):
         ito_increment(all_sdes["fOUVE"], 0.3, 0.6)
+
+
+# ----------------------------------------------------------------- step plans
+
+@pytest.mark.parametrize("nodes", [11, 41, 201])
+def test_step_plan_weights_match_scalar_quadrature(all_sdes, nodes):
+    for name, sde in all_sdes.items():
+        times = TimeGrid.for_sde(sde, nodes).times
+        plan = _step_plan(sde, times, p=2, kappa=0.5, eps_mode=False)
+
+        def big_g(u):
+            return float(sde.g(u)) ** 2 / (2.0 * (1.0 - float(sde.k(u))))
+
+        def diffusion(u):
+            return (float(sde.g(u)) / (1.0 - float(sde.k(u)))) ** 2
+
+        for i in range(times.size - 1):
+            th, tl, tm = float(times[i]), float(times[i + 1]), float(plan.t_mid[i])
+            oracle = {
+                "w0": integrate(big_g, tl, th, abs_tol=1e-14, rel_tol=1e-12).value,
+                "w0_half": integrate(big_g, tm, th, abs_tol=1e-14, rel_tol=1e-12).value,
+                "w1": integrate(lambda u: big_g(u) * (u - th), tl, th,
+                                abs_tol=1e-14, rel_tol=1e-12).value,
+                "ito_std": (1.0 - float(sde.k(tl))) * math.sqrt(
+                    integrate(diffusion, tl, th, abs_tol=1e-14, rel_tol=1e-12).value),
+            }
+            for field, want in oracle.items():
+                got = getattr(plan, field)[i]
+                assert abs(got - want) <= 1e-10 * abs(want), (name, nodes, i, field)
+
+
+def test_step_plan_ito_variance_identity(all_sdes):
+    for name, sde in all_sdes.items():
+        times = TimeGrid.for_sde(sde, 41).times
+        plan = _step_plan(sde, times, p=1, kappa=1.0, eps_mode=False)
+        want = plan.phi ** 2 * sde.var(times[:-1]) - sde.var(times[1:])
+        tol = 1e-6 if name == "BBED" else 1e-10  # BBED's variance is tabulated
+        np.testing.assert_allclose(plan.ito_std ** 2, want, rtol=tol, err_msg=name)
+        assert plan.w0_half is None and plan.t_mid is None
+
+
+def test_step_plan_eps_midpoints_bisect_lambda(all_sdes):
+    def lam(sde, t):
+        return math.log((1.0 - float(sde.k(t))) / float(sde.sigma(t)))
+
+    for name, sde in all_sdes.items():
+        for nodes in (2, 11, 201):
+            times = TimeGrid.for_sde(sde, nodes).times
+            plan = _step_plan(sde, times, p=2, kappa=0.0, eps_mode=True)
+            assert np.all(times[1:] < plan.t_mid) and np.all(plan.t_mid < times[:-1]), name
+            for th, tl, tm in zip(times[:-1], times[1:], plan.t_mid):
+                lam_mid = 0.5 * (lam(sde, th) + lam(sde, tl))
+                assert abs(lam(sde, tm) - lam_mid) <= 1e-12, (name, nodes)
+
+
+def test_isde_nfe_on_every_schedule(all_sdes, gaussian_prior):
+    for name, sde in all_sdes.items():
+        grid = TimeGrid.for_sde(sde, 6)
+        model = analytic_score_model(gaussian_prior, sde)
+        for mdl in (model, eps_adapter(model, sde)):
+            for p, kappa in ((1, 0.0), (2, 0.0), (2, 0.5)):
+                before = model.nfe
+                out = isde_solve(sde, mdl, 1.0, grid, p=p, kappa=kappa, seed=3,
+                                 x_init=np.linspace(0.0, 1.0, 4))
+                assert out.nfe == p * grid.n_steps == model.nfe - before, name
+                assert np.all(np.isfinite(out.final_state)), name
+
+
+def test_isde_schedule_nan_inside_a_step(all_sdes, gaussian_prior):
+    ot = all_sdes["OT"]
+
+    def g(t):
+        tt = np.asarray(t, dtype=float)
+        return np.where((tt > 0.52) & (tt < 0.53), np.nan, ot.g(tt))
+
+    broken = dataclasses.replace(ot, g=g)
+    model = analytic_score_model(gaussian_prior, ot)
+    grid = TimeGrid.for_sde(ot, 11)
+    for p, kappa in ((1, 0.0), (2, 0.0), (1, 0.5)):
+        calls = model.nfe
+        with pytest.raises(QuadratureDomainError):
+            isde_solve(broken, model, 1.0, grid, p=p, kappa=kappa, x_init=np.zeros(3))
+        assert model.nfe == calls  # the plan fails before the first model call
 
 
 # ------------------------------------------------------- exponential sampler
