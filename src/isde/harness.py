@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .errors import ConfigError, ParameterError, SingularityError
 from .quadrature import integrate
@@ -195,13 +194,12 @@ def _entry_from_dict(block, index: int) -> SolverEntry:
 
 
 def _int_tuple(value, key: str, minimum: int) -> tuple:
-    try:
-        items = tuple(int(v) for v in value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config key {key!r} must be a list of integers")
-    if not items or any(v < minimum for v in items):
-        raise ConfigError(f"config key {key!r} entries must be >= {minimum}, got {items!r}")
-    return items
+    if not isinstance(value, (list, tuple)) or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in value):
+        raise ConfigError(f"config key {key!r} must be a list of integers, got {value!r}")
+    if not value or any(v < minimum for v in value):
+        raise ConfigError(f"config key {key!r} entries must be >= {minimum}, got {value!r}")
+    return tuple(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -556,6 +554,8 @@ def marginal_check(config: ExperimentConfig) -> StudyResult:
     the 1% critical value 1.6276/sqrt(n). A forward-sampling row sanity-checks
     the kernel itself at the start time.
     """
+    from scipy import stats as sp_stats
+
     t0 = time.perf_counter()
     entries = _require_solvers(config, "marginal-check")
     n = config.n_trajectories

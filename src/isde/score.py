@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ParameterError, ShapeError, SingularityError, real_parameter
 from .sde_core import InterpolatingSde
@@ -195,20 +194,25 @@ def analytic_score(prior, sde: InterpolatingSde, x, y, t):
         return out if np.ndim(out) else float(out)
 
     if isinstance(prior, MixturePrior):
-        xb = np.broadcast_to(xa, shape).astype(float)
-        yb = np.broadcast_to(ya, shape).astype(float)
-        j = len(prior.weights)
-        ext = (j,) + (1,) * len(shape)
-        m = np.array(prior.means).reshape(ext)
-        s2 = np.array(prior.variances).reshape(ext)
-        logw = np.log(np.array(prior.weights)).reshape(ext)
-        v = omk ** 2 * s2 + sig2
+        # Per-component constants are vectors over the components; only
+        # d = mu - x and the log densities span (components, *shape), and
+        # they are updated in place.
+        v = omk ** 2 * np.array(prior.variances) + sig2
         if np.any(v <= 0.0):
             raise SingularityError(f"zero marginal variance at t={t!r}")
-        mu = omk * m + kv * yb
-        logp = logw - 0.5 * np.log(2.0 * np.pi * v) - (xb - mu) ** 2 / (2.0 * v)
-        r = np.exp(logp - logsumexp(logp, axis=0, keepdims=True))
-        out = np.sum(r * (mu - xb) / v, axis=0)
+        ext = (len(v),) + (1,) * len(shape)
+        logc = (np.log(np.array(prior.weights)) - 0.5 * np.log(2.0 * np.pi * v)).reshape(ext)
+        v = v.reshape(ext)
+        d = ((omk * np.array(prior.means)).reshape(ext) + kv * ya) - xa
+        logp = d * d
+        logp /= 2.0 * v
+        np.subtract(logc, logp, out=logp)
+        # responsibilities with the max over components shifted out
+        logp -= logp.max(axis=0)
+        e = np.exp(logp, out=logp)
+        d /= v
+        d *= e
+        out = d.sum(axis=0) / e.sum(axis=0)
         return out if len(shape) else float(out)
 
     raise ParameterError(f"unsupported prior type {type(prior).__name__!r}")

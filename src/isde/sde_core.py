@@ -35,7 +35,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     ParameterError,
@@ -264,6 +263,8 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
     t_rev = 0.999
 
     if kind is SdeKind.BBED:
+        from scipy.interpolate import PchipInterpolator
+
         c = float(params.c)
         r = float(params.r)
         t_edge = 0.5 * (t_rev + 1.0)  # grid reaches past t_rev; beyond it, direct quadrature

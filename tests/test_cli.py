@@ -3,6 +3,9 @@ import hashlib
 import importlib.metadata as md
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,21 @@ def write_cfg(tmp_path, data, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     return path
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only BBED's variance table and the marginal-check KS test,
+    # which import it when they run; importing the package must not.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, isde, isde.cli; print(isde.__file__); "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).resolve().parent == Path(cli.__file__).resolve().parent
+    assert loaded == "[]"
 
 
 def test_verify_weights_end_to_end(tmp_path, canonical_config_dict, capsys):
@@ -119,6 +137,14 @@ def test_config_error_exits_2(tmp_path, canonical_config_dict, capsys):
     (("y",), "abc"),
     (("y",), math.nan),
     (("m_values",), [5, math.inf]),
+    (("m_values",), [2.7, 5.9]),
+    (("m_values",), [5.0, 10]),
+    (("m_values",), [True, 5]),
+    (("m_values",), ["5", 10]),
+    (("m_values",), "5"),
+    (("budgets",), [4.5, 10]),
+    (("budgets",), [False]),
+    (("budgets",), ["abc"]),
 ])
 def test_malformed_number_exits_2(tmp_path, canonical_config_dict, capsys, path, value):
     data = copy.deepcopy(canonical_config_dict)

@@ -42,6 +42,21 @@ def _log_marginal(prior, sde, x, y, t):
     return logsumexp(np.array(comps), axis=0)
 
 
+def _mixture_score_oracle(prior, sde, x, y, t):
+    """Mixture score by log-space responsibilities through scipy's logsumexp."""
+    k = float(sde.k(t))
+    omk = 1.0 - k
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    ext = (-1,) + (1,) * x.ndim
+    m = np.array(prior.means).reshape(ext)
+    v = (omk ** 2 * np.array(prior.variances) + float(sde.var(t))).reshape(ext)
+    mu = omk * m + k * y
+    logp = (np.log(np.array(prior.weights)).reshape(ext) - 0.5 * np.log(2.0 * np.pi * v)
+            - (x - mu) ** 2 / (2.0 * v))
+    r = np.exp(logp - logsumexp(logp, axis=0, keepdims=True))
+    return np.sum(r * (mu - x) / v, axis=0)
+
+
 # -------------------------------------------------------------------- priors
 
 def test_prior_validation():
@@ -176,6 +191,31 @@ def test_mixture_score_far_tails(fouve):
         assert math.isfinite(s)
 
 
+@pytest.mark.parametrize("prior", [
+    MIX,
+    MixturePrior((0.5, 0.5), (0.4, 0.4), (0.04, 0.04)),
+    MixturePrior((0.3, 0.7), (-0.5, 1.0), (0.0, 0.04)),
+], ids=["three", "tied", "zero-variance"])
+@pytest.mark.parametrize("kind", ["fOUVE", "OT"])
+def test_mixture_score_matches_logsumexp_oracle(all_sdes, prior, kind):
+    sde = all_sdes[kind]
+    rng = np.random.default_rng(23)
+    y = rng.normal(1.0, 0.3, size=100)
+    for t in np.linspace(sde.delta, sde.t_rev, 4):
+        m, v = marginal_moments(prior, sde, y, t)
+        x = m + math.sqrt(v) * rng.normal(scale=3.0, size=(1000, 100))
+        got = analytic_score(prior, sde, x, y, t)
+        want = _mixture_score_oracle(prior, sde, x, y, t)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=1e-12 * np.max(np.abs(want)))
+        x1 = float(x[0, 0])
+        s = analytic_score(prior, sde, x1, 1.0, t)
+        assert type(s) is float
+        assert s == pytest.approx(float(_mixture_score_oracle(prior, sde, x1, 1.0, t)),
+                                  rel=1e-10, abs=1e-12 * np.max(np.abs(want)))
+
+
 def test_score_vectorizes(fouve):
     x = np.linspace(-1.0, 2.0, 7).reshape(7, 1)
     out = analytic_score(MIX, fouve, x, np.ones(3), 0.5)
@@ -198,8 +238,9 @@ def test_score_domain_errors(fouve, gaussian_prior):
 
 def test_zero_variance_marginal_raises(fouve):
     frozen = dataclasses.replace(fouve, var=lambda t: 0.0 * np.asarray(t, dtype=float))
-    with pytest.raises(SingularityError):
-        analytic_score(DeltaPrior(0.5), frozen, 0.3, 1.0, 0.5)
+    for prior in (DeltaPrior(0.5), MixturePrior((0.3, 0.7), (-0.5, 1.0), (0.0, 0.04))):
+        with pytest.raises(SingularityError):
+            analytic_score(prior, frozen, 0.3, 1.0, 0.5)
 
 
 # ------------------------------------------------------ model wrapper + eps
