@@ -67,7 +67,10 @@ class ConfigError(IsdeError, ValueError):
 
 
 def real_parameter(name: str, value) -> float:
-    """``float(value)``, raising ParameterError naming ``name`` when value is not a number."""
+    """``float(value)``, raising ParameterError naming ``name`` when value is not a
+    number; a bool is not one, so a YAML ``true`` cannot stand for 1.0."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):

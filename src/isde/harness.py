@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, SingularityError
+from .errors import ConfigError, ParameterError, SingularityError, real_parameter
 from .quadrature import integrate
 from .score import (
     DeltaPrior,
@@ -33,7 +33,7 @@ from .score import (
     analytic_score_model,
     marginal_moments,
 )
-from .sde_core import InterpolatingSde, SdeParams, make_sde
+from .sde_core import InterpolatingSde, SdeParams, make_sde, sample_forward
 from .solvers import (
     SolverSpec,
     TimeGrid,
@@ -237,7 +237,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     prior = _prior_from_dict(data["prior"])
 
     try:
-        y = float(data["y"])
+        y = real_parameter("y", data["y"])
     except (TypeError, ValueError):
         raise ConfigError(f"config key 'y' must be a number, got {data['y']!r}")
     if not math.isfinite(y):
@@ -267,7 +267,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         kwargs["budgets"] = _int_tuple(data["budgets"], "budgets", 1)
     if "kappas" in data:
         try:
-            kappas = tuple(float(v) for v in data["kappas"])
+            kappas = tuple(real_parameter("kappas", v) for v in data["kappas"])
         except (TypeError, ValueError):
             raise ConfigError("config key 'kappas' must be a list of numbers")
         if not kappas or any(not math.isfinite(v) or v < 0.0 for v in kappas):
@@ -572,10 +572,7 @@ def marginal_check(config: ExperimentConfig) -> StudyResult:
 
     rows = []
     fw_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-    x0 = replace(prior, dimension=n).sample(fw_rng)
-    k_hi = float(sde.k(t_hi))
-    x_fwd = (1.0 - k_hi) * x0 + k_hi * y \
-        + float(sde.sigma(t_hi)) * fw_rng.standard_normal(n)
+    x_fwd = sample_forward(sde, replace(prior, dimension=n).sample(fw_rng), y, t_hi, fw_rng)
     ks_fwd = sp_stats.kstest(x_fwd, "norm", args=(m_hi, math.sqrt(v_hi))).statistic
     rows.append(("forward", float(n), float(np.mean(x_fwd)), m_hi,
                  float(np.var(x_fwd, ddof=1)), v_hi, float(ks_fwd), ks_crit))
@@ -615,10 +612,8 @@ def simulate_forward(config: ExperimentConfig) -> StudyResult:
     rows = []
     for t in ts:
         t = float(t)
-        kv = float(sde.k(t))
-        x0 = sampler.sample(rng)
-        x = (1.0 - kv) * x0 + kv * y + float(sde.sigma(t)) * rng.standard_normal(n)
-        rows.append((t, kv, float(sde.gamma(t)), float(sde.sigma(t)), float(sde.g(t)),
+        x = sample_forward(sde, sampler.sample(rng), y, t, rng)
+        rows.append((t, float(sde.k(t)), float(sde.gamma(t)), float(sde.sigma(t)), float(sde.g(t)),
                      float(np.mean(x)), float(np.std(x, ddof=1))))
     columns = ("t", "k", "gamma", "sigma", "g", "mean_mc", "std_mc")
     manifest = _describe_config(config, "simulate-forward", n_times=config.n_times)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureDomainError, QuadratureToleranceError
 
-__all__ = ["QuadResult", "integrate", "integrate_batch", "signed_integrate"]
+__all__ = ["QuadResult", "integrate", "integrate_batch"]
 
 # Kronrod-15 abscissae (positive half, descending) and weights; embedded
 # Gauss-7 weights pair with every second abscissa. Values are the standard
@@ -259,12 +259,3 @@ def integrate_batch(f, a, b, abs_tol: float = 1e-12, rel_tol: float = 1e-10,
                                  np.stack([new_lo, new_hi, new_value, new_err], axis=1)])
         rows = np.concatenate([rows[~split], new_rows])
 
-
-def signed_integrate(f, a: float, b: float, abs_tol: float = 1e-12, rel_tol: float = 1e-10,
-                     max_subdivisions: int = 2000) -> QuadResult:
-    """Orientation-aware integral: equals integrate for a <= b, else the negative
-    of the integral over [b, a]. Convenience for descending time bounds."""
-    if a <= b:
-        return integrate(f, a, b, abs_tol, rel_tol, max_subdivisions)
-    res = integrate(f, b, a, abs_tol, rel_tol, max_subdivisions)
-    return QuadResult(-res.value, res.error_estimate, res.evaluations)

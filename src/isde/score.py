@@ -283,11 +283,28 @@ def score_from_eps(eps_model: ScoreModel, sde: InterpolatingSde) -> ScoreModel:
     return ScoreModel(fn, parameterization="score", name=f"score({eps_model.name})")
 
 
-def _check_n_samples(n_samples) -> int:
+def _mc_loss(model: ScoreModel, prior, sde: InterpolatingSde, y, n_samples: int,
+             rng: np.random.Generator, residual) -> float:
+    """Mean over n_samples draws of || residual(model(x_t, y, t), eps, sigma_t) ||^2.
+
+    Each draw takes t uniform on [delta, t_rev], then x0 from the prior, then
+    eps standard normal, and forms x_t = mu_t + sigma_t eps.
+    """
     n = int(n_samples)
     if n < 1:
         raise ParameterError(f"n_samples must be >= 1, got {n_samples!r}")
-    return n
+    y = float(y)
+    total = 0.0
+    for _ in range(n):
+        t = rng.uniform(sde.delta, sde.t_rev)
+        x0 = prior.sample(rng)
+        eps = rng.standard_normal(prior.dimension)
+        kv = float(sde.k(t))
+        sig = float(sde.sigma(t))
+        x = (1.0 - kv) * x0 + kv * y + sig * eps
+        resid = residual(np.asarray(model(x, y, t), dtype=float), eps, sig)
+        total += float(np.sum(resid ** 2))
+    return total / n
 
 
 def dsm_loss_mc(score_model: ScoreModel, prior, sde: InterpolatingSde, y,
@@ -299,19 +316,8 @@ def dsm_loss_mc(score_model: ScoreModel, prior, sde: InterpolatingSde, y,
     (squared Euclidean norm over the prior's dimension). Zero exactly when the
     model equals the conditional score of the kernel.
     """
-    n = _check_n_samples(n_samples)
-    y = float(y)
-    total = 0.0
-    for _ in range(n):
-        t = rng.uniform(sde.delta, sde.t_rev)
-        x0 = prior.sample(rng)
-        eps = rng.standard_normal(prior.dimension)
-        kv = float(sde.k(t))
-        sig = float(sde.sigma(t))
-        x = (1.0 - kv) * x0 + kv * y + sig * eps
-        resid = np.asarray(score_model(x, y, t), dtype=float) + eps / sig
-        total += float(np.sum(resid ** 2))
-    return total / n
+    return _mc_loss(score_model, prior, sde, y, n_samples, rng,
+                    lambda out, eps, sig: out + eps / sig)
 
 
 def eps_loss_mc(eps_model: ScoreModel, prior, sde: InterpolatingSde, y,
@@ -320,16 +326,5 @@ def eps_loss_mc(eps_model: ScoreModel, prior, sde: InterpolatingSde, y,
 
     Equals sigma_t^2 times the pointwise DSM integrand, sample by sample.
     """
-    n = _check_n_samples(n_samples)
-    y = float(y)
-    total = 0.0
-    for _ in range(n):
-        t = rng.uniform(sde.delta, sde.t_rev)
-        x0 = prior.sample(rng)
-        eps = rng.standard_normal(prior.dimension)
-        kv = float(sde.k(t))
-        sig = float(sde.sigma(t))
-        x = (1.0 - kv) * x0 + kv * y + sig * eps
-        resid = np.asarray(eps_model(x, y, t), dtype=float) - eps
-        total += float(np.sum(resid ** 2))
-    return total / n
+    return _mc_loss(eps_model, prior, sde, y, n_samples, rng,
+                    lambda out, eps, sig: out - eps)

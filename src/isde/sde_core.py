@@ -58,8 +58,6 @@ __all__ = [
     "mean_evolution",
     "perturbation_kernel",
     "sample_forward",
-    "psi",
-    "drift",
 ]
 
 
@@ -442,34 +440,3 @@ def sample_forward(sde: InterpolatingSde, x0, y, t, rng: np.random.Generator):
     z = rng.standard_normal(np.shape(kern.mean))
     return kern.mean + kern.std * z
 
-
-def psi(sde: InterpolatingSde, s: float, t: float) -> float:
-    """Fundamental solution of the homogeneous part on s <= t:
-    Psi(s, t) = (1 - k(t)) / (1 - k(s)) = exp(-int_s^t gamma); value in (0, 1]."""
-    s = float(s)
-    t = float(t)
-    if s > t:
-        raise ParameterError(f"psi requires s <= t, got s={s!r} > t={t!r}")
-    if t >= sde.t_max:
-        raise ParameterError(f"time {t!r} must be below the horizon t_max={sde.t_max!r}")
-    ks = float(sde.k(s))
-    if ks >= 1.0:
-        raise SingularityError(f"k(s) reached 1 at s={s!r}")
-    return (1.0 - float(sde.k(t))) / (1.0 - ks)
-
-
-def drift(sde: InterpolatingSde, x, y, t):
-    """Mean-reverting drift gamma(t) (y - x)."""
-    t = float(t)
-    if t >= sde.t_max:
-        raise SingularityError(
-            f"stiffness diverges at the horizon: t={t!r} >= t_max={sde.t_max!r}")
-    if float(sde.k(t)) >= 1.0:
-        raise SingularityError(f"k(t) reached 1 at t={t!r}")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    try:
-        np.broadcast_shapes(xa.shape, ya.shape)
-    except ValueError:
-        raise ShapeError(f"x shape {xa.shape} and y shape {ya.shape} do not broadcast")
-    return float(sde.gamma(t)) * (ya - xa)

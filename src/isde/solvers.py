@@ -35,7 +35,7 @@ from .errors import (
 )
 from .quadrature import integrate_batch
 from .sde_core import InterpolatingSde, SdeKind
-from .score import ScoreModel
+from .score import ScoreModel, score_from_eps
 
 __all__ = [
     "TimeGrid",
@@ -53,8 +53,6 @@ __all__ = [
     "run_solver",
     "nfe_per_step",
 ]
-
-_SOLVER_KINDS = ("isde", "euler_maruyama", "pc", "rk2", "rk45")
 
 
 @dataclass(frozen=True)
@@ -92,6 +90,20 @@ class TimeGrid:
         return cls.uniform(sde.t_rev, sde.delta, n_nodes)
 
 
+def _check_order(p) -> int:
+    """The order p of :func:`isde_solve`: the integer 1 or 2 (not a bool or a float)."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p not in (1, 2):
+        raise ParameterError(f"p must be the integer 1 or 2, got {p!r}")
+    return int(p)
+
+
+def _nonnegative_real(name: str, value) -> float:
+    value = real_parameter(name, value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ParameterError(f"{name} must be a nonnegative finite real, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     """Which sampler to run and its tuning knobs.
@@ -110,18 +122,14 @@ class SolverSpec:
     atol: float = 1e-5
 
     def __post_init__(self):
-        if self.kind not in _SOLVER_KINDS:
+        if self.kind not in _SOLVERS:
             raise ParameterError(
-                f"unknown solver kind {self.kind!r}; expected one of {_SOLVER_KINDS}")
-        for name in ("kappa", "corrector_stepsize", "rtol", "atol"):
+                f"unknown solver kind {self.kind!r}; expected one of {tuple(_SOLVERS)}")
+        _check_order(self.p)
+        for name in ("kappa", "corrector_stepsize"):
+            object.__setattr__(self, name, _nonnegative_real(name, getattr(self, name)))
+        for name in ("rtol", "atol"):
             object.__setattr__(self, name, real_parameter(name, getattr(self, name)))
-        if self.p not in (1, 2):
-            raise ParameterError(f"p must be 1 or 2, got {self.p!r}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0.0):
-            raise ParameterError(f"kappa must be a nonnegative finite real, got {self.kappa!r}")
-        if not (math.isfinite(self.corrector_stepsize) and self.corrector_stepsize >= 0.0):
-            raise ParameterError(
-                f"corrector_stepsize must be nonnegative, got {self.corrector_stepsize!r}")
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ParameterError(
                 f"rtol and atol must be positive, got {self.rtol!r}, {self.atol!r}")
@@ -433,6 +441,34 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
     return _StepPlan(**plan)
 
 
+def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_init,
+                   keep_trajectory: bool, make_step, p: int = 1) -> SolveOutput:
+    """Run a fixed-grid solver of the given kind: everything except its step rule.
+
+    After the grid check and the start draw, ``make_step(ya, rng_ito,
+    rng_corr)`` builds the step from y as an array and the seed's channel 1
+    and 2 streams; it runs before the first model call, so state-independent
+    set-up belongs there. ``step(i, x, t_hi, t_lo)`` returns the state at node
+    i + 1. The call count is the kind's calls per step (:data:`_SOLVERS`)
+    times the number of steps.
+    """
+    _check_grid(sde, grid)
+    seed = int(seed)
+    x = _prepare_state(sde, y, seed, x_init)
+    step = make_step(np.asarray(y, dtype=float), _channel_rng(seed, 1), _channel_rng(seed, 2))
+    times = grid.times
+    traj = [np.array(x, copy=True)] if keep_trajectory else None
+    for i in range(grid.n_steps):
+        tl = float(times[i + 1])
+        x = step(i, x, float(times[i]), tl)
+        _check_finite(x, i, tl)
+        if keep_trajectory:
+            traj.append(np.array(x, copy=True))
+    trajectory = np.array(traj) if keep_trajectory else None
+    nfe = _SOLVERS[kind][0](p) * grid.n_steps
+    return SolveOutput(final_state=x, trajectory=trajectory, nfe=nfe, seed=seed)
+
+
 def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
                p: int = 1, kappa: float = 0.0, seed: int = 0, x_init=None,
                keep_trajectory: bool = False) -> SolveOutput:
@@ -447,81 +483,74 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     Every coefficient that does not depend on the state is computed for the
     whole grid before the first step (:func:`_step_plan`).
     """
-    if p not in (1, 2):
-        raise ParameterError(f"p must be 1 or 2, got {p!r}")
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ParameterError(f"kappa must be a nonnegative finite real, got {kappa!r}")
-    _check_grid(sde, grid)
-    seed = int(seed)
-    x = _prepare_state(sde, y, seed, x_init)
-    rng_ito = _channel_rng(seed, 1)
-    ya = np.asarray(y, dtype=float)
+    p = _check_order(p)
+    kappa = _nonnegative_real("kappa", kappa)
     eps_mode = getattr(model, "parameterization", "score") == "eps"
-    times = grid.times
-    plan = _step_plan(sde, times, p, kappa, eps_mode)
-    k, phi = plan.k, plan.phi
-    calls = 0
-    traj = [np.array(x, copy=True)] if keep_trajectory else None
 
-    for i in range(times.size - 1):
-        th = float(times[i])
-        tl = float(times[i + 1])
-        out_hi = np.asarray(model(x, ya, th), dtype=float)
-        calls += 1
+    def make_step(ya, rng_ito, rng_corr):
+        plan = _step_plan(sde, grid.times, p, kappa, eps_mode)
+        k, phi = plan.k, plan.phi
 
-        if not eps_mode:
-            if p == 1:
-                corr = out_hi * plan.w0[i]
+        def step(i, x, th, tl):
+            out_hi = np.asarray(model(x, ya, th), dtype=float)
+            if not eps_mode:
+                if p == 1:
+                    corr = out_hi * plan.w0[i]
+                else:
+                    tm = float(plan.t_mid[i])
+                    phi_m = plan.phi_mid[i]
+                    x_mid = (phi_m * x + (1.0 - phi_m) * ya
+                             + (1.0 - plan.k_mid[i]) * out_hi * plan.w0_half[i])
+                    s_mid = np.asarray(model(x_mid, ya, tm), dtype=float)
+                    s_dot = (out_hi - s_mid) / (th - tm)
+                    corr = out_hi * plan.w0[i] + s_dot * plan.w1[i]
+                x = (phi[i] * x + (1.0 - phi[i]) * ya
+                     + (1.0 + kappa ** 2) * (1.0 - k[i + 1]) * corr)
             else:
-                tm = float(plan.t_mid[i])
-                phi_m = plan.phi_mid[i]
-                x_mid = (phi_m * x + (1.0 - phi_m) * ya
-                         + (1.0 - plan.k_mid[i]) * out_hi * plan.w0_half[i])
-                s_mid = np.asarray(model(x_mid, ya, tm), dtype=float)
-                calls += 1
-                s_dot = (out_hi - s_mid) / (th - tm)
-                corr = out_hi * plan.w0[i] + s_dot * plan.w1[i]
-            x = phi[i] * x + (1.0 - phi[i]) * ya + (1.0 + kappa ** 2) * (1.0 - k[i + 1]) * corr
-        else:
-            lam_hi, lam_lo = plan.lam[i], plan.lam[i + 1]
-            h = lam_lo - lam_hi  # positive: lambda decreases with t
-            sig_lo = plan.sigma[i + 1]
-            if p == 1:
-                step_term = sig_lo * math.expm1(h) * out_hi
-            else:
-                lam_mid = 0.5 * (lam_hi + lam_lo)
-                phi_m = plan.phi_mid[i]
-                x_mid = (phi_m * x + (1.0 - phi_m) * ya
-                         - plan.sigma_mid[i] * math.expm1(0.5 * h) * out_hi)
-                eps_mid = np.asarray(model(x_mid, ya, float(plan.t_mid[i])), dtype=float)
-                calls += 1
-                eps_dot = (out_hi - eps_mid) / (lam_hi - lam_mid)
-                # (1 - k_lo) omega0 = sigma_lo expm1(h); (1 - k_lo) omega1 = sigma_lo (expm1(h) - h)
-                step_term = sig_lo * (math.expm1(h) * out_hi
-                                      + (math.expm1(h) - h) * eps_dot)
-            x = phi[i] * x + (1.0 - phi[i]) * ya - (1.0 + kappa ** 2) * step_term
+                lam_hi, lam_lo = plan.lam[i], plan.lam[i + 1]
+                h = lam_lo - lam_hi  # positive: lambda decreases with t
+                sig_lo = plan.sigma[i + 1]
+                if p == 1:
+                    step_term = sig_lo * math.expm1(h) * out_hi
+                else:
+                    lam_mid = 0.5 * (lam_hi + lam_lo)
+                    phi_m = plan.phi_mid[i]
+                    x_mid = (phi_m * x + (1.0 - phi_m) * ya
+                             - plan.sigma_mid[i] * math.expm1(0.5 * h) * out_hi)
+                    eps_mid = np.asarray(model(x_mid, ya, float(plan.t_mid[i])), dtype=float)
+                    eps_dot = (out_hi - eps_mid) / (lam_hi - lam_mid)
+                    # (1 - k_lo) omega0 = sigma_lo expm1(h);
+                    # (1 - k_lo) omega1 = sigma_lo (expm1(h) - h)
+                    step_term = sig_lo * (math.expm1(h) * out_hi
+                                          + (math.expm1(h) - h) * eps_dot)
+                x = phi[i] * x + (1.0 - phi[i]) * ya - (1.0 + kappa ** 2) * step_term
+            if kappa > 0.0:
+                x = x + kappa * plan.ito_std[i] * rng_ito.standard_normal(np.shape(x))
+            return x
 
-        if kappa > 0.0:
-            x = x + kappa * plan.ito_std[i] * rng_ito.standard_normal(np.shape(x))
-        _check_finite(x, i, tl)
-        if keep_trajectory:
-            traj.append(np.array(x, copy=True))
+        return step
 
-    trajectory = np.array(traj) if keep_trajectory else None
-    return SolveOutput(final_state=x, trajectory=trajectory, nfe=calls, seed=seed)
+    return _solve_on_grid("isde", sde, y, grid, seed, x_init, keep_trajectory, make_step, p=p)
 
 
 def _score_eval(model: ScoreModel, sde: InterpolatingSde):
     """Evaluate a model as a score regardless of its parameterization."""
     if getattr(model, "parameterization", "score") == "eps":
-        def fn(x, y, t):
-            return -np.asarray(model(x, y, t), dtype=float) / float(sde.sigma(t))
-        return fn
+        return score_from_eps(model, sde)
 
     def fn(x, y, t):
         return np.asarray(model(x, y, t), dtype=float)
     return fn
+
+
+def _flow_rhs(sde: InterpolatingSde, model: ScoreModel, ya):
+    """Right-hand side gamma (y - x) - g^2 s / 2 of the probability-flow ODE, as f(x, t)."""
+    score = _score_eval(model, sde)
+
+    def rhs(state, t):
+        return np.asarray(float(sde.gamma(t)) * (ya - state)
+                          - 0.5 * float(sde.g(t)) ** 2 * score(state, ya, t), dtype=float)
+    return rhs
 
 
 def euler_maruyama(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -531,37 +560,24 @@ def euler_maruyama(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 
     One model call per step, evaluated at the left (larger-time) node.
     """
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and kappa >= 0.0):
-        raise ParameterError(f"kappa must be a nonnegative finite real, got {kappa!r}")
-    _check_grid(sde, grid)
-    seed = int(seed)
-    x = _prepare_state(sde, y, seed, x_init)
-    rng_ito = _channel_rng(seed, 1)
-    ya = np.asarray(y, dtype=float)
+    kappa = _nonnegative_real("kappa", kappa)
     score = _score_eval(model, sde)
-    times = grid.times
-    calls = 0
-    traj = [np.array(x, copy=True)] if keep_trajectory else None
 
-    for i in range(times.size - 1):
-        th = float(times[i])
-        tl = float(times[i + 1])
-        dt = tl - th  # negative
-        s = score(x, ya, th)
-        calls += 1
-        g2 = float(sde.g(th)) ** 2
-        rhs = float(sde.gamma(th)) * (ya - x) - 0.5 * (1.0 + kappa ** 2) * g2 * s
-        x = x + rhs * dt
-        if kappa > 0.0:
-            x = x + kappa * float(sde.g(th)) * math.sqrt(-dt) \
-                * rng_ito.standard_normal(np.shape(x))
-        _check_finite(x, i, tl)
-        if keep_trajectory:
-            traj.append(np.array(x, copy=True))
+    def make_step(ya, rng_ito, rng_corr):
+        def step(i, x, th, tl):
+            dt = tl - th  # negative
+            s = score(x, ya, th)
+            g2 = float(sde.g(th)) ** 2
+            rhs = float(sde.gamma(th)) * (ya - x) - 0.5 * (1.0 + kappa ** 2) * g2 * s
+            x = x + rhs * dt
+            if kappa > 0.0:
+                x = x + kappa * float(sde.g(th)) * math.sqrt(-dt) \
+                    * rng_ito.standard_normal(np.shape(x))
+            return x
+        return step
 
-    trajectory = np.array(traj) if keep_trajectory else None
-    return SolveOutput(final_state=x, trajectory=trajectory, nfe=calls, seed=seed)
+    return _solve_on_grid("euler_maruyama", sde, y, grid, seed, x_init, keep_trajectory,
+                          make_step)
 
 
 def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -575,73 +591,37 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     corrector model call still happens, so NFE is 2 per step). Corrector noise
     comes from its own stream, leaving the predictor's draws unchanged.
     """
-    r = float(corrector_stepsize)
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ParameterError(f"corrector_stepsize must be nonnegative, got {r!r}")
-    _check_grid(sde, grid)
-    seed = int(seed)
-    x = _prepare_state(sde, y, seed, x_init)
-    rng_ito = _channel_rng(seed, 1)
-    rng_corr = _channel_rng(seed, 2)
-    ya = np.asarray(y, dtype=float)
+    r = _nonnegative_real("corrector_stepsize", corrector_stepsize)
     score = _score_eval(model, sde)
-    times = grid.times
-    calls = 0
-    traj = [np.array(x, copy=True)] if keep_trajectory else None
 
-    for i in range(times.size - 1):
-        th = float(times[i])
-        tl = float(times[i + 1])
-        dt = tl - th
-        s = score(x, ya, th)
-        calls += 1
-        g_hi = float(sde.g(th))
-        rhs = float(sde.gamma(th)) * (ya - x) - g_hi ** 2 * s
-        x = x + rhs * dt + g_hi * math.sqrt(-dt) * rng_ito.standard_normal(np.shape(x))
-        s_corr = score(x, ya, tl)
-        calls += 1
-        eta = 2.0 * (r * float(sde.sigma(tl))) ** 2
-        x = x + eta * s_corr + math.sqrt(2.0 * eta) * rng_corr.standard_normal(np.shape(x))
-        _check_finite(x, i, tl)
-        if keep_trajectory:
-            traj.append(np.array(x, copy=True))
+    def make_step(ya, rng_ito, rng_corr):
+        def step(i, x, th, tl):
+            dt = tl - th
+            s = score(x, ya, th)
+            g_hi = float(sde.g(th))
+            rhs = float(sde.gamma(th)) * (ya - x) - g_hi ** 2 * s
+            x = x + rhs * dt + g_hi * math.sqrt(-dt) * rng_ito.standard_normal(np.shape(x))
+            s_corr = score(x, ya, tl)
+            eta = 2.0 * (r * float(sde.sigma(tl))) ** 2
+            return x + eta * s_corr + math.sqrt(2.0 * eta) * rng_corr.standard_normal(np.shape(x))
+        return step
 
-    trajectory = np.array(traj) if keep_trajectory else None
-    return SolveOutput(final_state=x, trajectory=trajectory, nfe=calls, seed=seed)
+    return _solve_on_grid("pc", sde, y, grid, seed, x_init, keep_trajectory, make_step)
 
 
 def rk2_midpoint(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
                  seed: int = 0, x_init=None, keep_trajectory: bool = False) -> SolveOutput:
     """Explicit midpoint rule on the probability-flow ODE (two model calls per step)."""
-    _check_grid(sde, grid)
-    seed = int(seed)
-    x = _prepare_state(sde, y, seed, x_init)
-    ya = np.asarray(y, dtype=float)
-    score = _score_eval(model, sde)
-    times = grid.times
-    calls = 0
-    traj = [np.array(x, copy=True)] if keep_trajectory else None
+    def make_step(ya, rng_ito, rng_corr):
+        rhs = _flow_rhs(sde, model, ya)
 
-    def rhs(state, t):
-        return (float(sde.gamma(t)) * (ya - state)
-                - 0.5 * float(sde.g(t)) ** 2 * score(state, ya, t))
+        def step(i, x, th, tl):
+            dt = tl - th
+            x_mid = x + 0.5 * dt * rhs(x, th)
+            return x + dt * rhs(x_mid, 0.5 * (th + tl))
+        return step
 
-    for i in range(times.size - 1):
-        th = float(times[i])
-        tl = float(times[i + 1])
-        dt = tl - th
-        f1 = rhs(x, th)
-        calls += 1
-        x_mid = x + 0.5 * dt * f1
-        f2 = rhs(x_mid, 0.5 * (th + tl))
-        calls += 1
-        x = x + dt * f2
-        _check_finite(x, i, tl)
-        if keep_trajectory:
-            traj.append(np.array(x, copy=True))
-
-    trajectory = np.array(traj) if keep_trajectory else None
-    return SolveOutput(final_state=x, trajectory=trajectory, nfe=calls, seed=seed)
+    return _solve_on_grid("rk2", sde, y, grid, seed, x_init, keep_trajectory, make_step)
 
 
 # Dormand-Prince 5(4) tableau
@@ -689,15 +669,9 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
 
     seed = int(seed)
     x = _prepare_state(sde, y, seed, x_init)
-    ya = np.asarray(y, dtype=float)
-    score = _score_eval(model, sde)
+    rhs = _flow_rhs(sde, model, np.asarray(y, dtype=float))
     calls = 0
     traj = [np.array(x, copy=True)] if keep_trajectory else None
-
-    def rhs(state, t):
-        out = (float(sde.gamma(t)) * (ya - state)
-               - 0.5 * float(sde.g(t)) ** 2 * score(state, ya, t))
-        return np.asarray(out, dtype=float)
 
     t = t_start
     h = (t_end - t_start) / 100.0  # negative
@@ -762,6 +736,24 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     return SolveOutput(final_state=x, trajectory=trajectory, nfe=calls, seed=seed)
 
 
+# Every solver kind: (model calls per grid step as a function of the order p,
+# None for the adaptive rk45; runner). The runners look the public solvers up
+# by name when called, so a rebound module-level solver also serves run_solver.
+_SOLVERS = {
+    "isde": (lambda p: p, lambda sde, model, y, grid, spec, **kw: isde_solve(
+        sde, model, y, grid, p=spec.p, kappa=spec.kappa, **kw)),
+    "euler_maruyama": (lambda p: 1, lambda sde, model, y, grid, spec, **kw: euler_maruyama(
+        sde, model, y, grid, kappa=spec.kappa, **kw)),
+    "pc": (lambda p: 2, lambda sde, model, y, grid, spec, **kw: pc_sampler(
+        sde, model, y, grid, corrector_stepsize=spec.corrector_stepsize, **kw)),
+    "rk2": (lambda p: 2, lambda sde, model, y, grid, spec, **kw: rk2_midpoint(
+        sde, model, y, grid, **kw)),
+    "rk45": (None, lambda sde, model, y, grid, spec, **kw: rk45_adaptive(
+        sde, model, y, float(grid.times[0]), float(grid.times[-1]),
+        rtol=spec.rtol, atol=spec.atol, **kw)),
+}
+
+
 def run_solver(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
                spec: SolverSpec, seed: int = 0, x_init=None,
                keep_trajectory: bool = False) -> SolveOutput:
@@ -770,31 +762,12 @@ def run_solver(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     For "rk45" only the grid endpoints are used (the step sequence is chosen
     adaptively).
     """
-    if spec.kind == "isde":
-        return isde_solve(sde, model, y, grid, p=spec.p, kappa=spec.kappa, seed=seed,
-                          x_init=x_init, keep_trajectory=keep_trajectory)
-    if spec.kind == "euler_maruyama":
-        return euler_maruyama(sde, model, y, grid, kappa=spec.kappa, seed=seed,
-                              x_init=x_init, keep_trajectory=keep_trajectory)
-    if spec.kind == "pc":
-        return pc_sampler(sde, model, y, grid, corrector_stepsize=spec.corrector_stepsize,
-                          seed=seed, x_init=x_init, keep_trajectory=keep_trajectory)
-    if spec.kind == "rk2":
-        return rk2_midpoint(sde, model, y, grid, seed=seed, x_init=x_init,
-                            keep_trajectory=keep_trajectory)
-    if spec.kind == "rk45":
-        return rk45_adaptive(sde, model, y, float(grid.times[0]), float(grid.times[-1]),
-                             rtol=spec.rtol, atol=spec.atol, seed=seed, x_init=x_init,
-                             keep_trajectory=keep_trajectory)
-    raise ParameterError(f"unknown solver kind {spec.kind!r}")
+    run = _SOLVERS[spec.kind][1]
+    return run(sde, model, y, grid, spec, seed=seed, x_init=x_init,
+               keep_trajectory=keep_trajectory)
 
 
 def nfe_per_step(spec: SolverSpec):
     """Model calls per grid step for fixed-grid solvers; None for adaptive ones."""
-    if spec.kind == "isde":
-        return spec.p
-    if spec.kind == "euler_maruyama":
-        return 1
-    if spec.kind in ("pc", "rk2"):
-        return 2
-    return None
+    calls = _SOLVERS[spec.kind][0]
+    return None if calls is None else calls(spec.p)

@@ -1,9 +1,11 @@
 import copy
 import hashlib
+import importlib
 import importlib.metadata as md
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import isde
 from isde import STUDIES, cli
 from isde.errors import DivergenceError
 
@@ -41,6 +44,15 @@ def test_import_loads_no_scipy():
     where, loaded = proc.stdout.splitlines()
     assert Path(where).resolve().parent == Path(cli.__file__).resolve().parent
     assert loaded == "[]"
+
+
+def test_every_export_resolves():
+    # a deleted helper must not leave its name behind in an __all__
+    modules = [isde] + [importlib.import_module(f"isde.{info.name}")
+                        for info in pkgutil.iter_modules(isde.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}"
 
 
 def test_verify_weights_end_to_end(tmp_path, canonical_config_dict, capsys):
@@ -145,6 +157,12 @@ def test_config_error_exits_2(tmp_path, canonical_config_dict, capsys):
     (("budgets",), [4.5, 10]),
     (("budgets",), [False]),
     (("budgets",), ["abc"]),
+    (("solvers", 0, "p"), True),
+    (("solvers", 0, "p"), 2.0),
+    (("y",), True),
+    (("kappas",), [True]),
+    (("sde", "sigma_min"), True),
+    (("sde", "gamma0"), True),  # gamma0 = 1 would be valid, so only the bool check rejects it
 ])
 def test_malformed_number_exits_2(tmp_path, canonical_config_dict, capsys, path, value):
     data = copy.deepcopy(canonical_config_dict)

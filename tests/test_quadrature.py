@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from isde import integrate, signed_integrate
+from isde import integrate
 from isde.quadrature import integrate_batch
 from isde.errors import (
     ParameterError,
@@ -37,13 +37,6 @@ def test_degenerate_interval_is_zero():
 def test_reversed_bounds_rejected():
     with pytest.raises(ParameterError):
         integrate(lambda t: 1.0, 1.0, 0.0)
-
-
-def test_signed_integrate_handles_both_orientations():
-    up = signed_integrate(lambda t: t * t, 0.0, 2.0)
-    down = signed_integrate(lambda t: t * t, 2.0, 0.0)
-    assert abs(up.value - 8.0 / 3.0) <= 1e-12
-    assert abs(down.value + up.value) <= 1e-15
 
 
 def test_linearity():

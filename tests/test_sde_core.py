@@ -9,13 +9,11 @@ from isde import (
     GaussianKernel,
     SdeParams,
     diffusion_from_variance,
-    drift,
     gamma_from_k,
     k_from_gamma,
     make_sde,
     mean_evolution,
     perturbation_kernel,
-    psi,
     sample_forward,
     variance_from_diffusion,
 )
@@ -272,40 +270,3 @@ def test_sample_forward_domain(fouve):
     with pytest.raises(ParameterError):
         sample_forward(fouve, 0.0, 1.0, 1.5, rng)
 
-
-# ----------------------------------------------------------- psi and drift
-
-def test_psi_value_and_multiplicativity(fouve):
-    assert psi(fouve, 0.5, 1.0) == pytest.approx(0.36787944117144233, rel=1e-14)
-    assert psi(fouve, 0.4, 0.4) == 1.0
-    a, b, c = 0.2, 0.55, 0.9
-    assert psi(fouve, a, b) * psi(fouve, b, c) == pytest.approx(psi(fouve, a, c), rel=1e-13)
-    ot = make_sde(SdeParams(kind="OT", sigma_max=0.1))
-    assert psi(ot, 0.0, 0.9) == pytest.approx(0.1, rel=1e-13)
-
-
-def test_psi_domain_errors():
-    ot = make_sde(SdeParams(kind="OT", sigma_max=0.1))
-    with pytest.raises(ParameterError):
-        psi(ot, 0.6, 0.4)
-    with pytest.raises(ParameterError):
-        psi(ot, 0.5, 1.0)
-
-
-def test_drift_value_and_errors(fouve):
-    assert float(drift(fouve, 2.0, 1.0, 0.3)) == pytest.approx(-2.0, rel=1e-14)
-    ot = make_sde(SdeParams(kind="OT", sigma_max=0.1))
-    with pytest.raises(SingularityError):
-        drift(ot, 0.0, 1.0, 1.0)
-    with pytest.raises(ShapeError):
-        drift(fouve, np.zeros(3), np.ones(4), 0.5)
-
-
-def test_drift_matches_gamma_times_gap(all_sdes):
-    rng = np.random.default_rng(5)
-    for name, sde in all_sdes.items():
-        for _ in range(5):
-            t = rng.uniform(0.05, 0.9)
-            x = rng.normal()
-            want = float(sde.gamma(t)) * (1.0 - x)
-            assert float(drift(sde, x, 1.0, t)) == pytest.approx(want, rel=1e-13), name

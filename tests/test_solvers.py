@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 import isde
 from isde import (
@@ -90,6 +91,9 @@ def test_grid_is_copied():
     {"kind": "isde", "kappa": -0.5},
     {"kind": "pc", "corrector_stepsize": -0.1},
     {"kind": "rk45", "rtol": 0.0},
+    {"kind": "isde", "p": True},
+    {"kind": "isde", "p": 2.0},
+    {"kind": "isde", "kappa": True},
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ParameterError):
@@ -426,8 +430,9 @@ def test_batch_matches_scalar_runs(fouve, gaussian_prior):
 def test_isde_validation(fouve, gaussian_prior):
     model = analytic_score_model(gaussian_prior, fouve)
     grid = TimeGrid.for_sde(fouve, 5)
-    with pytest.raises(ParameterError):
-        isde_solve(fouve, model, 1.0, grid, p=3)
+    for p in (3, True, 2.0):
+        with pytest.raises(ParameterError):
+            isde_solve(fouve, model, 1.0, grid, p=p)
     with pytest.raises(ParameterError):
         isde_solve(fouve, model, 1.0, grid, kappa=-0.2)
     with pytest.raises(ParameterError):
@@ -437,12 +442,21 @@ def test_isde_validation(fouve, gaussian_prior):
 
 
 def test_divergence_reports_location(fouve):
+    # every fixed-grid solver stops at the first step whose state is non-finite
     bad = ScoreModel(lambda x, y, t: np.full(np.shape(x), np.nan), name="nan")
     grid = TimeGrid.for_sde(fouve, 5)
-    with pytest.raises(DivergenceError) as err:
-        euler_maruyama(fouve, bad, 1.0, grid, kappa=0.0, x_init=0.5)
-    assert err.value.step_index == 0
-    assert err.value.time == pytest.approx(float(grid.times[1]))
+    runs = {
+        "isde-p1": lambda: isde_solve(fouve, bad, 1.0, grid, p=1, x_init=0.5),
+        "isde-p2": lambda: isde_solve(fouve, bad, 1.0, grid, p=2, x_init=0.5),
+        "eum": lambda: euler_maruyama(fouve, bad, 1.0, grid, kappa=0.0, x_init=0.5),
+        "pc": lambda: pc_sampler(fouve, bad, 1.0, grid, x_init=0.5),
+        "rk2": lambda: rk2_midpoint(fouve, bad, 1.0, grid, x_init=0.5),
+    }
+    for label, run in runs.items():
+        with pytest.raises(DivergenceError) as err:
+            run()
+        assert err.value.step_index == 0, label
+        assert err.value.time == float(grid.times[1]), label
 
 
 # ---------------------------------------------------------------- baselines
@@ -654,3 +668,79 @@ def test_nfe_matches_model_counter(fouve, gaussian_prior):
         assert model.nfe == out.nfe, label
         if label in expected_fixed:
             assert out.nfe == expected_fixed[label], label
+
+
+@pytest.mark.parametrize("kind", ["euler_maruyama", "pc", "rk2", "rk45"])
+def test_eps_model_runs_match_score_model(fouve, gaussian_prior, kind):
+    # the baselines read an eps model through score = -eps / sigma; the call
+    # count they report comes from the solver table, not from a counter
+    spec = SolverSpec(kind=kind, kappa=1.0, rtol=1e-6, atol=1e-6)
+    grid = TimeGrid.for_sde(fouve, 9)
+    x0 = np.linspace(0.5, 1.5, 16)
+    ref = run_solver(fouve, analytic_score_model(gaussian_prior, fouve), 1.0, grid, spec,
+                     seed=4, x_init=x0)
+    eps = eps_adapter(analytic_score_model(gaussian_prior, fouve), fouve)
+    out = run_solver(fouve, eps, 1.0, grid, spec, seed=4, x_init=x0)
+    assert out.nfe == eps.nfe == ref.nfe
+    # relative to the ensemble's scale: an endpoint near 0 keeps the absolute
+    # round-off of -(-sigma s) / sigma, not a relative one
+    scale = float(np.max(np.abs(ref.final_state)))
+    np.testing.assert_allclose(out.final_state, ref.final_state, rtol=1e-12, atol=1e-12 * scale)
+
+
+# ---------------------------------------------------------------- properties
+# Random schedule parameters and intervals in [delta, t_rev]. BBED is left
+# out: building its variance table costs about a second per parameter draw.
+
+@st.composite
+def schedules(draw):
+    kind = draw(st.sampled_from(["fOUVE", "OUVE", "OT", "BrownianBridge"]))
+    if kind in ("fOUVE", "OUVE"):
+        sigma_min = draw(st.floats(1e-3, 0.5))
+        params = SdeParams(kind=kind, sigma_min=sigma_min,
+                           sigma_max=sigma_min * draw(st.floats(1.5, 200.0)),
+                           gamma0=draw(st.floats(0.1, 5.0)))
+    elif kind == "OT":
+        params = SdeParams(kind=kind, sigma_max=draw(st.floats(0.01, 2.0)))
+    else:
+        params = SdeParams(kind=kind)
+    return make_sde(params)
+
+
+def interval(sde, u, v):
+    """(t_from, t_to) with t_from >= t_to, from two fractions of [delta, t_rev]."""
+    span = sde.t_rev - sde.delta
+    return sde.delta + span * max(u, v), sde.delta + span * min(u, v)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(sde=schedules(), u=unit, v=unit)
+def test_property_ito_variance_identity(sde, u, v):
+    th, tl = interval(sde, u, v)
+    phi = (1.0 - float(sde.k(tl))) / (1.0 - float(sde.k(th)))
+    hi, lo = phi ** 2 * float(sde.var(th)), float(sde.var(tl))
+    # the right side cancels to about eps * hi; the quadrature is good to 1e-10
+    assert ito_increment(sde, th, tl) ** 2 == pytest.approx(hi - lo, rel=1e-9, abs=1e-13 * hi)
+
+
+@settings(deadline=None, max_examples=200)
+@given(sde=schedules(), u=unit, v=unit)
+def test_property_omega_weight_signs(sde, u, v):
+    th, tl = interval(sde, u, v)
+    assert omega_weight(sde, 0, th, tl) <= 0.0
+    assert omega_weight(sde, 1, th, tl) >= 0.0
+
+
+@settings(deadline=None, max_examples=200)
+@given(sde=schedules(), u=unit, v=unit, nodes=st.integers(2, 40))
+def test_property_plan_phi_multiplies_to_the_transition_factor(sde, u, v, nodes):
+    th, tl = interval(sde, u, v)
+    if th - tl < 1e-9:
+        th, tl = sde.t_rev, sde.delta
+    grid = TimeGrid.uniform(th, tl, nodes)
+    phi = _step_plan(sde, grid.times, 1, 0.0, eps_mode=True).phi
+    want = (1.0 - float(sde.k(grid.times[-1]))) / (1.0 - float(sde.k(grid.times[0])))
+    assert float(np.prod(phi)) == pytest.approx(want, rel=1e-12)
