@@ -3,11 +3,15 @@
 Every error raised by this package derives from IsdeError so callers can
 catch the whole family with one clause. Subclasses also inherit from the
 closest builtin (ValueError, ArithmeticError, ...) where one applies.
-:func:`real_parameter` turns a malformed numeric argument into a
-ParameterError.
+:func:`real_parameter` and :func:`integer_parameter` turn a malformed numeric
+argument into a ParameterError. One rule serves the library and the config
+loader: a bool or a string is never a number, and an integer takes only an
+``int`` or a NumPy integer.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class IsdeError(Exception):
@@ -68,10 +72,21 @@ class ConfigError(IsdeError, ValueError):
 
 def real_parameter(name: str, value) -> float:
     """``float(value)``, raising ParameterError naming ``name`` when value is not a
-    number; a bool is not one, so a YAML ``true`` cannot stand for 1.0."""
-    if isinstance(value, bool):
+    number; a bool or a string is not one, so a YAML ``true`` cannot stand for
+    1.0 and ``"1.5"`` not for 1.5."""
+    if isinstance(value, (bool, str, bytes)):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
+def integer_parameter(name: str, value, minimum: int) -> int:
+    """``int(value)`` for an integer ``value >= minimum``, raising ParameterError
+    naming ``name`` otherwise; a bool, a float such as 2.0 and a string are not
+    integers."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -16,15 +16,17 @@ ensemble of reverse-start draws.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, SingularityError, real_parameter
+from .errors import (ConfigError, ParameterError, SingularityError, integer_parameter,
+                     real_parameter)
 from .quadrature import integrate
 from .score import (
     DeltaPrior,
@@ -37,6 +39,7 @@ from .sde_core import InterpolatingSde, SdeParams, make_sde, sample_forward
 from .solvers import (
     SolverSpec,
     TimeGrid,
+    _nonnegative_real,
     ito_increment,
     nfe_per_step,
     omega_weight,
@@ -101,14 +104,9 @@ class StudyResult:
     manifest: dict
 
     def to_csv(self) -> str:
-        def fmt(v):
-            if isinstance(v, str):
-                return v
-            return format(v, ".12g")
-
         lines = [",".join(self.columns)]
         for row in self.rows:
-            lines.append(",".join(fmt(v) for v in row))
+            lines.append(",".join(v if isinstance(v, str) else format(v, ".12g") for v in row))
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> Path:
@@ -117,42 +115,38 @@ class StudyResult:
         if str(path.parent) not in ("", "."):
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.to_csv(), encoding="utf-8")
-        manifest = dict(self.manifest)
-        manifest["runtime_s"] = self.runtime_s
-        manifest["slopes"] = self.slopes
-        manifest["stats"] = self.stats
+        manifest = dict(self.manifest, runtime_s=self.runtime_s, slopes=self.slopes,
+                        stats=self.stats)
         mpath = path.with_suffix(".manifest.json")
         mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=float) + "\n",
                          encoding="utf-8")
         return mpath
 
 
-_PRIOR_KEYS = {
-    "delta": {"x0"},
-    "gaussian": {"m0", "s0"},
-    "mixture": {"weights", "means", "variances"},
-}
+_PRIORS = {"delta": DeltaPrior, "gaussian": GaussianPrior, "mixture": MixturePrior}
+
+
+def _names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def _check_keys(block: dict, allowed: set, what: str) -> None:
+    unknown = sorted(str(k) for k in set(block) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {', '.join(unknown)}")
 
 
 def _prior_from_dict(block) -> object:
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("config key 'prior' must be a mapping with a 'kind'")
-    kind = str(block["kind"]).lower()
-    if kind not in _PRIOR_KEYS:
+    cls = _PRIORS.get(str(block["kind"]).lower())
+    if cls is None:
         raise ConfigError(
             f"unknown prior kind {block['kind']!r}; expected one of: "
-            f"{', '.join(sorted(_PRIOR_KEYS))}")
-    allowed = _PRIOR_KEYS[kind] | {"kind", "dimension"}
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown prior keys: {', '.join(unknown)}")
-    kwargs = {k: v for k, v in block.items() if k not in ("kind",)}
+            f"{', '.join(sorted(_PRIORS))}")
+    _check_keys(block, _names(cls) | {"kind"}, "prior keys")
     try:
-        if kind == "delta":
-            return DeltaPrior(**kwargs)
-        if kind == "gaussian":
-            return GaussianPrior(**kwargs)
-        return MixturePrior(**kwargs)
+        return cls(**{k: v for k, v in block.items() if k != "kind"})
     except (ParameterError, TypeError) as e:
         raise ConfigError(f"invalid prior block: {e}")
 
@@ -171,35 +165,54 @@ def _default_label(spec: SolverSpec) -> str:
 def _entry_from_dict(block, index: int) -> SolverEntry:
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError(f"solver entry {index} must be a mapping with a 'kind'")
-    allowed = {"kind", "label", "p", "kappa", "corrector_stepsize", "rtol", "atol", "m_nodes"}
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in solver entry {index}: {', '.join(unknown)}")
-    kwargs = {k: v for k, v in block.items() if k in
-              ("p", "kappa", "corrector_stepsize", "rtol", "atol")}
-    kind = block["kind"]
-    if kind == "euler_maruyama" and "kappa" not in kwargs:
-        kwargs["kappa"] = 1.0  # the conventional default for this sampler
+    spec_keys = _names(SolverSpec)
+    _check_keys(block, spec_keys | _names(SolverEntry) - {"spec"},
+                f"keys in solver entry {index}")
+    kwargs = {k: v for k, v in block.items() if k in spec_keys}
+    if kwargs["kind"] == "euler_maruyama":
+        kwargs.setdefault("kappa", 1.0)  # the conventional default for this sampler
+    m_nodes = block.get("m_nodes")
     try:
-        spec = SolverSpec(kind=kind, **kwargs)
+        spec = SolverSpec(**kwargs)
+        if m_nodes is not None:
+            m_nodes = integer_parameter("m_nodes", m_nodes, 2)
     except ParameterError as e:
         raise ConfigError(f"invalid solver entry {index}: {e}")
-    m_nodes = block.get("m_nodes")
-    if m_nodes is not None and (isinstance(m_nodes, bool) or not isinstance(m_nodes, int)
-                                or m_nodes < 2):
-        raise ConfigError(
-            f"solver entry {index}: m_nodes must be an integer >= 2, got {m_nodes!r}")
     label = str(block.get("label", _default_label(spec)))
     return SolverEntry(spec=spec, label=label, m_nodes=m_nodes)
 
 
-def _int_tuple(value, key: str, minimum: int) -> tuple:
-    if not isinstance(value, (list, tuple)) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in value):
-        raise ConfigError(f"config key {key!r} must be a list of integers, got {value!r}")
-    if not value or any(v < minimum for v in value):
-        raise ConfigError(f"config key {key!r} entries must be >= {minimum}, got {value!r}")
-    return tuple(value)
+def _integers(minimum: int):
+    return lambda name, value: integer_parameter(name, value, minimum)
+
+
+def _list_of(read):
+    def read_list(name: str, value) -> tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ParameterError(f"{name} must be a nonempty list, got {value!r}")
+        return tuple(read(f"{name} entry", v) for v in value)
+    return read_list
+
+
+def _finite_real(name: str, value) -> float:
+    value = real_parameter(name, value)
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+# How each top-level key with a plain value is read; the solver entries and the
+# sde and prior blocks are read on their own.
+_READERS = {
+    "y": _finite_real,
+    "seed": _integers(0),
+    "n_trajectories": _integers(1),
+    "m_values": _list_of(_integers(2)),
+    "budgets": _list_of(_integers(1)),
+    "kappas": _list_of(_nonnegative_real),
+    "nfe_budget": _integers(1),
+    "n_times": _integers(2),
+}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -210,114 +223,49 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    known = {"sde", "prior", "y", "seed", "n_trajectories", "solvers",
-             "m_values", "budgets", "kappas", "nfe_budget", "n_times"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for req in ("sde", "prior", "y", "seed"):
-        if req not in data:
-            raise ConfigError(f"missing required config key: {req!r}")
+    _check_keys(data, _names(ExperimentConfig) - {"raw"}, "config keys")
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in data:
+            raise ConfigError(f"missing required config key: {f.name!r}")
 
     sde_block = data["sde"]
     if not isinstance(sde_block, dict) or "kind" not in sde_block:
         raise ConfigError("config key 'sde' must be a mapping with a 'kind'")
-    sde_kwargs = dict(sde_block)
-    kind = sde_kwargs.pop("kind")
-    delta = sde_kwargs.pop("delta", 1e-2)
-    allowed_sde = {"sigma_min", "sigma_max", "gamma0", "c", "r"}
-    unknown = sorted(set(sde_kwargs) - allowed_sde)
-    if unknown:
-        raise ConfigError(f"unknown sde keys: {', '.join(unknown)}")
+    _check_keys(sde_block, _names(SdeParams) | {"delta"}, "sde keys")
     try:
-        sde = make_sde(SdeParams(kind=kind, **sde_kwargs), delta=delta)
+        sde = make_sde(SdeParams(**{k: v for k, v in sde_block.items() if k != "delta"}),
+                       delta=sde_block.get("delta", 1e-2))
     except ParameterError as e:
         raise ConfigError(f"invalid sde block: {e}")
 
     prior = _prior_from_dict(data["prior"])
-
     try:
-        y = real_parameter("y", data["y"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key 'y' must be a number, got {data['y']!r}")
-    if not math.isfinite(y):
-        raise ConfigError(f"config key 'y' must be finite, got {y!r}")
-    seed_raw = data["seed"]
-    if isinstance(seed_raw, bool) or not isinstance(seed_raw, int):
-        raise ConfigError(f"config key 'seed' must be an integer, got {seed_raw!r}")
-    seed = int(seed_raw)
-
-    n_traj = data.get("n_trajectories", 256)
-    if isinstance(n_traj, bool) or not isinstance(n_traj, int) or n_traj < 1:
-        raise ConfigError(
-            f"config key 'n_trajectories' must be a positive integer, got {n_traj!r}")
-
-    entries = []
-    for i, block in enumerate(data.get("solvers", []) or []):
-        entries.append(_entry_from_dict(block, i))
+        kwargs = {k: read(f"config key {k!r}", data[k])
+                  for k, read in _READERS.items() if k in data}
+    except ParameterError as e:
+        raise ConfigError(str(e)) from None
+    solvers = [] if data.get("solvers") is None else data["solvers"]
+    if not isinstance(solvers, (list, tuple)):
+        raise ConfigError(f"config key 'solvers' must be a list of solver entries, "
+                          f"got {solvers!r}")
+    entries = tuple(_entry_from_dict(block, i) for i, block in enumerate(solvers))
     labels = [e.label for e in entries]
     dupes = sorted({l for l in labels if labels.count(l) > 1})
     if dupes:
         raise ConfigError(f"duplicate solver labels: {', '.join(dupes)}")
-
-    kwargs = {}
-    if "m_values" in data:
-        kwargs["m_values"] = _int_tuple(data["m_values"], "m_values", 2)
-    if "budgets" in data:
-        kwargs["budgets"] = _int_tuple(data["budgets"], "budgets", 1)
-    if "kappas" in data:
-        try:
-            kappas = tuple(real_parameter("kappas", v) for v in data["kappas"])
-        except (TypeError, ValueError):
-            raise ConfigError("config key 'kappas' must be a list of numbers")
-        if not kappas or any(not math.isfinite(v) or v < 0.0 for v in kappas):
-            raise ConfigError(f"config key 'kappas' entries must be >= 0, got {kappas!r}")
-        kwargs["kappas"] = kappas
-    if "nfe_budget" in data:
-        nb = data["nfe_budget"]
-        if isinstance(nb, bool) or not isinstance(nb, int) or nb < 1:
-            raise ConfigError(
-                f"config key 'nfe_budget' must be a positive integer, got {nb!r}")
-        kwargs["nfe_budget"] = nb
-    if "n_times" in data:
-        nt = data["n_times"]
-        if isinstance(nt, bool) or not isinstance(nt, int) or nt < 2:
-            raise ConfigError(f"config key 'n_times' must be an integer >= 2, got {nt!r}")
-        kwargs["n_times"] = nt
-
-    return ExperimentConfig(sde=sde, prior=prior, y=y, seed=seed, solvers=tuple(entries),
-                            n_trajectories=int(n_traj), raw=copy.deepcopy(data), **kwargs)
+    return ExperimentConfig(sde=sde, prior=prior, solvers=entries, raw=copy.deepcopy(data),
+                            **kwargs)
 
 
 def _describe_config(config: ExperimentConfig, study: str, **extra) -> dict:
-    p = config.sde.params
-    sde_d = {"kind": p.kind.value, "delta": config.sde.delta}
-    for name in ("sigma_min", "sigma_max", "gamma0", "c", "r"):
-        v = getattr(p, name)
-        if v is not None:
-            sde_d[name] = v
-    prior = config.prior
-    if isinstance(prior, DeltaPrior):
-        prior_d = {"kind": "delta", "x0": prior.x0, "dimension": prior.dimension}
-    elif isinstance(prior, GaussianPrior):
-        prior_d = {"kind": "gaussian", "m0": prior.m0, "s0": prior.s0,
-                   "dimension": prior.dimension}
-    else:
-        prior_d = {"kind": "mixture", "weights": list(prior.weights),
-                   "means": list(prior.means), "variances": list(prior.variances),
-                   "dimension": prior.dimension}
-    solvers_d = []
-    for e in config.solvers:
-        solvers_d.append({"kind": e.spec.kind, "label": e.label, "p": e.spec.p,
-                          "kappa": e.spec.kappa,
-                          "corrector_stepsize": e.spec.corrector_stepsize,
-                          "rtol": e.spec.rtol, "atol": e.spec.atol,
-                          "m_nodes": e.m_nodes})
-    out = {"study": study, "sde": sde_d, "prior": prior_d, "y": config.y,
-           "seed": config.seed, "n_trajectories": config.n_trajectories,
-           "solvers": solvers_d}
-    out.update(extra)
-    return out
+    """The manifest: the resolved config, with every default filled in."""
+    sde = {k: v for k, v in asdict(config.sde.params).items() if v is not None}
+    sde.update(kind=config.sde.params.kind.value, delta=config.sde.delta)
+    prior = asdict(config.prior)
+    prior["kind"] = next(k for k, cls in _PRIORS.items() if isinstance(config.prior, cls))
+    solvers = [dict(asdict(e.spec), label=e.label, m_nodes=e.m_nodes) for e in config.solvers]
+    return {"study": study, "sde": sde, "prior": prior, "y": config.y, "seed": config.seed,
+            "n_trajectories": config.n_trajectories, "solvers": solvers, **extra}
 
 
 def reference_solution(sde: InterpolatingSde, prior, y, x_start, t_start: float = None,
@@ -331,8 +279,8 @@ def reference_solution(sde: InterpolatingSde, prior, y, x_start, t_start: float 
     if isinstance(prior, MixturePrior):
         raise ParameterError(
             "reference map requires a delta or Gaussian prior (Gaussian marginals)")
-    t_start = sde.t_rev if t_start is None else float(t_start)
-    t_end = sde.delta if t_end is None else float(t_end)
+    t_start = sde.t_rev if t_start is None else real_parameter("t_start", t_start)
+    t_end = sde.delta if t_end is None else real_parameter("t_end", t_end)
     if not (0.0 < t_end <= t_start <= sde.t_rev):
         raise ParameterError(
             f"need 0 < t_end <= t_start <= t_rev, got {t_end!r}, {t_start!r}")
@@ -345,39 +293,84 @@ def reference_solution(sde: InterpolatingSde, prior, y, x_start, t_start: float 
     return out if out.ndim else float(out)
 
 
+# ---------------------------------------------------------------- study skeleton
+#
+# Run index 0 seeds the shared draws of a study (the reverse-start ensemble, the
+# forward samples); solver runs are numbered 1, 2, ... and each gets the seed
+# derived from the config seed and its index.
+
 def _derived_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1)[0])
 
 
-def _moment_matched_start(n: int, mean: float, var: float, seed: int) -> np.ndarray:
-    """Antithetic draw from N(mean, var) standardized to exact sample moments.
+def _solver_study(config: ExperimentConfig, study: str):
+    """The solver entries of a study (at least one) and the exact score model."""
+    if not config.solvers:
+        raise ConfigError(f"the {study} study needs at least one solver entry")
+    return config.solvers, analytic_score_model(config.prior, config.sde)
 
-    Pairing z with -z makes the sample mean exactly ``mean``; rescaling makes
-    the ddof=1 sample variance exactly ``var``. Starting solvers from a sample
-    with exact target moments means any mean or variance deviation at the
-    endpoint is attributable to the solver, not to start-draw luck (the KS
-    column still tests the full shape).
+
+def _shared_start(config: ExperimentConfig, exact: bool = True):
+    """Common reverse-start ensemble and its exact mapped endpoints. With
+    ``exact=False`` a mixture prior, which has no exact map, gets None."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    x_start = reverse_init(config.sde, config.y, rng, shape=(config.n_trajectories,))
+    if not exact and isinstance(config.prior, MixturePrior):
+        return x_start, None
+    return x_start, reference_solution(config.sde, config.prior, config.y, x_start)
+
+
+def _matched_start(config: ExperimentConfig, index: int) -> np.ndarray:
+    """Antithetic draw from the exact start marginal, standardized to exact
+    sample moments, seeded by run ``index``.
+
+    Pairing z with -z makes the sample mean exactly the target mean; rescaling
+    makes the ddof=1 sample variance exactly the target variance. Starting
+    solvers from a sample with exact target moments means any mean or variance
+    deviation at the endpoint is attributable to the solver, not to start-draw
+    luck (the KS column still tests the full shape).
     """
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(0,)))
-    z_half = rng.standard_normal(n // 2)
+    sde = config.sde
+    mean, var = marginal_moments(config.prior, sde, config.y, sde.t_rev)
+    seed = _derived_seed(config.seed, index)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    z_half = rng.standard_normal(config.n_trajectories // 2)
     z = np.concatenate([z_half, -z_half])
     z /= math.sqrt(float(np.var(z, ddof=1)))
     return mean + math.sqrt(var) * z
 
 
-def _require_solvers(config: ExperimentConfig, study: str) -> tuple:
-    if not config.solvers:
-        raise ConfigError(f"the {study} study needs at least one solver entry")
-    return config.solvers
+def _solve(config: ExperimentConfig, model, spec: SolverSpec, m_nodes: int, index: int,
+           x_init):
+    """Run ``index`` of a study: one solve on the uniform ``m_nodes`` grid."""
+    grid = TimeGrid.for_sde(config.sde, m_nodes)
+    return run_solver(config.sde, model, config.y, grid, spec,
+                      seed=_derived_seed(config.seed, index), x_init=x_init)
 
 
-def _shared_start(config: ExperimentConfig):
-    """Common reverse-start ensemble and its exact mapped endpoints."""
-    n = config.n_trajectories
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-    x_start = reverse_init(config.sde, config.y, rng, shape=(n,))
-    ref = reference_solution(config.sde, config.prior, config.y, x_start)
-    return x_start, ref
+def _endpoint_error(final, ref) -> float:
+    return float(np.mean(np.abs(final - ref)))
+
+
+def _slope(x, errors) -> float:
+    """Slope of log error against log x, by least squares."""
+    return float(np.polyfit(np.log(np.asarray(x, dtype=float)), np.log(errors), 1)[0])
+
+
+def _error_table(config: ExperimentConfig, model, x_start, ref, runs) -> dict:
+    """Endpoint errors ``{label: [error per grid size]}`` for ``runs``, a list of
+    (entry, grid sizes); run indices go 1, 2, ... entry by entry."""
+    index = itertools.count(1)
+    return {e.label: [_endpoint_error(_solve(config, model, e.spec, m, next(index),
+                                             x_start).final_state, ref) for m in sizes]
+            for e, sizes in runs}
+
+
+def _result(config: ExperimentConfig, study: str, t0: float, columns, rows, slopes=None,
+            stats=None, **extra) -> StudyResult:
+    manifest = _describe_config(config, study, **extra)
+    return StudyResult(study, tuple(columns), rows, slopes or {}, stats or {},
+                       time.perf_counter() - t0, manifest)
 
 
 def convergence_study(config: ExperimentConfig) -> StudyResult:
@@ -388,36 +381,30 @@ def convergence_study(config: ExperimentConfig) -> StudyResult:
     step size estimate each solver's weak order.
     """
     t0 = time.perf_counter()
-    entries = _require_solvers(config, "convergence")
+    entries, model = _solver_study(config, "convergence")
     for e in entries:
         if nfe_per_step(e.spec) is None:
             raise ConfigError(
                 f"convergence study needs fixed-grid solvers, got {e.label!r} (rk45)")
-    sde, prior, y = config.sde, config.prior, config.y
-    model = analytic_score_model(prior, sde)
     x_start, ref = _shared_start(config)
-    span = sde.t_rev - sde.delta
+    span = config.sde.t_rev - config.sde.delta
     h_values = [span / (m - 1) for m in config.m_values]
-    errors = {e.label: [] for e in entries}
-    run_idx = 1
-    for e in entries:
-        for m in config.m_values:
-            grid = TimeGrid.for_sde(sde, m)
-            out = run_solver(sde, model, y, grid, e.spec,
-                             seed=_derived_seed(config.seed, run_idx), x_init=x_start)
-            run_idx += 1
-            errors[e.label].append(float(np.mean(np.abs(out.final_state - ref))))
-    rows = []
-    for i, m in enumerate(config.m_values):
-        rows.append((m, h_values[i]) + tuple(errors[e.label][i] for e in entries))
-    slopes = {}
-    for e in entries:
-        fit = np.polyfit(np.log(h_values), np.log(errors[e.label]), 1)
-        slopes[e.label] = float(fit[0])
-    columns = ("m_nodes", "h") + tuple(e.label for e in entries)
-    manifest = _describe_config(config, "convergence", m_values=list(config.m_values))
-    return StudyResult("convergence", columns, rows, slopes, {},
-                       time.perf_counter() - t0, manifest)
+    errors = _error_table(config, model, x_start, ref,
+                          [(e, config.m_values) for e in entries])
+    rows = [(m, h, *(errors[e.label][i] for e in entries))
+            for i, (m, h) in enumerate(zip(config.m_values, h_values))]
+    slopes = {e.label: _slope(h_values, errors[e.label]) for e in entries}
+    return _result(config, "convergence", t0, ("m_nodes", "h", *(e.label for e in entries)),
+                   rows, slopes, m_values=list(config.m_values))
+
+
+def _budget_nodes(entry: SolverEntry, budget: int) -> int:
+    cost = nfe_per_step(entry.spec)
+    if budget % cost != 0 or budget // cost < 1:
+        raise ConfigError(
+            f"budget {budget} is not a positive multiple of the per-step cost "
+            f"{cost} of solver {entry.label!r}")
+    return budget // cost + 1
 
 
 def nfe_sweep(config: ExperimentConfig) -> StudyResult:
@@ -429,53 +416,24 @@ def nfe_sweep(config: ExperimentConfig) -> StudyResult:
     in the budget column and blanks elsewhere.
     """
     t0 = time.perf_counter()
-    entries = _require_solvers(config, "nfe-sweep")
-    sde, prior, y = config.sde, config.prior, config.y
-    model = analytic_score_model(prior, sde)
+    entries, model = _solver_study(config, "nfe-sweep")
     x_start, ref = _shared_start(config)
     fixed = [e for e in entries if nfe_per_step(e.spec) is not None]
-    adaptive = [e for e in entries if nfe_per_step(e.spec) is None]
-    errors = {e.label: [] for e in fixed}
-    run_idx = 1
-    for e in fixed:
-        cost = nfe_per_step(e.spec)
-        for b in config.budgets:
-            if b % cost != 0 or b // cost < 1:
-                raise ConfigError(
-                    f"budget {b} is not a positive multiple of the per-step cost "
-                    f"{cost} of solver {e.label!r}")
-            grid = TimeGrid.for_sde(sde, b // cost + 1)
-            out = run_solver(sde, model, y, grid, e.spec,
-                             seed=_derived_seed(config.seed, run_idx), x_init=x_start)
-            run_idx += 1
-            errors[e.label].append(float(np.mean(np.abs(out.final_state - ref))))
-    labels = tuple(e.label for e in entries)
-    rows = []
-    for i, b in enumerate(config.budgets):
-        cells = []
-        for e in entries:
-            cells.append(errors[e.label][i] if e.label in errors else "")
-        rows.append((b,) + tuple(cells))
+    errors = _error_table(config, model, x_start, ref,
+                          [(e, [_budget_nodes(e, b) for b in config.budgets]) for e in fixed])
+    rows = [(b, *(errors[e.label][i] if e.label in errors else "" for e in entries))
+            for i, b in enumerate(config.budgets)]
     stats = {}
-    for e in adaptive:
-        grid = TimeGrid.for_sde(sde, 2)
-        out = run_solver(sde, model, y, grid, e.spec,
-                         seed=_derived_seed(config.seed, run_idx), x_init=x_start)
-        run_idx += 1
-        err = float(np.mean(np.abs(out.final_state - ref)))
-        cells = [err if e2.label == e.label else "" for e2 in entries]
-        rows.append((out.nfe,) + tuple(cells))
+    adaptive = [e for e in entries if e not in fixed]
+    for index, e in enumerate(adaptive, len(fixed) * len(config.budgets) + 1):
+        out = _solve(config, model, e.spec, 2, index, x_start)
+        err = _endpoint_error(out.final_state, ref)
+        rows.append((out.nfe, *(err if e2 is e else "" for e2 in entries)))
         stats[f"{e.label}_nfe"] = out.nfe
         stats[f"{e.label}_error"] = err
-    slopes = {}
-    for e in fixed:
-        fit = np.polyfit(np.log(np.array(config.budgets, dtype=float)),
-                         np.log(errors[e.label]), 1)
-        slopes[e.label] = float(fit[0])
-    columns = ("nfe",) + labels
-    manifest = _describe_config(config, "nfe-sweep", budgets=list(config.budgets))
-    return StudyResult("nfe-sweep", columns, rows, slopes, stats,
-                       time.perf_counter() - t0, manifest)
+    slopes = {e.label: _slope(config.budgets, errors[e.label]) for e in fixed}
+    return _result(config, "nfe-sweep", t0, ("nfe", *(e.label for e in entries)), rows,
+                   slopes, stats, budgets=list(config.budgets))
 
 
 def kappa_sweep(config: ExperimentConfig) -> StudyResult:
@@ -490,7 +448,7 @@ def kappa_sweep(config: ExperimentConfig) -> StudyResult:
     stats and the manifest.
     """
     t0 = time.perf_counter()
-    entries = _require_solvers(config, "kappa-sweep")
+    entries, model = _solver_study(config, "kappa-sweep")
     for e in entries:
         if e.spec.kind != "isde":
             raise ConfigError(
@@ -500,47 +458,34 @@ def kappa_sweep(config: ExperimentConfig) -> StudyResult:
             raise ConfigError(
                 f"nfe_budget {config.nfe_budget} is not a multiple of p={e.spec.p} "
                 f"for solver {e.label!r}")
-    sde, prior, y = config.sde, config.prior, config.y
     n = config.n_trajectories
     if n % 2 != 0:
         raise ConfigError(f"kappa sweep needs an even n_trajectories, got {n}")
-    model = analytic_score_model(prior, sde)
-    m_hi, v_hi = marginal_moments(prior, sde, y, sde.t_rev)
-    m_lo, v_lo = marginal_moments(prior, sde, y, sde.delta)
+    m_lo, v_lo = marginal_moments(config.prior, config.sde, config.y, config.sde.delta)
     stats = {}
     if n < 100:
         stats["warning"] = (f"n_trajectories={n} is below 100; "
                             "sweep statistics are noisy")
-    cells = {e.label: [] for e in entries}
-    for idx, e in enumerate(entries):
-        grid = TimeGrid.for_sde(sde, config.nfe_budget // e.spec.p + 1)
+    cells = {}
+    for index, e in enumerate(entries, 1):
         # common random numbers across the kappa values of one solver: the
         # same seed drives the start draws and the diffusion increments, so
         # differences between rows isolate the effect of kappa
-        run_seed = _derived_seed(config.seed, idx + 1)
-        x_init = _moment_matched_start(n, m_hi, v_hi, run_seed)
+        x_init = _matched_start(config, index)
+        cells[e.label] = []
         for kap in config.kappas:
-            spec = replace(e.spec, kappa=float(kap))
-            out = run_solver(sde, model, y, grid, spec, seed=run_seed, x_init=x_init)
-            final = np.asarray(out.final_state, dtype=float)
-            var = float(np.var(final, ddof=1))
-            cells[e.label].append((abs(float(np.mean(final)) - m_lo), var,
+            out = _solve(config, model, replace(e.spec, kappa=float(kap)),
+                         config.nfe_budget // e.spec.p + 1, index, x_init)
+            var = float(np.var(out.final_state, ddof=1))
+            cells[e.label].append((abs(float(np.mean(out.final_state)) - m_lo), var,
                                    abs(var - v_lo) / v_lo))
-    rows = []
-    for i, kap in enumerate(config.kappas):
-        row = [float(kap)]
-        for e in entries:
-            row.extend(cells[e.label][i])
-        rows.append(tuple(row))
-    columns = ["kappa"]
-    for e in entries:
-        columns.extend([f"{e.label}_mean_dev", f"{e.label}_var", f"{e.label}_var_rel_dev"])
-    manifest = _describe_config(config, "kappa-sweep", kappas=list(config.kappas),
-                                nfe_budget=config.nfe_budget)
-    if "warning" in stats:
-        manifest["warning"] = stats["warning"]
-    return StudyResult("kappa-sweep", tuple(columns), rows, {}, stats,
-                       time.perf_counter() - t0, manifest)
+    rows = [(float(kap), *(v for e in entries for v in cells[e.label][i]))
+            for i, kap in enumerate(config.kappas)]
+    columns = ("kappa", *(f"{e.label}_{c}" for e in entries
+                          for c in ("mean_dev", "var", "var_rel_dev")))
+    # the small-ensemble warning, if any, goes into the manifest too
+    return _result(config, "kappa-sweep", t0, columns, rows, stats=stats,
+                   kappas=list(config.kappas), nfe_budget=config.nfe_budget, **stats)
 
 
 def marginal_check(config: ExperimentConfig) -> StudyResult:
@@ -548,7 +493,7 @@ def marginal_check(config: ExperimentConfig) -> StudyResult:
 
     Requires an even n_trajectories >= 1000. Each solver starts from the true
     start marginal sampled with exact moments (antithetic pairs, rescaled; see
-    _moment_matched_start) so endpoint deviations isolate solver bias, and its
+    _matched_start) so endpoint deviations isolate solver bias, and its
     endpoints are compared with the exact Gaussian marginal at the stop time:
     sample mean, sample variance, and the Kolmogorov-Smirnov statistic against
     the 1% critical value 1.6276/sqrt(n). A forward-sampling row sanity-checks
@@ -557,44 +502,34 @@ def marginal_check(config: ExperimentConfig) -> StudyResult:
     from scipy import stats as sp_stats
 
     t0 = time.perf_counter()
-    entries = _require_solvers(config, "marginal-check")
+    entries, model = _solver_study(config, "marginal-check")
     n = config.n_trajectories
     if n < 1000:
         raise ConfigError(f"marginal check needs n_trajectories >= 1000, got {n}")
     if n % 2 != 0:
         raise ConfigError(f"marginal check needs an even n_trajectories, got {n}")
     sde, prior, y = config.sde, config.prior, config.y
-    model = analytic_score_model(prior, sde)
-    t_hi, t_lo = sde.t_rev, sde.delta
-    m_hi, v_hi = marginal_moments(prior, sde, y, t_hi)
-    m_lo, v_lo = marginal_moments(prior, sde, y, t_lo)
     ks_crit = 1.6276 / math.sqrt(n)
 
-    rows = []
-    fw_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-    x_fwd = sample_forward(sde, replace(prior, dimension=n).sample(fw_rng), y, t_hi, fw_rng)
-    ks_fwd = sp_stats.kstest(x_fwd, "norm", args=(m_hi, math.sqrt(v_hi))).statistic
-    rows.append(("forward", float(n), float(np.mean(x_fwd)), m_hi,
-                 float(np.var(x_fwd, ddof=1)), v_hi, float(ks_fwd), ks_crit))
+    def row(label, x, t):
+        mean, var = marginal_moments(prior, sde, y, t)
+        ks = sp_stats.kstest(x, "norm", args=(mean, math.sqrt(var))).statistic
+        return (label, float(n), float(np.mean(x)), mean, float(np.var(x, ddof=1)), var,
+                float(ks), ks_crit)
 
-    for i, e in enumerate(entries):
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    rows = [row("forward", sample_forward(sde, replace(prior, dimension=n).sample(rng), y,
+                                          sde.t_rev, rng), sde.t_rev)]
+    for index, e in enumerate(entries, 1):
         if e.spec.kind != "rk45" and e.m_nodes is None:
             raise ConfigError(f"solver {e.label!r} needs m_nodes for the marginal check")
-        run_seed = _derived_seed(config.seed, i + 1)
-        x_init = _moment_matched_start(n, m_hi, v_hi, run_seed)
-        grid = TimeGrid.for_sde(sde, e.m_nodes if e.m_nodes is not None else 2)
-        out = run_solver(sde, model, y, grid, e.spec, seed=run_seed, x_init=x_init)
-        final = np.asarray(out.final_state, dtype=float)
-        ks = sp_stats.kstest(final, "norm", args=(m_lo, math.sqrt(v_lo))).statistic
-        rows.append((e.label, float(n), float(np.mean(final)), m_lo,
-                     float(np.var(final, ddof=1)), v_lo, float(ks), ks_crit))
-
+        out = _solve(config, model, e.spec, e.m_nodes or 2, index,
+                     _matched_start(config, index))
+        rows.append(row(e.label, out.final_state, sde.delta))
     columns = ("row", "n", "mean", "mean_target", "var", "var_target",
                "ks_stat", "ks_crit_1pct")
-    stats = {"ks_crit_1pct": ks_crit}
-    manifest = _describe_config(config, "marginal-check")
-    return StudyResult("marginal-check", columns, rows, {}, stats,
-                       time.perf_counter() - t0, manifest)
+    return _result(config, "marginal-check", t0, columns, rows,
+                   stats={"ks_crit_1pct": ks_crit})
 
 
 def simulate_forward(config: ExperimentConfig) -> StudyResult:
@@ -604,50 +539,35 @@ def simulate_forward(config: ExperimentConfig) -> StudyResult:
     independent kernel draws at each time.
     """
     t0 = time.perf_counter()
-    sde, prior, y = config.sde, config.prior, config.y
-    n = config.n_trajectories
-    ts = np.linspace(0.0, sde.t_rev, config.n_times)
+    sde, y = config.sde, config.y
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-    sampler = replace(prior, dimension=n)
+    sampler = replace(config.prior, dimension=config.n_trajectories)
     rows = []
-    for t in ts:
+    for t in np.linspace(0.0, sde.t_rev, config.n_times):
         t = float(t)
         x = sample_forward(sde, sampler.sample(rng), y, t, rng)
-        rows.append((t, float(sde.k(t)), float(sde.gamma(t)), float(sde.sigma(t)), float(sde.g(t)),
-                     float(np.mean(x)), float(np.std(x, ddof=1))))
+        rows.append((t, float(sde.k(t)), float(sde.gamma(t)), float(sde.sigma(t)),
+                     float(sde.g(t)), float(np.mean(x)), float(np.std(x, ddof=1))))
     columns = ("t", "k", "gamma", "sigma", "g", "mean_mc", "std_mc")
-    manifest = _describe_config(config, "simulate-forward", n_times=config.n_times)
-    return StudyResult("simulate-forward", columns, rows, {}, {},
-                       time.perf_counter() - t0, manifest)
+    return _result(config, "simulate-forward", t0, columns, rows, n_times=config.n_times)
 
 
 def solve_study(config: ExperimentConfig) -> StudyResult:
     """Run each configured solver once on the shared ensemble and report
     endpoint statistics, model calls, and error against the reference map."""
     t0 = time.perf_counter()
-    entries = _require_solvers(config, "solve")
-    sde, prior, y = config.sde, config.prior, config.y
-    model = analytic_score_model(prior, sde)
-    n = config.n_trajectories
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-    x_start = reverse_init(sde, y, rng, shape=(n,))
-    ref = None
-    if not isinstance(prior, MixturePrior):
-        ref = reference_solution(sde, prior, y, x_start)
+    entries, model = _solver_study(config, "solve")
+    x_start, ref = _shared_start(config, exact=False)
     rows = []
-    for i, e in enumerate(entries):
-        m = e.m_nodes if e.m_nodes is not None else 20
-        grid = TimeGrid.for_sde(sde, m)
-        out = run_solver(sde, model, y, grid, e.spec,
-                         seed=_derived_seed(config.seed, i + 1), x_init=x_start)
-        final = np.asarray(out.final_state, dtype=float)
-        err = float(np.mean(np.abs(final - ref))) if ref is not None else ""
-        m_cell = "" if e.spec.kind == "rk45" else float(m)
-        rows.append((e.label, m_cell, float(out.nfe), float(np.mean(final)),
-                     float(np.std(final, ddof=1)), err))
+    for index, e in enumerate(entries, 1):
+        m = e.m_nodes or 20
+        out = _solve(config, model, e.spec, m, index, x_start)
+        final = out.final_state
+        rows.append((e.label, "" if e.spec.kind == "rk45" else float(m), float(out.nfe),
+                     float(np.mean(final)), float(np.std(final, ddof=1)),
+                     "" if ref is None else _endpoint_error(final, ref)))
     columns = ("label", "m_nodes", "nfe", "mean_final", "std_final", "err_vs_ref")
-    manifest = _describe_config(config, "solve")
-    return StudyResult("solve", columns, rows, {}, {}, time.perf_counter() - t0, manifest)
+    return _result(config, "solve", t0, columns, rows)
 
 
 def verify_weights(config: ExperimentConfig) -> StudyResult:
@@ -661,15 +581,15 @@ def verify_weights(config: ExperimentConfig) -> StudyResult:
     t0 = time.perf_counter()
     sde = config.sde
     grid = TimeGrid.for_sde(sde, config.n_times)
+
+    def gee(u: float) -> float:
+        return float(sde.g(u)) ** 2 / (2.0 * (1.0 - float(sde.k(u))))
+
     rows = []
     max_rel = 0.0
     for i in range(grid.times.size - 1):
         th = float(grid.times[i])
         tl = float(grid.times[i + 1])
-
-        def gee(u: float) -> float:
-            return float(sde.g(u)) ** 2 / (2.0 * (1.0 - float(sde.k(u))))
-
         w0 = omega_weight(sde, 0, th, tl)
         w0_chk = -integrate(gee, tl, th, abs_tol=1e-14, rel_tol=1e-12).value
         w1 = omega_weight(sde, 1, th, tl)
@@ -680,15 +600,12 @@ def verify_weights(config: ExperimentConfig) -> StudyResult:
                            tl, th, abs_tol=1e-14, rel_tol=1e-12).value
         ito_chk = (1.0 - float(sde.k(tl))) * math.sqrt(max(varint, 0.0))
         for a, b in ((w0, w0_chk), (w1, w1_chk), (ito, ito_chk)):
-            denom = max(abs(a), abs(b), 1e-300)
-            max_rel = max(max_rel, abs(a - b) / denom)
+            max_rel = max(max_rel, abs(a - b) / max(abs(a), abs(b), 1e-300))
         rows.append((th, tl, w0, w0_chk, w1, w1_chk, ito, ito_chk))
     columns = ("t_from", "t_to", "omega0", "omega0_check", "omega1", "omega1_check",
                "ito", "ito_check")
-    stats = {"max_rel_err": max_rel}
-    manifest = _describe_config(config, "verify-weights", n_times=config.n_times)
-    return StudyResult("verify-weights", columns, rows, {}, stats,
-                       time.perf_counter() - t0, manifest)
+    return _result(config, "verify-weights", t0, columns, rows,
+                   stats={"max_rel_err": max_rel}, n_times=config.n_times)
 
 
 STUDIES = {

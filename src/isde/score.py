@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, SingularityError, real_parameter
+from .errors import ParameterError, ShapeError, SingularityError, integer_parameter, real_parameter
 from .sde_core import InterpolatingSde
 
 __all__ = [
@@ -37,16 +37,6 @@ __all__ = [
 ]
 
 
-def _check_dimension(dimension) -> int:
-    try:
-        d = int(dimension)
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterError(f"dimension must be an integer, got {dimension!r}")
-    if d < 1:
-        raise ParameterError(f"dimension must be >= 1, got {dimension!r}")
-    return d
-
-
 @dataclass(frozen=True)
 class DeltaPrior:
     """Point mass at x0 in every coordinate."""
@@ -56,7 +46,7 @@ class DeltaPrior:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", real_parameter("x0", self.x0))
-        object.__setattr__(self, "dimension", _check_dimension(self.dimension))
+        object.__setattr__(self, "dimension", integer_parameter("dimension", self.dimension, 1))
         if not math.isfinite(self.x0):
             raise ParameterError(f"x0 must be finite, got {self.x0!r}")
 
@@ -78,7 +68,7 @@ class GaussianPrior:
     def __post_init__(self):
         object.__setattr__(self, "m0", real_parameter("m0", self.m0))
         object.__setattr__(self, "s0", real_parameter("s0", self.s0))
-        object.__setattr__(self, "dimension", _check_dimension(self.dimension))
+        object.__setattr__(self, "dimension", integer_parameter("dimension", self.dimension, 1))
         if not math.isfinite(self.m0):
             raise ParameterError(f"m0 must be finite, got {self.m0!r}")
         if not (math.isfinite(self.s0) and self.s0 >= 0.0):
@@ -124,7 +114,7 @@ class MixturePrior:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
-        object.__setattr__(self, "dimension", _check_dimension(self.dimension))
+        object.__setattr__(self, "dimension", integer_parameter("dimension", self.dimension, 1))
 
     def moments(self):
         w = np.array(self.weights)
@@ -290,9 +280,7 @@ def _mc_loss(model: ScoreModel, prior, sde: InterpolatingSde, y, n_samples: int,
     Each draw takes t uniform on [delta, t_rev], then x0 from the prior, then
     eps standard normal, and forms x_t = mu_t + sigma_t eps.
     """
-    n = int(n_samples)
-    if n < 1:
-        raise ParameterError(f"n_samples must be >= 1, got {n_samples!r}")
+    n = integer_parameter("n_samples", n_samples, 1)
     y = float(y)
     total = 0.0
     for _ in range(n):

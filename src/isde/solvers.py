@@ -31,6 +31,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     StiffnessError,
+    integer_parameter,
     real_parameter,
 )
 from .quadrature import integrate_batch
@@ -80,9 +81,9 @@ class TimeGrid:
 
     @staticmethod
     def uniform(t_start: float, t_end: float, n_nodes: int) -> "TimeGrid":
-        if int(n_nodes) < 2:
-            raise ParameterError(f"n_nodes must be >= 2, got {n_nodes!r}")
-        return TimeGrid(np.linspace(float(t_start), float(t_end), int(n_nodes)))
+        n_nodes = integer_parameter("n_nodes", n_nodes, 2)
+        t_start, t_end = real_parameter("t_start", t_start), real_parameter("t_end", t_end)
+        return TimeGrid(np.linspace(t_start, t_end, n_nodes))
 
     @classmethod
     def for_sde(cls, sde: InterpolatingSde, n_nodes: int) -> "TimeGrid":
@@ -122,7 +123,7 @@ class SolverSpec:
     atol: float = 1e-5
 
     def __post_init__(self):
-        if self.kind not in _SOLVERS:
+        if not isinstance(self.kind, str) or self.kind not in _SOLVERS:
             raise ParameterError(
                 f"unknown solver kind {self.kind!r}; expected one of {tuple(_SOLVERS)}")
         _check_order(self.p)
@@ -168,8 +169,8 @@ def linear_step(sde: InterpolatingSde, x, y, t_from: float, t_to: float):
     Phi = (1 - k(t_to)) / (1 - k(t_from)); integrating backward (t_to < t_from)
     gives Phi > 1, expanding the state away from y.
     """
-    t_from = float(t_from)
-    t_to = float(t_to)
+    t_from = real_parameter("t_from", t_from)
+    t_to = real_parameter("t_to", t_to)
     if max(t_from, t_to) >= sde.t_max:
         raise ParameterError(f"times must be below the horizon t_max={sde.t_max!r}")
     k_from = float(sde.k(t_from))
@@ -270,11 +271,9 @@ def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float,
     C e^{zeta u}); other kinds fall back to adaptive quadrature. This is the
     one-step case of the weights :func:`isde_solve` computes per grid.
     """
-    n = int(n)
-    if n < 0:
-        raise ParameterError(f"weight order n must be >= 0, got {n!r}")
-    t_from = float(t_from)
-    t_to = float(t_to)
+    n = integer_parameter("weight order n", n, 0)
+    t_from = real_parameter("t_from", t_from)
+    t_to = real_parameter("t_to", t_to)
     if t_to > t_from:
         raise ParameterError(
             f"omega_weight integrates downward, need t_to <= t_from, "
@@ -297,8 +296,8 @@ def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float,
     Phi = (1 - k(t_to)) / (1 - k(t_from)). Closed forms for fOUVE and OUVE,
     quadrature otherwise.
     """
-    t_from = float(t_from)
-    t_to = float(t_to)
+    t_from = real_parameter("t_from", t_from)
+    t_to = real_parameter("t_to", t_to)
     if t_to > t_from:
         raise ParameterError(
             f"ito_increment integrates downward, need t_to <= t_from, "
@@ -453,7 +452,7 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
     times the number of steps.
     """
     _check_grid(sde, grid)
-    seed = int(seed)
+    seed = integer_parameter("seed", seed, 0)
     x = _prepare_state(sde, y, seed, x_init)
     step = make_step(np.asarray(y, dtype=float), _channel_rng(seed, 1), _channel_rng(seed, 2))
     times = grid.times
@@ -652,22 +651,20 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     budget is exhausted or the step size underflows, DivergenceError when the
     state or a stage becomes non-finite.
     """
-    t_start = float(t_start)
-    t_end = float(t_end)
+    t_start = real_parameter("t_start", t_start)
+    t_end = real_parameter("t_end", t_end)
     if not (t_start > t_end > 0.0):
         raise ParameterError(f"need t_start > t_end > 0, got {t_start!r}, {t_end!r}")
     if t_start > sde.t_rev + 1e-12:
         raise ParameterError(
             f"t_start={t_start!r} is above the reverse start t_rev={sde.t_rev!r}")
-    rtol = float(rtol)
-    atol = float(atol)
+    rtol = real_parameter("rtol", rtol)
+    atol = real_parameter("atol", atol)
     if not (rtol > 0.0 and atol > 0.0):
         raise ParameterError(f"rtol and atol must be positive, got {rtol!r}, {atol!r}")
-    max_steps = int(max_steps)
-    if max_steps < 1:
-        raise ParameterError(f"max_steps must be >= 1, got {max_steps!r}")
+    max_steps = integer_parameter("max_steps", max_steps, 1)
 
-    seed = int(seed)
+    seed = integer_parameter("seed", seed, 0)
     x = _prepare_state(sde, y, seed, x_init)
     rhs = _flow_rhs(sde, model, np.asarray(y, dtype=float))
     calls = 0

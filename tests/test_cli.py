@@ -163,6 +163,13 @@ def test_config_error_exits_2(tmp_path, canonical_config_dict, capsys):
     (("kappas",), [True]),
     (("sde", "sigma_min"), True),
     (("sde", "gamma0"), True),  # gamma0 = 1 would be valid, so only the bool check rejects it
+    (("seed",), -1),
+    (("prior", "dimension"), 2.7),
+    (("prior", "dimension"), "3"),
+    (("y",), "1.5"),
+    (("kappas",), ["0.5"]),
+    (("solvers", 0, "kappa"), "0.25"),
+    (("solvers", 0, "rtol"), "1e-5"),  # YAML reads an unquoted 1e-5 as a string
 ])
 def test_malformed_number_exits_2(tmp_path, canonical_config_dict, capsys, path, value):
     data = copy.deepcopy(canonical_config_dict)
@@ -177,6 +184,41 @@ def test_malformed_number_exits_2(tmp_path, canonical_config_dict, capsys, path,
     assert rc == 2
     assert err.startswith("error: ") and str(path[-1]) in err
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_negative_seed_option_exits_2(tmp_path, capsys):
+    rc = cli.main(["simulate-forward", "--config", str(CONFIG_DIR / "simulate-forward.yaml"),
+                   "--out", str(tmp_path / "o.csv"), "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "seed" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_solve_manifest_echoes_the_resolved_config(tmp_path):
+    # the manifest holds the defaults the YAML leaves out: delta, the prior
+    # dimension, and every solver's full spec with its label and grid size
+    out = tmp_path / "solve.csv"
+    assert cli.main(["solve", "--config", str(CONFIG_DIR / "solve.yaml"),
+                     "--out", str(out)]) == 0
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert manifest["sde"] == {"kind": "fOUVE", "sigma_min": 0.001, "sigma_max": 0.1,
+                               "gamma0": 2.0, "delta": 0.01}
+    assert manifest["prior"] == {"kind": "gaussian", "m0": 0.5, "s0": 0.2, "dimension": 1}
+    defaults = {"p": 1, "kappa": 0.0, "corrector_stepsize": 0.5, "rtol": 1e-5, "atol": 1e-5}
+    want = [
+        ("isde", "isde1", {"m_nodes": 41}),
+        ("isde", "isde2", {"p": 2, "m_nodes": 21}),
+        ("isde", "isde2-k0.1", {"p": 2, "kappa": 0.1, "m_nodes": 21}),
+        ("euler_maruyama", "eum0", {"m_nodes": 41}),
+        ("pc", "pc-r0.1", {"corrector_stepsize": 0.1, "m_nodes": 21}),
+        ("rk2", "rk2", {"m_nodes": 21}),
+        ("rk45", "rk45", {"rtol": 1e-6, "atol": 1e-9, "m_nodes": None}),
+    ]
+    assert manifest["solvers"] == [dict(defaults, kind=kind, label=label, **over)
+                                   for kind, label, over in want]
+    assert (manifest["study"], manifest["y"], manifest["seed"],
+            manifest["n_trajectories"]) == ("solve", 1.0, 1234, 256)
 
 
 def test_unwritable_output_exits_2(tmp_path, canonical_config_dict, capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import isde
 from isde import harness as hz
@@ -136,12 +137,106 @@ def test_config_solver_labels(canonical_config_dict):
     lambda d: d.update(solvers=[{"kind": "isde", "m_nodes": 1}]),
     lambda d: d.update(solvers=[{"kind": "rk2", "label": "a"},
                                 {"kind": "rk2", "label": "a"}]),
+    lambda d: d.update(seed=-1),
+    lambda d: d.update(solvers=5),
+    lambda d: d.update(solvers=[{"kind": [1]}]),
 ])
 def test_config_rejects_bad_input(canonical_config_dict, mutate):
     d = copy.deepcopy(canonical_config_dict)
     mutate(d)
     with pytest.raises(ConfigError):
         config_from_dict(d)
+
+
+# YAML-shaped values: scalars (nan and inf among the floats, ints of any size,
+# strings such as "1.5" or "1e5") and small lists and mappings of them
+_TEXT = st.text("ab_.-1e5", max_size=5)
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT)
+_VALUE = st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=6)
+
+# Valid configs, for _spoil to break at a few places
+_REAL = st.floats(-0.5, 3.0)
+_NONNEGATIVE = st.floats(0.0, 3.0)
+_SDE = st.one_of(  # BBED is left out: its variance table costs about 0.6 s per config
+    st.fixed_dictionaries({"kind": st.sampled_from(["fOUVE", "OUVE"]),
+                           "sigma_min": st.floats(1e-3, 0.1), "sigma_max": st.floats(0.2, 3.0),
+                           "gamma0": st.floats(0.5, 3.0)},
+                          optional={"delta": st.floats(1e-3, 0.1)}),
+    st.fixed_dictionaries({"kind": st.just("OT"), "sigma_max": st.floats(0.2, 3.0)}),
+    st.just({"kind": "BrownianBridge"}))
+_DIMENSION = {"dimension": st.integers(1, 3)}
+_PRIOR = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("delta"), "x0": _REAL}, optional=_DIMENSION),
+    st.fixed_dictionaries({"kind": st.just("gaussian"), "m0": _REAL, "s0": _NONNEGATIVE},
+                          optional=_DIMENSION),
+    st.fixed_dictionaries({"kind": st.just("mixture"), "weights": st.just([0.25, 0.75]),
+                           "means": st.lists(_REAL, min_size=2, max_size=2),
+                           "variances": st.lists(_NONNEGATIVE, min_size=2, max_size=2)},
+                          optional=_DIMENSION))
+_SOLVER = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["isde", "euler_maruyama", "pc", "rk2", "rk45"])},
+    optional={"p": st.integers(1, 2), "kappa": _NONNEGATIVE, "corrector_stepsize": _NONNEGATIVE,
+              "rtol": st.floats(1e-8, 1.0), "atol": st.floats(1e-8, 1.0),
+              "m_nodes": st.integers(2, 50)})
+_CONFIG = st.fixed_dictionaries(
+    {"sde": _SDE, "prior": _PRIOR, "y": _REAL, "seed": st.integers(0, 2 ** 64),
+     "solvers": st.lists(_SOLVER, max_size=3, unique_by=lambda entry: entry["kind"])},
+    optional={"n_trajectories": st.integers(1, 5000),
+              "m_values": st.lists(st.integers(2, 50), min_size=1, max_size=3),
+              "budgets": st.lists(st.integers(1, 50), min_size=1, max_size=3),
+              "kappas": st.lists(_NONNEGATIVE, min_size=1, max_size=3),
+              "nfe_budget": st.integers(1, 50), "n_times": st.integers(2, 50)})
+
+
+def _places(node):
+    """Every (container, key) pair inside ``node``, and (mapping, None) for a
+    key a mapping does not have yet."""
+    if isinstance(node, dict):
+        yield node, None
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, value in items:
+        yield node, key
+        yield from _places(value)
+
+
+def _spoil(config, place: int, drop: bool, value) -> None:
+    """At place number ``place`` (modulo their count) inside ``config``, drop
+    the key or set it, or a new key, to ``value``."""
+    places = list(_places(config))
+    node, key = places[place % len(places)]
+    if key is None:
+        node[f"unknown{place}"] = value
+    elif drop and isinstance(node, dict):
+        del node[key]
+    else:
+        node[key] = value
+
+
+_VALID = {"sde": {"kind": "OT", "sigma_max": 0.5}, "prior": {"kind": "delta", "x0": 0.5},
+          "y": 1.0, "seed": 7}
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=_CONFIG, spoils=st.lists(st.tuples(st.integers(0, 99), st.booleans(), _VALUE),
+                                       max_size=3), root=_VALUE)
+@example(config=dict(_VALID, solvers=5), spoils=[], root=None)
+@example(config=dict(_VALID, solvers=[{"kind": [1]}]), spoils=[], root=None)
+def test_property_config_loads_or_raises_a_config_error(config, spoils, root):
+    # whatever a mapping holds, loading it gives a config or a typed error
+    config = copy.deepcopy(config)  # st.just values are shared between examples
+    for spoil in spoils:
+        _spoil(config, *spoil)
+    for candidate in (config, root):
+        try:
+            loaded = config_from_dict(candidate)
+        except (ConfigError, ParameterError):
+            continue
+        assert isinstance(loaded, hz.ExperimentConfig)
 
 
 def test_config_not_a_mapping():

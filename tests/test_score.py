@@ -78,6 +78,16 @@ def test_prior_validation():
         MixturePrior((), (), ())
 
 
+@pytest.mark.parametrize("dimension", [2.7, 2.0, "3", True])
+def test_prior_dimension_must_be_an_integer(dimension):
+    for make in (lambda d: DeltaPrior(0.5, dimension=d),
+                 lambda d: GaussianPrior(0.5, 0.2, dimension=d),
+                 lambda d: MixturePrior((1.0,), (0.0,), (1.0,), dimension=d)):
+        with pytest.raises(ParameterError, match="dimension"):
+            make(dimension)
+    assert DeltaPrior(0.5, dimension=np.int64(3)).sample(None).shape == (3,)
+
+
 def test_mixture_weights_renormalized_exactly():
     p = MixturePrior((0.3, 0.7 + 1e-12), (0.0, 1.0), (1.0, 1.0))
     assert sum(p.weights) == 1.0
@@ -314,6 +324,13 @@ def test_dsm_loss_of_zero_model_matches_closed_form(fouve, delta_prior):
     rng = np.random.default_rng(33)
     loss = dsm_loss_mc(zero, delta_prior, fouve, 1.0, 20_000, rng)
     assert loss == pytest.approx(want, rel=0.04)
+
+
+def test_loss_sample_count_must_be_a_positive_integer(fouve, delta_prior):
+    model = analytic_score_model(delta_prior, fouve)
+    for n in (0, 2.5, True, "10"):
+        with pytest.raises(ParameterError, match="n_samples"):
+            dsm_loss_mc(model, delta_prior, fouve, 1.0, n, np.random.default_rng(0))
 
 
 def test_eps_loss_of_zero_model_is_dimension(fouve):

@@ -22,6 +22,8 @@ from isde.errors import (
     ScheduleConsistencyError,
     ShapeError,
     SingularityError,
+    integer_parameter,
+    real_parameter,
 )
 
 
@@ -41,10 +43,25 @@ def test_unknown_kind_rejected():
     {"kind": "BBED", "c": 0.0, "r": 4.0},
     {"kind": "OT"},                                                     # no sigma_max
     {"kind": "OT", "sigma_max": math.inf},
+    {"kind": "OT", "sigma_max": "0.1"},                                 # a string is no number
 ])
 def test_invalid_parameters_rejected(kwargs):
     with pytest.raises(ParameterError):
         SdeParams(**kwargs)
+
+
+def test_number_rule():
+    # a bool or a string is never a number; an integer is an int or a NumPy integer
+    assert real_parameter("x", np.float32(0.5)) == 0.5
+    assert real_parameter("x", 3) == 3.0
+    for bad in ("1.5", b"1.5", True, None, [1.0], 10 ** 400):
+        with pytest.raises(ParameterError, match="x must be a real number"):
+            real_parameter("x", bad)
+    assert integer_parameter("n", np.int64(3), 1) == 3
+    assert type(integer_parameter("n", np.uint8(3), 1)) is int
+    for bad in (2.7, 3.0, "3", True, np.bool_(True), None, 0):
+        with pytest.raises(ParameterError, match="n must be an integer >= 1"):
+            integer_parameter("n", bad, 1)
 
 
 def test_brownian_bridge_needs_no_parameters():

@@ -67,6 +67,10 @@ def test_grid_validation():
         TimeGrid(np.array([np.inf, 0.5]))
     with pytest.raises(ParameterError):
         TimeGrid.uniform(1.0, 0.01, 1)
+    for n_nodes in (5.9, 5.0, "5", True):
+        with pytest.raises(ParameterError, match="n_nodes"):
+            TimeGrid.uniform(1.0, 0.01, n_nodes)
+    assert TimeGrid.uniform(1.0, 0.01, np.int64(5)).times.size == 5
 
 
 def test_grid_properties(fouve):
@@ -94,6 +98,8 @@ def test_grid_is_copied():
     {"kind": "isde", "p": True},
     {"kind": "isde", "p": 2.0},
     {"kind": "isde", "kappa": True},
+    {"kind": "isde", "kappa": "0.25"},
+    {"kind": ["isde"]},                                  # unhashable
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ParameterError):
@@ -173,8 +179,9 @@ def test_omega_weight_signs_and_degenerate(fouve):
 def test_omega_weight_domain(fouve):
     with pytest.raises(ParameterError):
         omega_weight(fouve, 0, 0.5, 0.7)
-    with pytest.raises(ParameterError):
-        omega_weight(fouve, -1, 1.0, 0.5)
+    for n in (-1, 1.5, True):
+        with pytest.raises(ParameterError):
+            omega_weight(fouve, n, 1.0, 0.5)
     ot = make_sde(SdeParams(kind="OT", sigma_max=0.1))
     with pytest.raises(ParameterError):
         omega_weight(ot, 0, 1.0, 0.5)
@@ -371,6 +378,27 @@ def test_eps_first_order_step_is_the_dpm_update(fouve, gaussian_prior):
         assert abs(mine - dpm1_step(x, th, tl)) <= 1e-14 * max(1.0, abs(mine))
 
 
+@pytest.mark.parametrize("call", [
+    lambda sde: TimeGrid.uniform("1.0", 0.01, 5),
+    lambda sde: TimeGrid.uniform(1.0, True, 5),
+    lambda sde: omega_weight(sde, 0, "1.0", 0.5),
+    lambda sde: ito_increment(sde, 1.0, "0.5"),
+    lambda sde: rk45_adaptive(sde, zero_model(), 1.0, "1.0", 0.01),
+    lambda sde: reference_solution(sde, isde.DeltaPrior(0.5), 1.0, 0.9, t_start="0.9"),
+])
+def test_times_must_be_numbers(fouve, call):
+    with pytest.raises(ParameterError, match="t_"):
+        call(fouve)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_solver_seed_must_be_a_nonnegative_integer(fouve, seed):
+    grid = TimeGrid.for_sde(fouve, 5)
+    for spec in (SolverSpec("isde", p=2), SolverSpec("rk45")):
+        with pytest.raises(ParameterError, match="seed"):
+            run_solver(fouve, zero_model(), 1.0, grid, spec, seed=seed)
+
+
 def test_isde_kappa_zero_ignores_seed(fouve, gaussian_prior):
     model = analytic_score_model(gaussian_prior, fouve)
     grid = TimeGrid.for_sde(fouve, 11)
@@ -565,6 +593,15 @@ def test_rk45_zero_score_matches_exact_flow(fouve):
     out = rk45_adaptive(fouve, zero_model(), 1.0, fouve.t_rev, fouve.delta,
                         rtol=1e-8, atol=1e-8, x_init=0.3)
     assert float(out.final_state) == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rtol": True, "atol": True}, {"rtol": "1e-5"}, {"atol": "1e-5"}, {"max_steps": 2.5},
+])
+def test_rk45_rejects_malformed_settings(fouve, kwargs):
+    # float(True) would run at tolerance 1.0, as SolverSpec already forbids
+    with pytest.raises(ParameterError):
+        rk45_adaptive(fouve, zero_model(), 1.0, 1.0, 0.01, **kwargs)
 
 
 def test_rk45_accuracy_and_nfe(fouve, gaussian_prior):
