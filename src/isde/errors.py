@@ -3,15 +3,17 @@
 Every error raised by this package derives from IsdeError so callers can
 catch the whole family with one clause. Subclasses also inherit from the
 closest builtin (ValueError, ArithmeticError, ...) where one applies.
-:func:`real_parameter` and :func:`integer_parameter` turn a malformed numeric
-argument into a ParameterError. One rule serves the library and the config
-loader: a bool or a string is never a number, and an integer takes only an
-``int`` or a NumPy integer.
+:func:`real_parameter`, :func:`real_array` and :func:`integer_parameter` turn
+a malformed numeric argument into a ParameterError. One rule serves the
+library and the config loader: a bool or a string is never a number, and an
+integer takes only an ``int`` or a NumPy integer.
 """
 
 from __future__ import annotations
 
 import numbers
+
+import numpy as np
 
 
 class IsdeError(Exception):
@@ -80,6 +82,20 @@ def real_parameter(name: str, value) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
+def real_array(name: str, value) -> np.ndarray:
+    """``value`` as a new float array, raising ParameterError naming ``name`` when
+    an entry is not a real number; a bool or a string is not one."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError) as e:
+        raise ParameterError(f"{name} must be a real number or an array of them: {e}")
+    if a.dtype.kind == "O":
+        return np.array([real_parameter(name, v) for v in a.flat]).reshape(a.shape)
+    if a.dtype.kind not in "iuf":
+        raise ParameterError(f"{name} must hold real numbers, got {a.dtype} values")
+    return a.astype(float)
 
 
 def integer_parameter(name: str, value, minimum: int) -> int:

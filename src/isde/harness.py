@@ -299,8 +299,20 @@ def reference_solution(sde: InterpolatingSde, prior, y, x_start, t_start: float 
 # forward samples); solver runs are numbered 1, 2, ... and each gets the seed
 # derived from the config seed and its index.
 
-def _derived_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1)[0])
+def _seed_sequence(seed, index: int) -> np.random.SeedSequence:
+    """Seed sequence of run ``index``. The seed is checked here: an
+    ExperimentConfig built without config_from_dict is checked nowhere else."""
+    return np.random.SeedSequence([integer_parameter("seed", seed, 0), index])
+
+
+def _derived_seed(seed, index: int) -> int:
+    """The integer seed of run ``index``."""
+    return int(_seed_sequence(seed, index).generate_state(1)[0])
+
+
+def _shared_rng(config: ExperimentConfig) -> np.random.Generator:
+    """The generator of a study's shared draws (run index 0)."""
+    return np.random.default_rng(_seed_sequence(config.seed, 0))
 
 
 def _solver_study(config: ExperimentConfig, study: str):
@@ -313,7 +325,7 @@ def _solver_study(config: ExperimentConfig, study: str):
 def _shared_start(config: ExperimentConfig, exact: bool = True):
     """Common reverse-start ensemble and its exact mapped endpoints. With
     ``exact=False`` a mixture prior, which has no exact map, gets None."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    rng = _shared_rng(config)
     x_start = reverse_init(config.sde, config.y, rng, shape=(config.n_trajectories,))
     if not exact and isinstance(config.prior, MixturePrior):
         return x_start, None
@@ -488,6 +500,15 @@ def kappa_sweep(config: ExperimentConfig) -> StudyResult:
                    kappas=list(config.kappas), nfe_budget=config.nfe_budget, **stats)
 
 
+def _ks_statistic(x, mean: float, std: float) -> float:
+    """Kolmogorov-Smirnov distance sup |F_n - Phi| between the sample ``x`` and
+    N(mean, std^2): max(D+, D-) over the sorted standardized sample."""
+    z = np.sort((np.asarray(x, dtype=float) - mean) / std)
+    n = z.size
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+    return float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
+
+
 def marginal_check(config: ExperimentConfig) -> StudyResult:
     """Distributional test of sampler endpoints against the exact marginal.
 
@@ -499,8 +520,6 @@ def marginal_check(config: ExperimentConfig) -> StudyResult:
     the 1% critical value 1.6276/sqrt(n). A forward-sampling row sanity-checks
     the kernel itself at the start time.
     """
-    from scipy import stats as sp_stats
-
     t0 = time.perf_counter()
     entries, model = _solver_study(config, "marginal-check")
     n = config.n_trajectories
@@ -513,11 +532,11 @@ def marginal_check(config: ExperimentConfig) -> StudyResult:
 
     def row(label, x, t):
         mean, var = marginal_moments(prior, sde, y, t)
-        ks = sp_stats.kstest(x, "norm", args=(mean, math.sqrt(var))).statistic
+        ks = _ks_statistic(x, mean, math.sqrt(var))
         return (label, float(n), float(np.mean(x)), mean, float(np.var(x, ddof=1)), var,
-                float(ks), ks_crit)
+                ks, ks_crit)
 
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    rng = _shared_rng(config)
     rows = [row("forward", sample_forward(sde, replace(prior, dimension=n).sample(rng), y,
                                           sde.t_rev, rng), sde.t_rev)]
     for index, e in enumerate(entries, 1):
@@ -540,7 +559,7 @@ def simulate_forward(config: ExperimentConfig) -> StudyResult:
     """
     t0 = time.perf_counter()
     sde, y = config.sde, config.y
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    rng = _shared_rng(config)
     sampler = replace(config.prior, dimension=config.n_trajectories)
     rows = []
     for t in np.linspace(0.0, sde.t_rev, config.n_times):

@@ -29,6 +29,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,12 +39,13 @@ import numpy as np
 
 from .errors import (
     ParameterError,
+    QuadratureDomainError,
     ScheduleConsistencyError,
     ShapeError,
     SingularityError,
     real_parameter,
 )
-from .quadrature import integrate
+from .quadrature import integrate, integrate_batch
 
 __all__ = [
     "SdeKind",
@@ -150,9 +152,76 @@ def _t(value):
     return np.asarray(value, dtype=float)
 
 
-# BBED variance table: prefix-summed adaptive quadrature over a 1024-node grid
-# graded quadratically toward t = 1 (where the integrand (c r^t / (1-t))^2
-# steepens), interpolated with a monotone cubic between nodes.
+def _end_slope(h0, h1, m0, m1):
+    """Moler's shape-preserving three-point slope at an end node (pchiptx.m):
+    h0, m0 are the width and secant of the end interval, h1, m1 of its neighbour."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant through (x[i], y[i]) for
+    strictly increasing x, at least three nodes, evaluated on [x[0], x[-1]]
+    at a float or an array of times.
+
+    The node slopes are Fritsch and Carlson's (SIAM J. Numer. Anal. 17, 1980):
+    the weighted harmonic mean of the two neighbouring secants, or 0 where they
+    differ in sign or one is flat; :func:`_end_slope` at the ends. The cubic
+    of each interval is summed from its constant term up. This is the
+    operation order of the common reference implementation, and the tests hold
+    values and derivatives to it bit for bit.
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(all="ignore"):  # the flat entries are discarded
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d = np.concatenate([[_end_slope(h[0], h[1], m[0], m[1])], inner,
+                            [_end_slope(h[-1], h[-2], m[-1], m[-2])]])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c1, c0 = (m - d[:-1]) / h - t, t / h
+        self._x, self._nodes = x, x.tolist()
+        # on interval i, with s = t - x[i]: value c3 + c2 s + c1 s^2 + c0 s^3,
+        # derivative c2 + 2 c1 s + 3 c0 s^2; kept as arrays and as Python rows
+        value = np.stack([y[:-1], d[:-1], c1, c0])
+        slope = np.stack([d[:-1], 2.0 * c1, 3.0 * c0])
+        self._value = value, value.T.tolist()
+        self._slope = slope, slope.T.tolist()
+
+    def _locate(self, t, coefficients):
+        """(t - x[i], coefficients of interval i) for the interval i holding t:
+        Python floats for a float t, arrays for an array."""
+        table, rows = coefficients
+        if isinstance(t, float):
+            i = min(bisect.bisect_right(self._nodes, t) - 1, len(rows) - 1)
+            return t - self._nodes[i], rows[i]
+        i = np.minimum(np.searchsorted(self._x, t, side="right") - 1, len(rows) - 1)
+        return t - self._x[i], table[:, i]
+
+    def __call__(self, t):
+        s, (c3, c2, c1, c0) = self._locate(t, self._value)
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+    def derivative(self, t):
+        s, (c2, c1, c0) = self._locate(t, self._slope)
+        return c2 + c1 * s + c0 * (s * s)
+
+
+def _bbed_integrand(c: float, r: float, tau):
+    return (c * r ** tau) ** 2 / (1.0 - tau) ** 2
+
+
+# BBED variance table: adaptive quadrature over the intervals of a 1024-node
+# grid graded quadratically toward t = 1 (where the integrand steepens), all
+# in one batched pass and prefix-summed, interpolated with a monotone cubic.
 _BBED_NODES = 1024
 
 
@@ -161,25 +230,21 @@ def _bbed_var_table(c: float, r: float, t_edge: float):
     u = np.linspace(0.0, 1.0, _BBED_NODES)
     nodes = t_edge * (1.0 - (1.0 - u) ** 2)
     nodes[-1] = t_edge
-
-    def integrand(tau: float) -> float:
-        return (c * r ** tau) ** 2 / (1.0 - tau) ** 2
-
-    cumulative = np.empty_like(nodes)
-    cumulative[0] = 0.0
-    acc = 0.0
-    for i in range(1, nodes.size):
-        acc += integrate(integrand, nodes[i - 1], nodes[i], abs_tol=1e-14, rel_tol=1e-10).value
-        cumulative[i] = acc
-    var_nodes = (1.0 - nodes) ** 2 * cumulative
+    with np.errstate(over="ignore"):
+        try:
+            pieces = integrate_batch(lambda tau, rows: _bbed_integrand(c, r, tau), nodes[:-1],
+                                     nodes[1:], abs_tol=1e-14, rel_tol=1e-10).value
+        except QuadratureDomainError:  # the integrand overflowed
+            pieces = np.full(nodes.size - 1, np.inf)
+        var_nodes = (1.0 - nodes) ** 2 * np.concatenate([[0.0], np.cumsum(pieces)])
+    if not np.all(np.isfinite(var_nodes)):
+        raise ParameterError(f"BBED variance overflows for c={c!r}, r={r!r}")
     return nodes, var_nodes
 
 
 def _bbed_var_direct(c: float, r: float, t: float) -> float:
-    def integrand(tau: float) -> float:
-        return (c * r ** tau) ** 2 / (1.0 - tau) ** 2
-
-    res = integrate(integrand, 0.0, float(t), abs_tol=1e-14, rel_tol=1e-10)
+    res = integrate(lambda tau: _bbed_integrand(c, r, tau), 0.0, float(t),
+                    abs_tol=1e-14, rel_tol=1e-10)
     return (1.0 - t) ** 2 * res.value
 
 
@@ -261,36 +326,31 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
     t_rev = 0.999
 
     if kind is SdeKind.BBED:
-        from scipy.interpolate import PchipInterpolator
-
         c = float(params.c)
         r = float(params.r)
         t_edge = 0.5 * (t_rev + 1.0)  # grid reaches past t_rev; beyond it, direct quadrature
-        nodes, var_nodes = _bbed_var_table(c, r, t_edge)
-        pch = PchipInterpolator(nodes, var_nodes, extrapolate=False)
-        dpch = pch.derivative()
+        table = _Pchip(*_bbed_var_table(c, r, t_edge))
 
         def var(t):
             tt = _t(t)
-            if np.any(tt < 0.0) or np.any(tt >= 1.0):
+            if tt.ndim == 0:  # in Python floats: most calls ask for one time
+                t = float(tt)
+                if not 0.0 <= t < 1.0:
+                    raise ParameterError(f"BBED variance is defined for 0 <= t < 1, got {t!r}")
+                return max(table(t), 0.0) if t <= t_edge else _bbed_var_direct(c, r, t)
+            if not np.all((tt >= 0.0) & (tt < 1.0)):
                 raise ParameterError("BBED variance is defined for 0 <= t < 1")
-            flat = np.atleast_1d(tt).astype(float).ravel()
-            out = np.empty_like(flat)
-            inside = flat <= t_edge
-            if inside.any():
-                out[inside] = pch(flat[inside])
-            for i in np.nonzero(~inside)[0]:
-                out[i] = _bbed_var_direct(c, r, flat[i])
-            out = np.maximum(out, 0.0)
-            return out.reshape(np.shape(tt)) if np.ndim(tt) else float(out[0])
+            out = np.maximum(table(np.minimum(tt, t_edge)), 0.0)
+            beyond = tt > t_edge
+            out[beyond] = [_bbed_var_direct(c, r, u) for u in tt[beyond].tolist()]
+            return out
 
         def var_prime(t):
             tt = _t(t)
-            if np.any(tt < 0.0) or np.any(tt > t_edge):
+            if not np.all((tt >= 0.0) & (tt <= t_edge)):
                 raise ParameterError(
                     f"BBED variance derivative is tabulated for 0 <= t <= {t_edge}")
-            out = dpch(tt)
-            return out if np.ndim(tt) else float(out)
+            return table.derivative(tt if tt.ndim else float(tt))
 
         def sigma(t):
             return np.sqrt(var(t))

@@ -32,6 +32,7 @@ from .errors import (
     ShapeError,
     StiffnessError,
     integer_parameter,
+    real_array,
     real_parameter,
 )
 from .quadrature import integrate_batch
@@ -152,7 +153,7 @@ def _channel_rng(seed: int, channel: int) -> np.random.Generator:
 
 def reverse_init(sde: InterpolatingSde, y, rng: np.random.Generator, shape=None):
     """Draw the reverse-time start x_T = y + sigma(t_rev) z, z standard normal."""
-    ya = np.asarray(y, dtype=float)
+    ya = real_array("y", y)
     target = ya.shape if shape is None else tuple(shape)
     try:
         np.broadcast_shapes(ya.shape, target)
@@ -160,6 +161,12 @@ def reverse_init(sde: InterpolatingSde, y, rng: np.random.Generator, shape=None)
         raise ShapeError(f"y shape {ya.shape} does not broadcast to {target}")
     z = rng.standard_normal(target)
     return ya + float(sde.sigma(sde.t_rev)) * z
+
+
+def _transition_factor(k_to, k_from):
+    """Phi = (1 - k(t_to)) / (1 - k(t_from)): the factor by which the linear part
+    carries x - y from t_from to t_to."""
+    return (1.0 - k_to) / (1.0 - k_from)
 
 
 def linear_step(sde: InterpolatingSde, x, y, t_from: float, t_to: float):
@@ -176,9 +183,9 @@ def linear_step(sde: InterpolatingSde, x, y, t_from: float, t_to: float):
     k_from = float(sde.k(t_from))
     if k_from >= 1.0:
         raise ParameterError(f"k(t_from) reached 1 at t_from={t_from!r}")
-    phi = (1.0 - float(sde.k(t_to))) / (1.0 - k_from)
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    phi = _transition_factor(float(sde.k(t_to)), k_from)
+    xa = real_array("x", x)
+    ya = real_array("y", y)
     try:
         np.broadcast_shapes(xa.shape, ya.shape)
     except ValueError:
@@ -310,18 +317,18 @@ def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float,
                            abs_tol=abs_tol, rel_tol=rel_tol)[0])
 
 
-def _prepare_state(sde, y, seed, x_init, shape=None):
-    rng_init = _channel_rng(seed, 0)
+def _prepare_state(sde, y, seed, x_init):
+    """The start state and y as float arrays: a copy of x_init, or a draw from
+    the seed's channel 0 stream."""
+    ya = real_array("y", y)
     if x_init is None:
-        return np.asarray(reverse_init(sde, y, rng_init, shape=shape), dtype=float)
-    x = np.array(x_init, dtype=float, copy=True)
+        return np.asarray(reverse_init(sde, ya, _channel_rng(seed, 0)), dtype=float), ya
+    x = real_array("x_init", x_init)
     try:
-        np.broadcast_shapes(x.shape, np.shape(np.asarray(y, dtype=float)))
+        np.broadcast_shapes(x.shape, ya.shape)
     except ValueError:
-        raise ShapeError(
-            f"x_init shape {x.shape} does not broadcast with y shape "
-            f"{np.shape(np.asarray(y))}")
-    return x
+        raise ShapeError(f"x_init shape {x.shape} does not broadcast with y shape {ya.shape}")
+    return x, ya
 
 
 def _check_grid(sde: InterpolatingSde, grid: TimeGrid):
@@ -418,7 +425,7 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
     """
     t_hi, t_lo = times[:-1], times[1:]
     k = np.asarray(sde.k(times), dtype=float)
-    plan = {"k": k, "phi": (1.0 - k[1:]) / (1.0 - k[:-1])}
+    plan = {"k": k, "phi": _transition_factor(k[1:], k[:-1])}
     if eps_mode:
         plan["lam"] = lam = _half_log_snr(sde, times)
         plan["sigma"] = np.asarray(sde.sigma(times), dtype=float)
@@ -434,7 +441,7 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
         plan["w0"], plan["w0_half"], plan["w1"] = np.split(weights, 3)
     if p == 2:
         plan["k_mid"] = k_mid = np.asarray(sde.k(plan["t_mid"]), dtype=float)
-        plan["phi_mid"] = (1.0 - k_mid) / (1.0 - k[:-1])
+        plan["phi_mid"] = _transition_factor(k_mid, k[:-1])
     if kappa > 0.0:
         plan["ito_std"] = _ito_stds(sde, t_hi, t_lo)
     return _StepPlan(**plan)
@@ -444,17 +451,18 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
                    keep_trajectory: bool, make_step, p: int = 1) -> SolveOutput:
     """Run a fixed-grid solver of the given kind: everything except its step rule.
 
-    After the grid check and the start draw, ``make_step(ya, rng_ito,
-    rng_corr)`` builds the step from y as an array and the seed's channel 1
-    and 2 streams; it runs before the first model call, so state-independent
-    set-up belongs there. ``step(i, x, t_hi, t_lo)`` returns the state at node
+    After the grid check and the start draw, ``make_step(ya, rng)`` builds the
+    step from y as an array; ``rng(channel)`` makes the seed's stream for a
+    channel (1 diffusion increments, 2 corrector noise), so a step makes only
+    the streams it draws from. ``make_step`` runs before the first model call,
+    so state-independent set-up belongs there. ``step(i, x, t_hi, t_lo)`` returns the state at node
     i + 1. The call count is the kind's calls per step (:data:`_SOLVERS`)
     times the number of steps.
     """
     _check_grid(sde, grid)
     seed = integer_parameter("seed", seed, 0)
-    x = _prepare_state(sde, y, seed, x_init)
-    step = make_step(np.asarray(y, dtype=float), _channel_rng(seed, 1), _channel_rng(seed, 2))
+    x, ya = _prepare_state(sde, y, seed, x_init)
+    step = make_step(ya, lambda channel: _channel_rng(seed, channel))
     times = grid.times
     traj = [np.array(x, copy=True)] if keep_trajectory else None
     for i in range(grid.n_steps):
@@ -486,9 +494,10 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     kappa = _nonnegative_real("kappa", kappa)
     eps_mode = getattr(model, "parameterization", "score") == "eps"
 
-    def make_step(ya, rng_ito, rng_corr):
+    def make_step(ya, rng):
         plan = _step_plan(sde, grid.times, p, kappa, eps_mode)
         k, phi = plan.k, plan.phi
+        rng_ito = rng(1) if kappa > 0.0 else None
 
         def step(i, x, th, tl):
             out_hi = np.asarray(model(x, ya, th), dtype=float)
@@ -562,7 +571,9 @@ def euler_maruyama(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     kappa = _nonnegative_real("kappa", kappa)
     score = _score_eval(model, sde)
 
-    def make_step(ya, rng_ito, rng_corr):
+    def make_step(ya, rng):
+        rng_ito = rng(1) if kappa > 0.0 else None
+
         def step(i, x, th, tl):
             dt = tl - th  # negative
             s = score(x, ya, th)
@@ -593,7 +604,9 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     r = _nonnegative_real("corrector_stepsize", corrector_stepsize)
     score = _score_eval(model, sde)
 
-    def make_step(ya, rng_ito, rng_corr):
+    def make_step(ya, rng):
+        rng_ito, rng_corr = rng(1), rng(2)
+
         def step(i, x, th, tl):
             dt = tl - th
             s = score(x, ya, th)
@@ -611,7 +624,7 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 def rk2_midpoint(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
                  seed: int = 0, x_init=None, keep_trajectory: bool = False) -> SolveOutput:
     """Explicit midpoint rule on the probability-flow ODE (two model calls per step)."""
-    def make_step(ya, rng_ito, rng_corr):
+    def make_step(ya, rng):
         rhs = _flow_rhs(sde, model, ya)
 
         def step(i, x, th, tl):
@@ -665,8 +678,8 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     max_steps = integer_parameter("max_steps", max_steps, 1)
 
     seed = integer_parameter("seed", seed, 0)
-    x = _prepare_state(sde, y, seed, x_init)
-    rhs = _flow_rhs(sde, model, np.asarray(y, dtype=float))
+    x, ya = _prepare_state(sde, y, seed, x_init)
+    rhs = _flow_rhs(sde, model, ya)
     calls = 0
     traj = [np.array(x, copy=True)] if keep_trajectory else None
 

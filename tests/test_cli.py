@@ -31,19 +31,41 @@ def write_cfg(tmp_path, data, name="cfg.yaml"):
     return path
 
 
-def test_import_loads_no_scipy():
-    # scipy serves only BBED's variance table and the marginal-check KS test,
-    # which import it when they run; importing the package must not.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import isde, isde.cli
+print(isde.__file__)
+print(scipy_modules())
+sde = isde.make_sde(isde.SdeParams(kind="BBED", c=0.3, r=4.0))
+model = isde.analytic_score_model(isde.GaussianPrior(m0=0.5, s0=0.2), sde)
+isde.isde_solve(sde, model, 1.0, isde.TimeGrid.for_sde(sde, 11), p=2, kappa=0.5)
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for study in sorted(isde.STUDIES):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert isde.cli.main([study, "--config", str(configs / f"{study}.yaml"),
+                              "--out", str(out / f"{study}.csv")]) == 0, study
+print(scipy_modules())
+"""
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # scipy is a test dependency only: neither importing the package, nor a BBED
+    # schedule and solve, nor any shipped study may load it
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, isde, isde.cli; print(isde.__file__); "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    where, loaded = proc.stdout.splitlines()
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(CONFIG_DIR), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    where, after_import, after_runs = proc.stdout.splitlines()
     assert Path(where).resolve().parent == Path(cli.__file__).resolve().parent
-    assert loaded == "[]"
+    assert after_import == "[]"
+    assert after_runs == "[]"
+    assert {p.name for p in tmp_path.glob("*.csv")} == {f"{s}.csv" for s in STUDIES}
 
 
 def test_every_export_resolves():

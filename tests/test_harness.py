@@ -2,9 +2,12 @@ import copy
 import json
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 import isde
 from isde import harness as hz
@@ -158,11 +161,13 @@ _VALUE = st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=3)
 # Valid configs, for _spoil to break at a few places
 _REAL = st.floats(-0.5, 3.0)
 _NONNEGATIVE = st.floats(0.0, 3.0)
-_SDE = st.one_of(  # BBED is left out: its variance table costs about 0.6 s per config
+_SDE = st.one_of(
     st.fixed_dictionaries({"kind": st.sampled_from(["fOUVE", "OUVE"]),
                            "sigma_min": st.floats(1e-3, 0.1), "sigma_max": st.floats(0.2, 3.0),
                            "gamma0": st.floats(0.5, 3.0)},
                           optional={"delta": st.floats(1e-3, 0.1)}),
+    st.fixed_dictionaries({"kind": st.just("BBED"), "c": st.floats(0.01, 1.0),
+                           "r": st.floats(1.5, 40.0)}),
     st.fixed_dictionaries({"kind": st.just("OT"), "sigma_max": st.floats(0.2, 3.0)}),
     st.just({"kind": "BrownianBridge"}))
 _DIMENSION = {"dimension": st.integers(1, 3)}
@@ -365,6 +370,33 @@ def test_marginal_check_validation(canonical_config_dict):
     with pytest.raises(ConfigError):
         marginal_check(config_from_dict(cfg_dict(
             canonical_config_dict, n_trajectories=2000, solvers=missing)))
+
+
+def test_ks_statistic_matches_scipy():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 1000, 2000):
+        for shift, scale in ((0.0, 1.0), (0.3, 1.0), (0.0, 1.5), (-2.0, 0.2)):
+            mean, std = rng.normal(), rng.uniform(0.01, 3.0)
+            x = rng.normal(mean + shift * std, scale * std, n)
+            want = stats.kstest(x, "norm", args=(mean, std)).statistic
+            assert hz._ks_statistic(x, mean, std) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+# One study per way of drawing from the seed: shared draws only (simulate-forward),
+# shared start plus seeded solves (solve), matched starts (kappa-sweep), and
+# shared draws plus matched starts (marginal-check).
+@pytest.mark.parametrize("study, extra", [
+    (simulate_forward, {}),
+    (solve_study, {"solvers": [{"kind": "isde", "m_nodes": 5}]}),
+    (kappa_sweep, {"solvers": [{"kind": "isde", "p": 2}]}),
+    (marginal_check, {"n_trajectories": 1000, "solvers": [{"kind": "isde", "m_nodes": 5}]}),
+])
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+def test_studies_check_the_seed_of_a_config_built_directly(canonical_config_dict, study,
+                                                           extra, seed):
+    config = config_from_dict(cfg_dict(canonical_config_dict, **extra))
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        study(dataclasses.replace(config, seed=seed))
 
 
 def test_simulate_forward_table(canonical_config_dict):

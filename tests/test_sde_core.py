@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import isde
 from isde import (
@@ -25,6 +27,8 @@ from isde.errors import (
     integer_parameter,
     real_parameter,
 )
+from isde.quadrature import integrate
+from isde.sde_core import _BBED_NODES, _bbed_var_table, _end_slope, _Pchip
 
 
 # ---------------------------------------------------------------- parameters
@@ -135,6 +139,12 @@ def test_bbed_variance_domain():
         sde.var_prime(0.99999)
 
 
+@pytest.mark.parametrize("c, r", [(1e200, 4.0), (0.3, 1e300)])
+def test_bbed_variance_overflow_rejected(c, r):
+    with pytest.raises(ParameterError, match="BBED variance overflows"):
+        make_sde(SdeParams(kind="BBED", c=c, r=r))
+
+
 def test_bbed_array_shape_roundtrip():
     sde = make_sde(SdeParams(kind="BBED", c=0.3, r=4.0))
     ts = np.array([[0.1, 0.2], [0.3, 0.9996]])
@@ -142,6 +152,75 @@ def test_bbed_array_shape_roundtrip():
     assert out.shape == ts.shape
     assert np.all(out > 0.0)
     assert isinstance(sde.var(0.4), float)
+
+
+def test_end_slope_takes_each_branch():
+    # Moler's end rule: the three-point slope, 0 against the end secant's sign,
+    # 3 m0 where the secants change sign and the slope overshoots
+    assert _end_slope(1.0, 1.0, 1.0, 2.0) == 0.5
+    assert _end_slope(1.0, 1.0, 1.0, 5.0) == 0.0
+    assert _end_slope(1.0, 1.0, 1.0, -5.0) == 3.0
+    assert _end_slope(1.0, 1.0, 1.0, -1.0) == 2.0
+
+
+@st.composite
+def pchip_data(draw):
+    """Strictly increasing nodes, values with flat runs and sign changes (small
+    integers) or without (any float), and times in [x[0], x[-1]]."""
+    n = draw(st.integers(3, 12))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-10.0, 10.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
+    y = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    frac = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)))
+    return x, y, np.concatenate([x, np.minimum(x[0] + frac * (x[-1] - x[0]), x[-1])])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # scipy's own
+@settings(max_examples=300, deadline=None)
+@given(pchip_data())
+@example((np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 6.0]), np.array([0.0, 0.3, 2.0])))
+@example((np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, -4.0]), np.array([0.0, 0.3, 2.0])))
+@example((np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0, 2.0]),
+          np.array([0.5, 1.5, 2.5])))
+def test_property_pchip_matches_scipy_bit_for_bit(data):
+    x, y, ts = data
+    ours, ref = _Pchip(x, y), PchipInterpolator(x, y)
+    np.testing.assert_array_equal(ours(ts), ref(ts))
+    np.testing.assert_array_equal(ours.derivative(ts), ref.derivative()(ts))
+    for t in ts.tolist():  # the scalar path
+        assert ours(t) == ref(t)
+        assert ours.derivative(t) == ref.derivative()(t)
+
+
+def _scalar_bbed_table(c, r, t_edge):
+    """The variance table as one scalar quadrature per interval, summed in order."""
+    u = np.linspace(0.0, 1.0, _BBED_NODES)
+    nodes = t_edge * (1.0 - (1.0 - u) ** 2)
+    nodes[-1] = t_edge
+    pieces = [integrate(lambda tau: (c * r ** tau) ** 2 / (1.0 - tau) ** 2, a, b,
+                        abs_tol=1e-14, rel_tol=1e-10).value
+              for a, b in zip(nodes[:-1], nodes[1:])]
+    return nodes, (1.0 - nodes) ** 2 * np.concatenate([[0.0], np.cumsum(pieces)])
+
+
+@pytest.mark.parametrize("c, r", [(0.3, 4.0), (0.08, 40.0)])
+def test_bbed_variance_matches_scipy_pchip(c, r):
+    sde = make_sde(SdeParams(kind="BBED", c=c, r=r))
+    t_edge = 0.5 * (sde.t_rev + 1.0)
+    nodes, var_nodes = _bbed_var_table(c, r, t_edge)
+    ts = np.concatenate([nodes, np.random.default_rng(5).uniform(0.0, t_edge, 5000)])
+    # the same table: bit for bit, on the array and the scalar path
+    same = PchipInterpolator(nodes, var_nodes)
+    np.testing.assert_array_equal(sde.var(ts), same(ts))
+    np.testing.assert_array_equal(sde.var_prime(ts), same.derivative()(ts))
+    assert [sde.var(t) for t in ts[::50].tolist()] == same(ts[::50]).tolist()
+    # the scalar-quadrature table: its entries differ by round-off, which the
+    # derivative amplifies by var / (var step), about 250 where the nodes crowd
+    # toward t = 1 (measured: 5.1e-16 for var, 8.3e-14 for var_prime)
+    old = PchipInterpolator(*_scalar_bbed_table(c, r, t_edge))
+    np.testing.assert_allclose(sde.var(ts), old(ts), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(sde.var_prime(ts), old.derivative()(ts), rtol=2e-13, atol=0.0)
 
 
 # -------------------------------------------------------------- dual routes

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from isde.errors import (
     ShapeError,
     StiffnessError,
 )
+from isde import solvers
 from isde.solvers import _step_plan
 
 
@@ -399,6 +401,64 @@ def test_solver_seed_must_be_a_nonnegative_integer(fouve, seed):
             run_solver(fouve, zero_model(), 1.0, grid, spec, seed=seed)
 
 
+_SPECS = (SolverSpec("isde", p=2), SolverSpec("euler_maruyama", kappa=1.0), SolverSpec("pc"),
+          SolverSpec("rk2"), SolverSpec("rk45"))
+
+
+@pytest.mark.parametrize("y, x_init", [
+    ("1.0", ["0.9", "1.1"]),
+    ("1.0", None),
+    (b"1.0", None),
+    (True, None),
+    (np.array([True, False]), None),
+    (1.0 + 0.5j, None),
+    (1.0, ["0.9", "1.1"]),
+    (1.0, [0.9, "1.1"]),
+    (1.0, [True, False]),
+    (1.0, [0.9, None]),
+    (1.0, [[0.9], [1.0, 1.1]]),
+])
+def test_states_must_be_numbers(fouve, y, x_init):
+    # the number rule holds for y and the start state as for every scalar
+    grid = TimeGrid.for_sde(fouve, 5)
+    for spec in _SPECS:
+        with pytest.raises(ParameterError, match="y|x_init"):
+            run_solver(fouve, zero_model(), y, grid, spec, x_init=x_init)
+    with pytest.raises(ParameterError, match="y|x_init"):
+        isde_solve(fouve, zero_model(), y, grid, x_init=x_init)
+    if x_init is None:
+        with pytest.raises(ParameterError, match="y"):
+            reverse_init(fouve, y, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="x|y"):
+        linear_step(fouve, x_init if x_init is not None else 0.5, y, 0.5, 0.4)
+
+
+def test_integer_and_object_states_are_numbers(fouve):
+    grid = TimeGrid.for_sde(fouve, 5)
+    ref = isde_solve(fouve, zero_model(), 1.0, grid, x_init=np.array([1.0, 0.5]))
+    for y, x_init in ((1, [1, Fraction(1, 2)]), (np.int64(1), np.array([1.0, 0.5], np.float32))):
+        out = isde_solve(fouve, zero_model(), y, grid, x_init=x_init)
+        np.testing.assert_array_equal(out.final_state, ref.final_state)
+
+
+def test_solvers_make_only_the_streams_they_draw_from(fouve, monkeypatch):
+    # channel 0 draws the start, 1 the diffusion increments, 2 the corrector noise
+    made = []
+    real = solvers._channel_rng
+    monkeypatch.setattr(solvers, "_channel_rng",
+                        lambda seed, channel: made.append(channel) or real(seed, channel))
+    grid = TimeGrid.for_sde(fouve, 5)
+    for spec, channels in ((SolverSpec("isde", p=2), []), (SolverSpec("isde", kappa=0.5), [1]),
+                           (SolverSpec("euler_maruyama"), []),
+                           (SolverSpec("euler_maruyama", kappa=1.0), [1]),
+                           (SolverSpec("pc"), [1, 2]), (SolverSpec("rk2"), []),
+                           (SolverSpec("rk45"), [])):
+        for x_init, start in ((0.5, []), (None, [0])):
+            made.clear()
+            run_solver(fouve, zero_model(), 1.0, grid, spec, seed=3, x_init=x_init)
+            assert made == start + channels, spec
+
+
 def test_isde_kappa_zero_ignores_seed(fouve, gaussian_prior):
     model = analytic_score_model(gaussian_prior, fouve)
     grid = TimeGrid.for_sde(fouve, 11)
@@ -727,7 +787,8 @@ def test_eps_model_runs_match_score_model(fouve, gaussian_prior, kind):
 
 # ---------------------------------------------------------------- properties
 # Random schedule parameters and intervals in [delta, t_rev]. BBED is left
-# out: building its variance table costs about a second per parameter draw.
+# out: its variance is interpolated from a table and meets the Ito identity
+# to about 1e-7 relative, not the 1e-9 asked here.
 
 @st.composite
 def schedules(draw):
