@@ -11,144 +11,15 @@ priors. The harness turns configs into CSV studies; the ``isde`` console
 script exposes them as subcommands.
 """
 
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    IsdeError,
-    ParameterError,
-    QuadratureDomainError,
-    QuadratureError,
-    QuadratureToleranceError,
-    ScheduleConsistencyError,
-    ShapeError,
-    SingularityError,
-    StiffnessError,
-)
+from . import errors, harness, score, sde_core, solvers
+from .errors import *  # noqa: F401,F403 -- each submodule's __all__ is its public API
 from .quadrature import QuadResult, integrate
-from .sde_core import (
-    GaussianKernel,
-    InterpolatingSde,
-    SdeKind,
-    SdeParams,
-    diffusion_from_variance,
-    gamma_from_k,
-    k_from_gamma,
-    make_sde,
-    mean_evolution,
-    perturbation_kernel,
-    sample_forward,
-    variance_from_diffusion,
-)
-from .score import (
-    DeltaPrior,
-    GaussianPrior,
-    MixturePrior,
-    ScoreModel,
-    analytic_score,
-    analytic_score_model,
-    dsm_loss_mc,
-    eps_adapter,
-    eps_loss_mc,
-    marginal_moments,
-    score_from_eps,
-)
-from .solvers import (
-    SolveOutput,
-    SolverSpec,
-    TimeGrid,
-    euler_maruyama,
-    isde_solve,
-    ito_increment,
-    linear_step,
-    nfe_per_step,
-    omega_weight,
-    pc_sampler,
-    reverse_init,
-    rk2_midpoint,
-    rk45_adaptive,
-    run_solver,
-)
-from .harness import (
-    ExperimentConfig,
-    SolverEntry,
-    StudyResult,
-    STUDIES,
-    config_from_dict,
-    convergence_study,
-    kappa_sweep,
-    marginal_check,
-    nfe_sweep,
-    reference_solution,
-    simulate_forward,
-    solve_study,
-    verify_weights,
-)
+from .sde_core import *  # noqa: F401,F403
+from .score import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "DivergenceError",
-    "IsdeError",
-    "ParameterError",
-    "QuadratureDomainError",
-    "QuadratureError",
-    "QuadratureToleranceError",
-    "ScheduleConsistencyError",
-    "ShapeError",
-    "SingularityError",
-    "StiffnessError",
-    "QuadResult",
-    "integrate",
-    "GaussianKernel",
-    "InterpolatingSde",
-    "SdeKind",
-    "SdeParams",
-    "diffusion_from_variance",
-    "gamma_from_k",
-    "k_from_gamma",
-    "make_sde",
-    "mean_evolution",
-    "perturbation_kernel",
-    "sample_forward",
-    "variance_from_diffusion",
-    "DeltaPrior",
-    "GaussianPrior",
-    "MixturePrior",
-    "ScoreModel",
-    "analytic_score",
-    "analytic_score_model",
-    "dsm_loss_mc",
-    "eps_adapter",
-    "eps_loss_mc",
-    "marginal_moments",
-    "score_from_eps",
-    "SolveOutput",
-    "SolverSpec",
-    "TimeGrid",
-    "euler_maruyama",
-    "isde_solve",
-    "ito_increment",
-    "linear_step",
-    "nfe_per_step",
-    "omega_weight",
-    "pc_sampler",
-    "reverse_init",
-    "rk2_midpoint",
-    "rk45_adaptive",
-    "run_solver",
-    "ExperimentConfig",
-    "SolverEntry",
-    "StudyResult",
-    "STUDIES",
-    "config_from_dict",
-    "convergence_study",
-    "kappa_sweep",
-    "marginal_check",
-    "nfe_sweep",
-    "reference_solution",
-    "simulate_forward",
-    "solve_study",
-    "verify_weights",
-    "__version__",
-]
+__all__ = [*errors.__all__, "QuadResult", "integrate", *sde_core.__all__, *score.__all__,
+           *solvers.__all__, *harness.__all__, "__version__"]

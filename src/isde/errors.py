@@ -15,6 +15,20 @@ import numbers
 
 import numpy as np
 
+__all__ = [
+    "IsdeError",
+    "ParameterError",
+    "ShapeError",
+    "SingularityError",
+    "ScheduleConsistencyError",
+    "QuadratureError",
+    "QuadratureDomainError",
+    "QuadratureToleranceError",
+    "DivergenceError",
+    "StiffnessError",
+    "ConfigError",
+]
+
 
 class IsdeError(Exception):
     """Base class for all errors raised by this package."""

@@ -168,18 +168,12 @@ def analytic_score(prior, sde: InterpolatingSde, x, y, t):
     omk = 1.0 - kv
     sig2 = float(sde.var(t))
 
-    if isinstance(prior, DeltaPrior):
-        if sig2 <= 0.0:
-            raise SingularityError(f"zero marginal variance at t={t!r}")
-        mu = omk * prior.x0 + kv * ya
-        out = (mu - xa) / sig2
-        return out if np.ndim(out) else float(out)
-
-    if isinstance(prior, GaussianPrior):
-        v = omk ** 2 * prior.s0 ** 2 + sig2
+    if isinstance(prior, (DeltaPrior, GaussianPrior)):  # a delta prior has variance 0
+        m0, v0 = prior.moments()
+        v = omk ** 2 * v0 + sig2
         if v <= 0.0:
             raise SingularityError(f"zero marginal variance at t={t!r}")
-        mu = omk * prior.m0 + kv * ya
+        mu = omk * m0 + kv * ya
         out = (mu - xa) / v
         return out if np.ndim(out) else float(out)
 

@@ -196,6 +196,10 @@ class _Pchip:
         self._value = value, value.T.tolist()
         self._slope = slope, slope.T.tolist()
 
+    def finite(self) -> bool:
+        """Whether every coefficient of the value and the derivative is finite."""
+        return bool(np.isfinite(self._value[0]).all() and np.isfinite(self._slope[0]).all())
+
     def _locate(self, t, coefficients):
         """(t - x[i], coefficients of interval i) for the interval i holding t:
         Python floats for a float t, arrays for an array."""
@@ -237,8 +241,6 @@ def _bbed_var_table(c: float, r: float, t_edge: float):
         except QuadratureDomainError:  # the integrand overflowed
             pieces = np.full(nodes.size - 1, np.inf)
         var_nodes = (1.0 - nodes) ** 2 * np.concatenate([[0.0], np.cumsum(pieces)])
-    if not np.all(np.isfinite(var_nodes)):
-        raise ParameterError(f"BBED variance overflows for c={c!r}, r={r!r}")
     return nodes, var_nodes
 
 
@@ -329,7 +331,10 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         c = float(params.c)
         r = float(params.r)
         t_edge = 0.5 * (t_rev + 1.0)  # grid reaches past t_rev; beyond it, direct quadrature
-        table = _Pchip(*_bbed_var_table(c, r, t_edge))
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = _Pchip(*_bbed_var_table(c, r, t_edge))
+        if not table.finite():  # an infinite node value, or a slope that overflowed
+            raise ParameterError(f"BBED variance overflows for c={c!r}, r={r!r}")
 
         def var(t):
             tt = _t(t)

@@ -266,6 +266,20 @@ def _ito_stds(sde: InterpolatingSde, t_from: np.ndarray, t_to: np.ndarray,
     return omk_lo * np.sqrt(np.maximum(res.value, 0.0))
 
 
+def _downward_interval(name: str, sde: InterpolatingSde, t_from, t_to):
+    """(t_from, t_to) as floats for the downward integral ``name``, checked
+    against 0 <= t_to <= t_from < t_max."""
+    t_from = real_parameter("t_from", t_from)
+    t_to = real_parameter("t_to", t_to)
+    if t_to > t_from:
+        raise ParameterError(
+            f"{name} integrates downward, need t_to <= t_from, "
+            f"got t_to={t_to!r} > t_from={t_from!r}")
+    if t_to < 0.0 or t_from >= sde.t_max:
+        raise ParameterError(f"times must satisfy 0 <= t_to <= t_from < t_max={sde.t_max!r}")
+    return t_from, t_to
+
+
 def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float,
                  abs_tol: float = 1e-14, rel_tol: float = 1e-10) -> float:
     """Signed exponential weight of the reverse step from t_from down to t_to:
@@ -279,14 +293,7 @@ def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float,
     one-step case of the weights :func:`isde_solve` computes per grid.
     """
     n = integer_parameter("weight order n", n, 0)
-    t_from = real_parameter("t_from", t_from)
-    t_to = real_parameter("t_to", t_to)
-    if t_to > t_from:
-        raise ParameterError(
-            f"omega_weight integrates downward, need t_to <= t_from, "
-            f"got t_to={t_to!r} > t_from={t_from!r}")
-    if t_to < 0.0 or t_from >= sde.t_max:
-        raise ParameterError(f"times must satisfy 0 <= t_to <= t_from < t_max={sde.t_max!r}")
+    t_from, t_to = _downward_interval("omega_weight", sde, t_from, t_to)
     if t_to == t_from:
         return 0.0
     return float(_omega_weights(sde, n, np.array([t_from]), np.array([t_to]),
@@ -303,14 +310,7 @@ def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float,
     Phi = (1 - k(t_to)) / (1 - k(t_from)). Closed forms for fOUVE and OUVE,
     quadrature otherwise.
     """
-    t_from = real_parameter("t_from", t_from)
-    t_to = real_parameter("t_to", t_to)
-    if t_to > t_from:
-        raise ParameterError(
-            f"ito_increment integrates downward, need t_to <= t_from, "
-            f"got t_to={t_to!r} > t_from={t_from!r}")
-    if t_to < 0.0 or t_from >= sde.t_max:
-        raise ParameterError(f"times must satisfy 0 <= t_to <= t_from < t_max={sde.t_max!r}")
+    t_from, t_to = _downward_interval("ito_increment", sde, t_from, t_to)
     if t_to == t_from:
         return 0.0
     return float(_ito_stds(sde, np.array([t_from]), np.array([t_to]),
@@ -397,22 +397,26 @@ def _lambda_midpoints(sde: InterpolatingSde, times: np.ndarray,
 class _StepPlan:
     """Coefficients of every :func:`isde_solve` step that do not depend on the state.
 
-    Node arrays have one entry per grid node, step arrays one per step
-    (times[i] -> times[i + 1]). Fields the mode (score or eps), order p or
-    kappa does not use are None.
+    Every array has one entry per step (times[i] -> times[i + 1]). With f the
+    model output at the step's start (a score or an eps prediction), a step is
+
+        x_mid = phi_mid x + (1 - phi_mid) y + a_mid f               (p = 2)
+        x    <- phi x + (1 - phi) y + (1 + kappa^2) c (f w0 + (f - f_mid) / d_mid w1)
+                + kappa ito_std z,
+
+    where f_mid is the model output at (x_mid, t_mid) and the w1 term is
+    dropped at p = 1. The parameterization changes only the coefficients.
+    Fields the order p or kappa does not use are None.
     """
 
-    k: np.ndarray                        # k at the nodes
-    phi: np.ndarray                      # (1 - k_lo) / (1 - k_hi) per step
+    phi: np.ndarray                      # (1 - k_lo) / (1 - k_hi)
+    c: np.ndarray                        # score: 1 - k_lo; eps: -sigma_lo
+    w0: np.ndarray                       # score: -omega_0 over the step; eps: expm1(h)
     t_mid: np.ndarray | None = None      # p = 2 stage times
-    k_mid: np.ndarray | None = None      # p = 2: k(t_mid)
     phi_mid: np.ndarray | None = None    # p = 2: (1 - k(t_mid)) / (1 - k_hi)
-    w0: np.ndarray | None = None         # score mode: -omega_0 over the step
-    w0_half: np.ndarray | None = None    # score mode, p = 2: -omega_0 from t_hi to t_mid
-    w1: np.ndarray | None = None         # score mode, p = 2: -omega_1 over the step
-    lam: np.ndarray | None = None        # eps mode: half-log-SNR at the nodes
-    sigma: np.ndarray | None = None      # eps mode: sigma at the nodes
-    sigma_mid: np.ndarray | None = None  # eps mode, p = 2: sigma(t_mid)
+    a_mid: np.ndarray | None = None      # p = 2: the stage's coefficient of f
+    d_mid: np.ndarray | None = None      # p = 2: t_hi - t_mid, or lambda_hi - lambda_mid = -h/2
+    w1: np.ndarray | None = None         # p = 2: score -omega_1 over the step; eps expm1(h) - h
     ito_std: np.ndarray | None = None    # kappa > 0: ito_increment per step
 
 
@@ -420,28 +424,34 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
                eps_mode: bool) -> _StepPlan:
     """Every state-independent coefficient of an isde_solve run on ``times``.
 
-    In score mode the p = 2 stage sits at the step's midpoint in t; in eps
-    mode it sits where lambda reaches the midpoint of the step's lambda values.
+    Score models are expanded in t: the weights are the omega integrals and
+    the p = 2 stage sits at the step's midpoint in t. Eps models are expanded
+    in lambda, where (1 - k_lo) omega_0 = sigma_lo expm1(h) and
+    (1 - k_lo) omega_1 = sigma_lo (expm1(h) - h) with h = lambda_lo - lambda_hi,
+    and the stage sits where lambda reaches the midpoint of the step's values.
     """
     t_hi, t_lo = times[:-1], times[1:]
     k = np.asarray(sde.k(times), dtype=float)
-    plan = {"k": k, "phi": _transition_factor(k[1:], k[:-1])}
+    plan = {"phi": _transition_factor(k[1:], k[:-1])}
+    lam = _half_log_snr(sde, times) if eps_mode else None
+    if p == 2:
+        t_mid = _lambda_midpoints(sde, times, lam) if eps_mode else 0.5 * (t_hi + t_lo)
+        k_mid = np.asarray(sde.k(t_mid), dtype=float)
+        plan.update(t_mid=t_mid, phi_mid=_transition_factor(k_mid, k[:-1]))
     if eps_mode:
-        plan["lam"] = lam = _half_log_snr(sde, times)
-        plan["sigma"] = np.asarray(sde.sigma(times), dtype=float)
+        h = lam[1:] - lam[:-1]  # positive: lambda decreases with t
+        plan.update(c=-np.asarray(sde.sigma(t_lo), dtype=float), w0=np.expm1(h))
         if p == 2:
-            plan["t_mid"] = _lambda_midpoints(sde, times, lam)
-            plan["sigma_mid"] = np.asarray(sde.sigma(plan["t_mid"]), dtype=float)
+            plan.update(a_mid=-np.asarray(sde.sigma(t_mid), dtype=float) * np.expm1(0.5 * h),
+                        d_mid=-0.5 * h, w1=plan["w0"] - h)
     elif p == 1:
-        plan["w0"] = -_omega_weights(sde, 0, t_hi, t_lo)
+        plan.update(c=1.0 - k[1:], w0=-_omega_weights(sde, 0, t_hi, t_lo))
     else:
-        plan["t_mid"] = t_mid = 0.5 * (t_hi + t_lo)
         weights = -_omega_weights(sde, np.repeat([0, 0, 1], t_hi.size), np.tile(t_hi, 3),
                                   np.concatenate([t_lo, t_mid, t_lo]))
-        plan["w0"], plan["w0_half"], plan["w1"] = np.split(weights, 3)
-    if p == 2:
-        plan["k_mid"] = k_mid = np.asarray(sde.k(plan["t_mid"]), dtype=float)
-        plan["phi_mid"] = _transition_factor(k_mid, k[:-1])
+        w0, w0_half, w1 = np.split(weights, 3)
+        plan.update(c=1.0 - k[1:], w0=w0, a_mid=(1.0 - k_mid) * w0_half,
+                    d_mid=t_hi - t_mid, w1=w1)
     if kappa > 0.0:
         plan["ito_std"] = _ito_stds(sde, t_hi, t_lo)
     return _StepPlan(**plan)
@@ -481,14 +491,13 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
                keep_trajectory: bool = False) -> SolveOutput:
     """Exponential integrator of order p in {1, 2} for the reverse family.
 
-    Each step solves the linear part exactly and integrates the score term
-    against the exponential weights; p = 2 adds a midpoint stage whose finite
-    difference supplies the score's time derivative. Score-parameterized
-    models are expanded in t; eps-parameterized models are expanded in the
-    half-log-SNR variable lambda = ln((1 - k)/sigma), where the order-1 update
-    has the closed form Phi x + (1 - Phi) y - (1+kappa^2) sigma_lo expm1(h) eps_hat.
-    Every coefficient that does not depend on the state is computed for the
-    whole grid before the first step (:func:`_step_plan`).
+    Each step solves the linear part exactly and integrates the model output
+    against exponential weights; p = 2 adds a midpoint stage whose finite
+    difference supplies the output's derivative. Score-parameterized models
+    are expanded in t, eps-parameterized ones in the half-log-SNR variable
+    lambda = ln((1 - k)/sigma). Both take the same step rule and differ only in
+    its coefficients, which are computed for the whole grid before the first
+    step (:func:`_step_plan`).
     """
     p = _check_order(p)
     kappa = _nonnegative_real("kappa", kappa)
@@ -496,42 +505,19 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 
     def make_step(ya, rng):
         plan = _step_plan(sde, grid.times, p, kappa, eps_mode)
-        k, phi = plan.k, plan.phi
+        phi, c, w0 = plan.phi, plan.c, plan.w0
         rng_ito = rng(1) if kappa > 0.0 else None
 
         def step(i, x, th, tl):
-            out_hi = np.asarray(model(x, ya, th), dtype=float)
-            if not eps_mode:
-                if p == 1:
-                    corr = out_hi * plan.w0[i]
-                else:
-                    tm = float(plan.t_mid[i])
-                    phi_m = plan.phi_mid[i]
-                    x_mid = (phi_m * x + (1.0 - phi_m) * ya
-                             + (1.0 - plan.k_mid[i]) * out_hi * plan.w0_half[i])
-                    s_mid = np.asarray(model(x_mid, ya, tm), dtype=float)
-                    s_dot = (out_hi - s_mid) / (th - tm)
-                    corr = out_hi * plan.w0[i] + s_dot * plan.w1[i]
-                x = (phi[i] * x + (1.0 - phi[i]) * ya
-                     + (1.0 + kappa ** 2) * (1.0 - k[i + 1]) * corr)
+            f = np.asarray(model(x, ya, th), dtype=float)
+            if p == 1:
+                corr = f * w0[i]
             else:
-                lam_hi, lam_lo = plan.lam[i], plan.lam[i + 1]
-                h = lam_lo - lam_hi  # positive: lambda decreases with t
-                sig_lo = plan.sigma[i + 1]
-                if p == 1:
-                    step_term = sig_lo * math.expm1(h) * out_hi
-                else:
-                    lam_mid = 0.5 * (lam_hi + lam_lo)
-                    phi_m = plan.phi_mid[i]
-                    x_mid = (phi_m * x + (1.0 - phi_m) * ya
-                             - plan.sigma_mid[i] * math.expm1(0.5 * h) * out_hi)
-                    eps_mid = np.asarray(model(x_mid, ya, float(plan.t_mid[i])), dtype=float)
-                    eps_dot = (out_hi - eps_mid) / (lam_hi - lam_mid)
-                    # (1 - k_lo) omega0 = sigma_lo expm1(h);
-                    # (1 - k_lo) omega1 = sigma_lo (expm1(h) - h)
-                    step_term = sig_lo * (math.expm1(h) * out_hi
-                                          + (math.expm1(h) - h) * eps_dot)
-                x = phi[i] * x + (1.0 - phi[i]) * ya - (1.0 + kappa ** 2) * step_term
+                phi_m = plan.phi_mid[i]
+                x_mid = phi_m * x + (1.0 - phi_m) * ya + plan.a_mid[i] * f
+                f_mid = np.asarray(model(x_mid, ya, float(plan.t_mid[i])), dtype=float)
+                corr = f * w0[i] + (f - f_mid) / plan.d_mid[i] * plan.w1[i]
+            x = phi[i] * x + (1.0 - phi[i]) * ya + (1.0 + kappa ** 2) * c[i] * corr
             if kappa > 0.0:
                 x = x + kappa * plan.ito_std[i] * rng_ito.standard_normal(np.shape(x))
             return x

@@ -68,6 +68,28 @@ def test_import_loads_no_scipy(tmp_path):
     assert {p.name for p in tmp_path.glob("*.csv")} == {f"{s}.csv" for s in STUDIES}
 
 
+# the package's public names; isde.__all__ is built from the submodules' lists
+PUBLIC_NAMES = {
+    "ConfigError", "DivergenceError", "IsdeError", "ParameterError", "QuadratureDomainError",
+    "QuadratureError", "QuadratureToleranceError", "ScheduleConsistencyError", "ShapeError",
+    "SingularityError", "StiffnessError",
+    "QuadResult", "integrate",
+    "GaussianKernel", "InterpolatingSde", "SdeKind", "SdeParams", "diffusion_from_variance",
+    "gamma_from_k", "k_from_gamma", "make_sde", "mean_evolution", "perturbation_kernel",
+    "sample_forward", "variance_from_diffusion",
+    "DeltaPrior", "GaussianPrior", "MixturePrior", "ScoreModel", "analytic_score",
+    "analytic_score_model", "dsm_loss_mc", "eps_adapter", "eps_loss_mc", "marginal_moments",
+    "score_from_eps",
+    "SolveOutput", "SolverSpec", "TimeGrid", "euler_maruyama", "isde_solve", "ito_increment",
+    "linear_step", "nfe_per_step", "omega_weight", "pc_sampler", "reverse_init",
+    "rk2_midpoint", "rk45_adaptive", "run_solver",
+    "ExperimentConfig", "SolverEntry", "StudyResult", "STUDIES", "config_from_dict",
+    "convergence_study", "kappa_sweep", "marginal_check", "nfe_sweep", "reference_solution",
+    "simulate_forward", "solve_study", "verify_weights",
+    "__version__",
+}
+
+
 def test_every_export_resolves():
     # a deleted helper must not leave its name behind in an __all__
     modules = [isde] + [importlib.import_module(f"isde.{info.name}")
@@ -75,6 +97,9 @@ def test_every_export_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}"
+    # the public API is exactly these names, each listed once
+    assert len(isde.__all__) == len(set(isde.__all__))
+    assert set(isde.__all__) == PUBLIC_NAMES
 
 
 def test_verify_weights_end_to_end(tmp_path, canonical_config_dict, capsys):

@@ -139,7 +139,7 @@ def test_bbed_variance_domain():
         sde.var_prime(0.99999)
 
 
-@pytest.mark.parametrize("c, r", [(1e200, 4.0), (0.3, 1e300)])
+@pytest.mark.parametrize("c, r", [(1e200, 4.0), (0.3, 1e300), (1e150, 4.0)])
 def test_bbed_variance_overflow_rejected(c, r):
     with pytest.raises(ParameterError, match="BBED variance overflows"):
         make_sde(SdeParams(kind="BBED", c=c, r=r))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 import isde
@@ -255,7 +256,9 @@ def test_step_plan_weights_match_scalar_quadrature(all_sdes, nodes):
             th, tl, tm = float(times[i]), float(times[i + 1]), float(plan.t_mid[i])
             oracle = {
                 "w0": integrate(big_g, tl, th, abs_tol=1e-14, rel_tol=1e-12).value,
-                "w0_half": integrate(big_g, tm, th, abs_tol=1e-14, rel_tol=1e-12).value,
+                # the stage's coefficient of the score: (1 - k_mid) -omega_0 from t_hi to t_mid
+                "a_mid": (1.0 - float(sde.k(tm)))
+                * integrate(big_g, tm, th, abs_tol=1e-14, rel_tol=1e-12).value,
                 "w1": integrate(lambda u: big_g(u) * (u - th), tl, th,
                                 abs_tol=1e-14, rel_tol=1e-12).value,
                 "ito_std": (1.0 - float(sde.k(tl))) * math.sqrt(
@@ -273,7 +276,7 @@ def test_step_plan_ito_variance_identity(all_sdes):
         want = plan.phi ** 2 * sde.var(times[:-1]) - sde.var(times[1:])
         tol = 1e-6 if name == "BBED" else 1e-10  # BBED's variance is tabulated
         np.testing.assert_allclose(plan.ito_std ** 2, want, rtol=tol, err_msg=name)
-        assert plan.w0_half is None and plan.t_mid is None
+        assert plan.a_mid is None and plan.t_mid is None
 
 
 def test_step_plan_eps_midpoints_bisect_lambda(all_sdes):
@@ -288,6 +291,68 @@ def test_step_plan_eps_midpoints_bisect_lambda(all_sdes):
             for th, tl, tm in zip(times[:-1], times[1:], plan.t_mid):
                 lam_mid = 0.5 * (lam(sde, th) + lam(sde, tl))
                 assert abs(lam(sde, tm) - lam_mid) <= 1e-12, (name, nodes)
+
+
+def _step_by_mode(sde, model, x, y, th, tl, p, kappa, z):
+    """One isde_solve step from th to tl by its four score/eps x p formulas,
+    each written out, with the noise draw z."""
+    def lam(t):
+        return math.log((1.0 - float(sde.k(t))) / float(sde.sigma(t)))
+
+    k_hi, k_lo = float(sde.k(th)), float(sde.k(tl))
+    phi = (1.0 - k_lo) / (1.0 - k_hi)
+    out_hi = model(x, y, th)
+    if model.parameterization == "score":
+        w0 = -omega_weight(sde, 0, th, tl)
+        if p == 1:
+            corr = out_hi * w0
+        else:
+            tm = 0.5 * (th + tl)
+            k_mid = float(sde.k(tm))
+            phi_m = (1.0 - k_mid) / (1.0 - k_hi)
+            x_mid = (phi_m * x + (1.0 - phi_m) * y
+                     + (1.0 - k_mid) * out_hi * -omega_weight(sde, 0, th, tm))
+            s_dot = (out_hi - model(x_mid, y, tm)) / (th - tm)
+            corr = out_hi * w0 + s_dot * -omega_weight(sde, 1, th, tl)
+        x = phi * x + (1.0 - phi) * y + (1.0 + kappa ** 2) * (1.0 - k_lo) * corr
+    else:
+        lam_hi, lam_lo = lam(th), lam(tl)
+        h = lam_lo - lam_hi
+        sig_lo = float(sde.sigma(tl))
+        if p == 1:
+            step_term = sig_lo * math.expm1(h) * out_hi
+        else:
+            lam_mid = 0.5 * (lam_hi + lam_lo)
+            tm = scipy.optimize.brentq(lambda t: lam(t) - lam_mid, tl, th, xtol=1e-15)
+            phi_m = (1.0 - float(sde.k(tm))) / (1.0 - k_hi)
+            x_mid = (phi_m * x + (1.0 - phi_m) * y
+                     - float(sde.sigma(tm)) * math.expm1(0.5 * h) * out_hi)
+            eps_dot = (out_hi - model(x_mid, y, tm)) / (lam_hi - lam_mid)
+            step_term = sig_lo * (math.expm1(h) * out_hi + (math.expm1(h) - h) * eps_dot)
+        x = phi * x + (1.0 - phi) * y - (1.0 + kappa ** 2) * step_term
+    return x + kappa * ito_increment(sde, th, tl) * z
+
+
+@pytest.mark.parametrize("name", ["fOUVE", "OT"])
+@pytest.mark.parametrize("th, tl", [(0.95, 0.8), (0.3, 0.22)])
+def test_isde_step_matches_each_mode_written_out(all_sdes, name, th, tl):
+    # the one step rule over the plan equals the score/eps x p = 1/2 formulas
+    sde = all_sdes[name]
+    prior = isde.MixturePrior((0.3, 0.5, 0.2), (-1.0, 0.4, 2.0), (0.25, 0.04, 0.5))
+    score_model = analytic_score_model(prior, sde)
+    rng = np.random.default_rng(17)
+    x, y = rng.normal(0.5, 0.6, size=200), 1.0
+    seed = 5
+    z = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,))).standard_normal(200)
+    for model in (score_model, eps_adapter(score_model, sde)):
+        for p in (1, 2):
+            for kappa in (0.0, 0.5):
+                got = isde_solve(sde, model, y, TimeGrid(np.array([th, tl])), p=p, kappa=kappa,
+                                 seed=seed, x_init=x).final_state
+                want = _step_by_mode(sde, model, x, y, th, tl, p, kappa, z)
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max(),
+                                           err_msg=f"{model.parameterization} p={p} kappa={kappa}")
 
 
 def test_isde_nfe_on_every_schedule(all_sdes, gaussian_prior):
