@@ -9,8 +9,8 @@ kappa-sweep, marginal-check, verify-weights. The CSV table is written to
 --out and a JSON manifest (config echo, seeds, slopes, stats, runtime) is
 written alongside with the suffix .manifest.json. --seed overrides the seed
 in the config file. Exit status: 0 on success, 1 on runtime failures
-(divergence, stiffness), 2 on config or usage errors and when the output
-cannot be written.
+(divergence, stiffness, a float overflow), 2 on config or usage errors and
+when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError, IsdeError, ParameterError
@@ -68,11 +69,12 @@ def main(argv=None) -> int:
 
     try:
         config = config_from_dict(data)
-        result = STUDIES[args.command](config)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            result = STUDIES[args.command](config)
     except (ConfigError, ParameterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except IsdeError as e:
+    except (IsdeError, ArithmeticError) as e:  # e.g. a float overflow in a statistic
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -206,7 +206,7 @@ def _finite_real(name: str, value) -> float:
 _READERS = {
     "y": _finite_real,
     "seed": _integers(0),
-    "n_trajectories": _integers(1),
+    "n_trajectories": _integers(2),  # a sample standard deviation needs two paths
     "m_values": _list_of(_integers(2)),
     "budgets": _list_of(_integers(1)),
     "kappas": _list_of(_nonnegative_real),
@@ -342,6 +342,9 @@ def _matched_start(config: ExperimentConfig, index: int) -> np.ndarray:
     deviation at the endpoint is attributable to the solver, not to start-draw
     luck (the KS column still tests the full shape).
     """
+    if config.n_trajectories % 2 != 0:
+        raise ConfigError(f"antithetic start draws need an even n_trajectories, "
+                          f"got {config.n_trajectories}")
     sde = config.sde
     mean, var = marginal_moments(config.prior, sde, config.y, sde.t_rev)
     seed = _derived_seed(config.seed, index)
@@ -364,9 +367,13 @@ def _endpoint_error(final, ref) -> float:
     return float(np.mean(np.abs(final - ref)))
 
 
-def _slope(x, errors) -> float:
-    """Slope of log error against log x, by least squares."""
-    return float(np.polyfit(np.log(np.asarray(x, dtype=float)), np.log(errors), 1)[0])
+def _slopes(x, errors: dict) -> dict:
+    """Slope of log error against log x for each label of ``errors``, by least
+    squares; none where x holds fewer than two distinct values."""
+    if len(set(x)) < 2:
+        return {}
+    log_x = np.log(np.asarray(x, dtype=float))
+    return {label: float(np.polyfit(log_x, np.log(e), 1)[0]) for label, e in errors.items()}
 
 
 def _error_table(config: ExperimentConfig, model, x_start, ref, runs) -> dict:
@@ -405,9 +412,8 @@ def convergence_study(config: ExperimentConfig) -> StudyResult:
                           [(e, config.m_values) for e in entries])
     rows = [(m, h, *(errors[e.label][i] for e in entries))
             for i, (m, h) in enumerate(zip(config.m_values, h_values))]
-    slopes = {e.label: _slope(h_values, errors[e.label]) for e in entries}
     return _result(config, "convergence", t0, ("m_nodes", "h", *(e.label for e in entries)),
-                   rows, slopes, m_values=list(config.m_values))
+                   rows, _slopes(h_values, errors), m_values=list(config.m_values))
 
 
 def _budget_nodes(entry: SolverEntry, budget: int) -> int:
@@ -443,9 +449,8 @@ def nfe_sweep(config: ExperimentConfig) -> StudyResult:
         rows.append((out.nfe, *(err if e2 is e else "" for e2 in entries)))
         stats[f"{e.label}_nfe"] = out.nfe
         stats[f"{e.label}_error"] = err
-    slopes = {e.label: _slope(config.budgets, errors[e.label]) for e in fixed}
     return _result(config, "nfe-sweep", t0, ("nfe", *(e.label for e in entries)), rows,
-                   slopes, stats, budgets=list(config.budgets))
+                   _slopes(config.budgets, errors), stats, budgets=list(config.budgets))
 
 
 def kappa_sweep(config: ExperimentConfig) -> StudyResult:
@@ -471,8 +476,6 @@ def kappa_sweep(config: ExperimentConfig) -> StudyResult:
                 f"nfe_budget {config.nfe_budget} is not a multiple of p={e.spec.p} "
                 f"for solver {e.label!r}")
     n = config.n_trajectories
-    if n % 2 != 0:
-        raise ConfigError(f"kappa sweep needs an even n_trajectories, got {n}")
     m_lo, v_lo = marginal_moments(config.prior, config.sde, config.y, config.sde.delta)
     stats = {}
     if n < 100:
@@ -525,8 +528,6 @@ def marginal_check(config: ExperimentConfig) -> StudyResult:
     n = config.n_trajectories
     if n < 1000:
         raise ConfigError(f"marginal check needs n_trajectories >= 1000, got {n}")
-    if n % 2 != 0:
-        raise ConfigError(f"marginal check needs an even n_trajectories, got {n}")
     sde, prior, y = config.sde, config.prior, config.y
     ks_crit = 1.6276 / math.sqrt(n)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularityError, integer_parameter, real_parameter
-from .sde_core import InterpolatingSde
+from .sde_core import InterpolatingSde, mean_evolution
 
 __all__ = [
     "DeltaPrior",
@@ -35,6 +35,17 @@ __all__ = [
     "dsm_loss_mc",
     "eps_loss_mc",
 ]
+
+
+def _check_moments(prior) -> None:
+    """Raise ParameterError unless the prior's mean and variance are finite floats."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(math.isfinite(v) for v in prior.moments())
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ParameterError(f"the mean or variance of {prior!r} overflows")
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,7 @@ class GaussianPrior:
             raise ParameterError(f"m0 must be finite, got {self.m0!r}")
         if not (math.isfinite(self.s0) and self.s0 >= 0.0):
             raise ParameterError(f"s0 must be a nonnegative finite real, got {self.s0!r}")
+        _check_moments(self)
 
     def moments(self):
         return self.m0, self.s0 ** 2
@@ -115,6 +127,7 @@ class MixturePrior:
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "variances", v)
         object.__setattr__(self, "dimension", integer_parameter("dimension", self.dimension, 1))
+        _check_moments(self)
 
     def moments(self):
         w = np.array(self.weights)
@@ -164,20 +177,18 @@ def analytic_score(prior, sde: InterpolatingSde, x, y, t):
         shape = np.broadcast_shapes(xa.shape, ya.shape)
     except ValueError:
         raise ShapeError(f"x shape {xa.shape} and y shape {ya.shape} do not broadcast")
-    kv = float(sde.k(t))
-    omk = 1.0 - kv
-    sig2 = float(sde.var(t))
 
     if isinstance(prior, (DeltaPrior, GaussianPrior)):  # a delta prior has variance 0
-        m0, v0 = prior.moments()
-        v = omk ** 2 * v0 + sig2
+        mu, v = marginal_moments(prior, sde, ya, t)
         if v <= 0.0:
             raise SingularityError(f"zero marginal variance at t={t!r}")
-        mu = omk * m0 + kv * ya
         out = (mu - xa) / v
         return out if np.ndim(out) else float(out)
 
     if isinstance(prior, MixturePrior):
+        kv = float(sde.k(t))
+        omk = 1.0 - kv
+        sig2 = float(sde.var(t))
         # Per-component constants are vectors over the components; only
         # d = mu - x and the log densities span (components, *shape), and
         # they are updated in place.
@@ -281,9 +292,8 @@ def _mc_loss(model: ScoreModel, prior, sde: InterpolatingSde, y, n_samples: int,
         t = rng.uniform(sde.delta, sde.t_rev)
         x0 = prior.sample(rng)
         eps = rng.standard_normal(prior.dimension)
-        kv = float(sde.k(t))
         sig = float(sde.sigma(t))
-        x = (1.0 - kv) * x0 + kv * y + sig * eps
+        x = mean_evolution(sde, x0, y, t) + sig * eps
         resid = residual(np.asarray(model(x, y, t), dtype=float), eps, sig)
         total += float(np.sum(resid ** 2))
     return total / n

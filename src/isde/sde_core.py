@@ -132,6 +132,10 @@ class InterpolatingSde:
     t_max: float = math.inf
     t_rev: float = 1.0
     delta: float = 1e-2
+    # fOUVE and OUVE: (c, zeta, s, zeta2) with g^2 / (2 (1 - k)) = c e^{zeta t} and
+    # int_{t_lo}^{t_hi} (g / (1 - k))^2 du = s^2 (e^{zeta2 t_hi} - e^{zeta2 t_lo});
+    # None for the kinds whose step integrals need quadrature
+    exp_weights: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -267,6 +271,14 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         smax = float(params.sigma_max)
         g0 = float(params.gamma0)
         rho = math.log(smax / smin)
+        try:  # exp_weights' integrals stay below smin^2 e^{2 (rho + g0) t} up to t_rev = 1
+            smin2 = smin ** 2
+            top = smin2 * math.exp(2.0 * (rho + g0))
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ParameterError(f"{kind.value} step weights overflow for sigma_min={smin!r}, "
+                                 f"sigma_max={smax!r}, gamma0={g0!r}")
 
         def k(t):
             return -np.expm1(-g0 * _t(t))
@@ -277,12 +289,15 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         def gamma(t):
             return g0 + 0.0 * _t(t)
 
+        if k(1.0) == 1.0:  # then 1 - k vanishes at t_rev = 1
+            raise ParameterError(f"k(t_rev) rounds to 1 for gamma0={g0!r}")
+
         if kind is SdeKind.FOUVE:
             def var(t):
-                return smin ** 2 * np.exp(2.0 * rho * _t(t))
+                return smin2 * np.exp(2.0 * rho * _t(t))
 
             def var_prime(t):
-                return 2.0 * rho * smin ** 2 * np.exp(2.0 * rho * _t(t))
+                return 2.0 * rho * smin2 * np.exp(2.0 * rho * _t(t))
 
             def sigma(t):
                 return smin * np.exp(rho * _t(t))
@@ -290,9 +305,10 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
             def g(t):
                 return smin * np.exp(rho * _t(t)) * math.sqrt(2.0 * (rho + g0))
 
-            var0 = smin ** 2
+            var0 = smin2
+            c, s = smin2 * (rho + g0), smin
         else:
-            k2 = smin ** 2 * rho / (g0 + rho)
+            k2 = smin2 * rho / (g0 + rho)
 
             def var(t):
                 tt = _t(t)
@@ -310,10 +326,12 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
                 return smin * np.exp(rho * _t(t)) * math.sqrt(2.0 * rho)
 
             var0 = 0.0
+            c, s = smin2 * rho, smin * math.sqrt(rho / (rho + g0))
 
         return InterpolatingSde(params=params, k=k, k_prime=k_prime, gamma=gamma, g=g,
                                 sigma=sigma, var=var, var_prime=var_prime, var0=var0,
-                                t_max=math.inf, t_rev=1.0, delta=delta)
+                                t_max=math.inf, t_rev=1.0, delta=delta,
+                                exp_weights=(c, 2.0 * rho + g0, s, 2.0 * (rho + g0)))
 
     # the three bridge-type kinds share k(t) = t, gamma = 1/(1-t), t_max = 1
     def k(t):
@@ -363,11 +381,7 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         def g(t):
             return c * r ** _t(t)
 
-        return InterpolatingSde(params=params, k=k, k_prime=k_prime, gamma=gamma, g=g,
-                                sigma=sigma, var=var, var_prime=var_prime, var0=0.0,
-                                t_max=1.0, t_rev=t_rev, delta=delta)
-
-    if kind is SdeKind.OT:
+    elif kind is SdeKind.OT:
         smax = float(params.sigma_max)
 
         def var(t):
@@ -383,24 +397,20 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
             tt = _t(t)
             return smax * np.sqrt(2.0 * tt / (1.0 - tt))
 
-        return InterpolatingSde(params=params, k=k, k_prime=k_prime, gamma=gamma, g=g,
-                                sigma=sigma, var=var, var_prime=var_prime, var0=0.0,
-                                t_max=1.0, t_rev=t_rev, delta=delta)
+    else:  # BrownianBridge
+        def var(t):
+            tt = _t(t)
+            return tt * (1.0 - tt)
 
-    # BrownianBridge
-    def var(t):
-        tt = _t(t)
-        return tt * (1.0 - tt)
+        def var_prime(t):
+            return 1.0 - 2.0 * _t(t)
 
-    def var_prime(t):
-        return 1.0 - 2.0 * _t(t)
+        def sigma(t):
+            tt = _t(t)
+            return np.sqrt(tt * (1.0 - tt))
 
-    def sigma(t):
-        tt = _t(t)
-        return np.sqrt(tt * (1.0 - tt))
-
-    def g(t):
-        return 1.0 + 0.0 * _t(t)
+        def g(t):
+            return 1.0 + 0.0 * _t(t)
 
     return InterpolatingSde(params=params, k=k, k_prime=k_prime, gamma=gamma, g=g,
                             sigma=sigma, var=var, var_prime=var_prime, var0=0.0,

@@ -36,7 +36,7 @@ from .errors import (
     real_parameter,
 )
 from .quadrature import integrate_batch
-from .sde_core import InterpolatingSde, SdeKind
+from .sde_core import InterpolatingSde
 from .score import ScoreModel, score_from_eps
 
 __all__ = [
@@ -194,37 +194,34 @@ def linear_step(sde: InterpolatingSde, x, y, t_from: float, t_to: float):
     return out if out.ndim else float(out)
 
 
-def _omega_constants(sde: InterpolatingSde):
-    """(C, zeta) with g^2 / (2 (1 - k)) = C e^{zeta t}, for kinds with a closed form."""
-    p = sde.params
-    if p.kind not in (SdeKind.FOUVE, SdeKind.OUVE):
-        return None
-    rho = math.log(p.sigma_max / p.sigma_min)
-    zeta = 2.0 * rho + p.gamma0
-    if p.kind is SdeKind.FOUVE:
-        c = p.sigma_min ** 2 * (rho + p.gamma0)
-    else:
-        c = p.sigma_min ** 2 * rho
-    return c, zeta
+_ITO = -1  # the row kind of _step_integrals that gives ito_increment
 
 
-def _omega_weights(sde: InterpolatingSde, n, t_from: np.ndarray, t_to: np.ndarray,
-                   abs_tol: float = 1e-14, rel_tol: float = 1e-10) -> np.ndarray:
-    """:func:`omega_weight` of every step t_from[i] -> t_to[i], unchecked.
+def _step_integrals(sde: InterpolatingSde, kinds, t_from: np.ndarray, t_to: np.ndarray,
+                    abs_tol: float = 1e-14, rel_tol: float = 1e-10) -> np.ndarray:
+    """The step integral of every row t_from[i] -> t_to[i], unchecked.
 
-    ``n`` is one order for all steps or one per step; without a closed form,
-    all steps share one batched quadrature.
+    ``kinds`` is one row kind for all rows or one per row: an order n >= 0
+    gives :func:`omega_weight`, :data:`_ITO` gives :func:`ito_increment`.
+    Orders up to 1 and the Ito integral have closed forms on bundles with
+    ``exp_weights``; otherwise all rows share one batched quadrature.
     """
-    n = np.broadcast_to(np.asarray(n, dtype=int), t_from.shape)
-    closed = _omega_constants(sde)
-    if closed is not None and np.all(n <= 1):
-        c, zeta = closed
+    kinds = np.broadcast_to(np.asarray(kinds, dtype=int), t_from.shape)
+    ito = kinds == _ITO
+    omk_lo = 1.0 - np.asarray(sde.k(t_to), dtype=float)
+    if sde.exp_weights is not None and np.all(kinds <= 1):
+        c, zeta, s, zeta2 = sde.exp_weights
         out = []
-        for order, th, tl in zip(n.tolist(), t_from.tolist(), t_to.tolist()):
+        # math per element: np.exp can differ from math.exp in the last bit, moving the goldens
+        for kind, th, tl, omk in zip(kinds.tolist(), t_from.tolist(), t_to.tolist(),
+                                     omk_lo.tolist()):
+            if kind == _ITO:
+                out.append(s * omk * math.sqrt(math.exp(zeta2 * th) - math.exp(zeta2 * tl)))
+                continue
             h = th - tl
             e_lo = math.exp(zeta * tl)
             growth = math.expm1(zeta * h)
-            if order == 0:
+            if kind == 0:
                 # ascending integral c/zeta (e^{zeta th} - e^{zeta tl}), negated
                 out.append(-(c / zeta) * e_lo * growth)
             else:
@@ -232,43 +229,22 @@ def _omega_weights(sde: InterpolatingSde, n, t_from: np.ndarray, t_to: np.ndarra
                 out.append(-(c * e_lo / zeta) * (h - growth / zeta))
         return np.array(out)
 
-    fact = np.array([math.factorial(order) for order in n.tolist()], dtype=float)
+    order = np.maximum(kinds, 0)
+    fact = np.array([math.factorial(n) for n in order.tolist()], dtype=float)
 
     def integrand(u, rows):
-        base = sde.g(u) ** 2 / (2.0 * (1.0 - sde.k(u)))
-        return base * (u - t_from[rows, None]) ** n[rows, None] / fact[rows, None]
+        g, omk = sde.g(u), 1.0 - sde.k(u)
+        omega = g ** 2 / (2.0 * omk) * (u - t_from[rows, None]) ** order[rows, None]
+        return np.where(ito[rows, None], (g / omk) ** 2, omega / fact[rows, None])
 
-    res = integrate_batch(integrand, t_to, t_from, abs_tol=abs_tol, rel_tol=rel_tol)
-    return -res.value
-
-
-def _ito_stds(sde: InterpolatingSde, t_from: np.ndarray, t_to: np.ndarray,
-              abs_tol: float = 1e-14, rel_tol: float = 1e-10) -> np.ndarray:
-    """:func:`ito_increment` of every step (t_from[i] -> t_to[i]), unchecked."""
-    p = sde.params
-    omk_lo = 1.0 - np.asarray(sde.k(t_to), dtype=float)
-    if p.kind in (SdeKind.FOUVE, SdeKind.OUVE):
-        rho = math.log(p.sigma_max / p.sigma_min)
-        zeta2 = 2.0 * (rho + p.gamma0)
-        out = []
-        for th, tl, omk in zip(t_from.tolist(), t_to.tolist(), omk_lo.tolist()):
-            span = math.exp(zeta2 * th) - math.exp(zeta2 * tl)
-            base = p.sigma_min * omk * math.sqrt(span)
-            if p.kind is SdeKind.OUVE:
-                base *= math.sqrt(rho / (rho + p.gamma0))
-            out.append(base)
-        return np.array(out)
-
-    def integrand(u, rows):
-        return (sde.g(u) / (1.0 - sde.k(u))) ** 2
-
-    res = integrate_batch(integrand, t_to, t_from, abs_tol=abs_tol, rel_tol=rel_tol)
-    return omk_lo * np.sqrt(np.maximum(res.value, 0.0))
+    value = integrate_batch(integrand, t_to, t_from, abs_tol=abs_tol, rel_tol=rel_tol).value
+    return np.where(ito, omk_lo * np.sqrt(np.maximum(value, 0.0)), -value)
 
 
-def _downward_interval(name: str, sde: InterpolatingSde, t_from, t_to):
-    """(t_from, t_to) as floats for the downward integral ``name``, checked
-    against 0 <= t_to <= t_from < t_max."""
+def _one_step_integral(name: str, sde: InterpolatingSde, kind: int, t_from, t_to,
+                       abs_tol: float, rel_tol: float) -> float:
+    """:func:`_step_integrals` of one step, for the public function ``name``:
+    the step from t_from down to t_to, checked against 0 <= t_to <= t_from < t_max."""
     t_from = real_parameter("t_from", t_from)
     t_to = real_parameter("t_to", t_to)
     if t_to > t_from:
@@ -277,7 +253,10 @@ def _downward_interval(name: str, sde: InterpolatingSde, t_from, t_to):
             f"got t_to={t_to!r} > t_from={t_from!r}")
     if t_to < 0.0 or t_from >= sde.t_max:
         raise ParameterError(f"times must satisfy 0 <= t_to <= t_from < t_max={sde.t_max!r}")
-    return t_from, t_to
+    if t_to == t_from:
+        return 0.0
+    return float(_step_integrals(sde, kind, np.array([t_from]), np.array([t_to]),
+                                 abs_tol=abs_tol, rel_tol=rel_tol)[0])
 
 
 def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float,
@@ -293,11 +272,7 @@ def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float,
     one-step case of the weights :func:`isde_solve` computes per grid.
     """
     n = integer_parameter("weight order n", n, 0)
-    t_from, t_to = _downward_interval("omega_weight", sde, t_from, t_to)
-    if t_to == t_from:
-        return 0.0
-    return float(_omega_weights(sde, n, np.array([t_from]), np.array([t_to]),
-                                abs_tol=abs_tol, rel_tol=rel_tol)[0])
+    return _one_step_integral("omega_weight", sde, n, t_from, t_to, abs_tol, rel_tol)
 
 
 def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float,
@@ -310,11 +285,7 @@ def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float,
     Phi = (1 - k(t_to)) / (1 - k(t_from)). Closed forms for fOUVE and OUVE,
     quadrature otherwise.
     """
-    t_from, t_to = _downward_interval("ito_increment", sde, t_from, t_to)
-    if t_to == t_from:
-        return 0.0
-    return float(_ito_stds(sde, np.array([t_from]), np.array([t_to]),
-                           abs_tol=abs_tol, rel_tol=rel_tol)[0])
+    return _one_step_integral("ito_increment", sde, _ITO, t_from, t_to, abs_tol, rel_tol)
 
 
 def _prepare_state(sde, y, seed, x_init):
@@ -329,19 +300,6 @@ def _prepare_state(sde, y, seed, x_init):
     except ValueError:
         raise ShapeError(f"x_init shape {x.shape} does not broadcast with y shape {ya.shape}")
     return x, ya
-
-
-def _check_grid(sde: InterpolatingSde, grid: TimeGrid):
-    if grid.times[0] > sde.t_rev + 1e-12:
-        raise ParameterError(
-            f"grid starts at {grid.times[0]!r}, above the reverse start "
-            f"t_rev={sde.t_rev!r}")
-
-
-def _check_finite(x, step_index: int, t: float):
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(f"state became non-finite at t={t!r}",
-                              step_index=step_index, time=t)
 
 
 def _half_log_snr(sde: InterpolatingSde, t):
@@ -438,22 +396,28 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
         t_mid = _lambda_midpoints(sde, times, lam) if eps_mode else 0.5 * (t_hi + t_lo)
         k_mid = np.asarray(sde.k(t_mid), dtype=float)
         plan.update(t_mid=t_mid, phi_mid=_transition_factor(k_mid, k[:-1]))
+    # the plan's step integrals, all from t_hi and in one call: in score mode
+    # omega_0, and at p = 2 omega_0 to the stage and omega_1; at kappa > 0 the Ito one
+    rows = [] if eps_mode else [(0, t_lo)] + ([(0, t_mid), (1, t_lo)] if p == 2 else [])
+    if kappa > 0.0:
+        rows.append((_ITO, t_lo))
+    if rows:
+        kinds, stops = zip(*rows)
+        values = np.split(_step_integrals(sde, np.repeat(kinds, t_hi.size),
+                                          np.tile(t_hi, len(rows)), np.concatenate(stops)),
+                          len(rows))
+        if kappa > 0.0:
+            plan["ito_std"] = values[-1]
     if eps_mode:
         h = lam[1:] - lam[:-1]  # positive: lambda decreases with t
         plan.update(c=-np.asarray(sde.sigma(t_lo), dtype=float), w0=np.expm1(h))
         if p == 2:
             plan.update(a_mid=-np.asarray(sde.sigma(t_mid), dtype=float) * np.expm1(0.5 * h),
                         d_mid=-0.5 * h, w1=plan["w0"] - h)
-    elif p == 1:
-        plan.update(c=1.0 - k[1:], w0=-_omega_weights(sde, 0, t_hi, t_lo))
     else:
-        weights = -_omega_weights(sde, np.repeat([0, 0, 1], t_hi.size), np.tile(t_hi, 3),
-                                  np.concatenate([t_lo, t_mid, t_lo]))
-        w0, w0_half, w1 = np.split(weights, 3)
-        plan.update(c=1.0 - k[1:], w0=w0, a_mid=(1.0 - k_mid) * w0_half,
-                    d_mid=t_hi - t_mid, w1=w1)
-    if kappa > 0.0:
-        plan["ito_std"] = _ito_stds(sde, t_hi, t_lo)
+        plan.update(c=1.0 - k[1:], w0=-values[0])
+        if p == 2:
+            plan.update(a_mid=(1.0 - k_mid) * -values[1], d_mid=t_hi - t_mid, w1=-values[2])
     return _StepPlan(**plan)
 
 
@@ -469,7 +433,9 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
     i + 1. The call count is the kind's calls per step (:data:`_SOLVERS`)
     times the number of steps.
     """
-    _check_grid(sde, grid)
+    if grid.times[0] > sde.t_rev + 1e-12:
+        raise ParameterError(
+            f"grid starts at {grid.times[0]!r}, above the reverse start t_rev={sde.t_rev!r}")
     seed = integer_parameter("seed", seed, 0)
     x, ya = _prepare_state(sde, y, seed, x_init)
     step = make_step(ya, lambda channel: _channel_rng(seed, channel))
@@ -478,7 +444,8 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
     for i in range(grid.n_steps):
         tl = float(times[i + 1])
         x = step(i, x, float(times[i]), tl)
-        _check_finite(x, i, tl)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError(f"state became non-finite at t={tl!r}", step_index=i, time=tl)
         if keep_trajectory:
             traj.append(np.array(x, copy=True))
     trajectory = np.array(traj) if keep_trajectory else None
@@ -756,11 +723,16 @@ def run_solver(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     """Dispatch one reverse run according to ``spec``.
 
     For "rk45" only the grid endpoints are used (the step sequence is chosen
-    adaptively).
+    adaptively). A run whose arithmetic overflows raises DivergenceError, with
+    no float warnings on the way.
     """
     run = _SOLVERS[spec.kind][1]
-    return run(sde, model, y, grid, spec, seed=seed, x_init=x_init,
-               keep_trajectory=keep_trajectory)
+    try:
+        with np.errstate(all="ignore"):  # a state that overflows ends in DivergenceError
+            return run(sde, model, y, grid, spec, seed=seed, x_init=x_init,
+                       keep_trajectory=keep_trajectory)
+    except OverflowError as e:  # in Python floats, where NumPy would give inf
+        raise DivergenceError(f"{spec.kind} solve overflowed: {e}") from e
 
 
 def nfe_per_step(spec: SolverSpec):

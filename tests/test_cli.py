@@ -8,10 +8,12 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import isde
 from isde import STUDIES, cli
@@ -322,3 +324,118 @@ def test_installed_console_script_matches_pyproject():
     matches = [ep for ep in md.entry_points(group="console_scripts")
                if ep.name == "isde"]
     assert matches and matches[0].value == "isde.cli:main"
+
+
+# ------------------------------------------------- spoiled configs end in an exit status
+
+@pytest.mark.parametrize("study, path, value, status", [
+    ("solve", ("sde", "gamma0"), 1.0e300, 2),        # fOUVE step weights overflow
+    ("solve", ("sde", "sigma_min"), 1.0e-200, 2),
+    ("kappa-sweep", ("prior", "s0"), 1.0e300, 2),    # the prior variance overflows
+    ("solve", ("prior",), {"kind": "mixture", "weights": [0.5, 0.5], "means": [1.0e300, 0.0],
+                           "variances": [0.1, 0.1]}, 2),
+    ("simulate-forward", ("n_trajectories",), 1, 2),  # no sample standard deviation
+    ("solve", ("n_trajectories",), 1, 2),
+    ("kappa-sweep", ("kappas",), [0.1, 1.0e300], 1),  # kappa^2 overflows inside the solver
+    ("simulate-forward", ("y",), 1.0e300, 1),          # the sample variance overflows
+    ("marginal-check", ("solvers", 0, "kappa"), 2527.0, 1),  # the state overflows
+])
+def test_overflowing_or_degenerate_values_exit_with_an_error(tmp_path, capsys, study, path,
+                                                             value, status):
+    data = yaml.safe_load((CONFIG_DIR / f"{study}.yaml").read_text(encoding="utf-8"))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    rc = cli.main([study, "--config", str(write_cfg(tmp_path, data)),
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == status
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.csv").exists()
+
+
+# Spoils for the shipped configs. A spoil sets a number in place of a number
+# ("number"), sets any value or adds a key ("set"), or drops a key ("drop"). A
+# size field (grid nodes, paths, budgets, the prior's dimension) takes a small
+# integer or a junk value, so no run allocates much.
+_SIZE_FIELDS = {"n_trajectories", "n_times", "m_nodes", "nfe_budget", "m_values", "budgets",
+                "dimension"}
+_NAMES = st.sampled_from(["fOUVE", "OUVE", "BBED", "OT", "BrownianBridge", "delta",
+                          "gaussian", "mixture", "isde", "euler_maruyama", "pc", "rk2", "rk45"])
+_JUNK = st.one_of(st.none(), st.booleans(), st.text("ab1e.-", max_size=4))
+_NUMBER = st.one_of(st.floats(0.0, 4.0), st.floats(1e-300, 1e300), st.floats(), st.integers())
+_SIZE = st.integers(-1, 64)
+_SPOIL = st.tuples(
+    st.integers(0, 199),                                  # the place, modulo their count
+    st.sampled_from(["number", "number", "set", "drop"]),
+    st.sampled_from(sorted(_SIZE_FIELDS | {"delta", "p", "kappa", "rtol", "label", "c", "r",
+                                           "x0", "weights", "bogus"})),  # a key to add
+    st.one_of(_NUMBER, _NAMES, _JUNK, st.lists(_NUMBER, min_size=1, max_size=3)),
+    _NUMBER,
+    st.one_of(_SIZE, _JUNK, st.lists(_SIZE, min_size=1, max_size=3)))  # for a size field
+
+
+def _places(node, field=None):
+    """(container, key, field name) of every value inside ``node``, and
+    (mapping, None, None) for a key the mapping does not have yet."""
+    if isinstance(node, dict):
+        yield node, None, None
+        items = [(key, value, key) for key, value in node.items()]
+    elif isinstance(node, list):
+        items = [(i, value, field) for i, value in enumerate(node)]
+    else:
+        return
+    for key, value, name in items:
+        yield node, key, name
+        yield from _places(value, name)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _spoil(config, place, how, new_key, value, number, size):
+    """Spoil ``config`` at place number ``place``, or at the path ``place``."""
+    if isinstance(place, tuple):
+        node = config
+        for key in place[:-1]:
+            node = node[key]
+        node, key, name = node, place[-1], place[-1]
+    else:
+        places = list(_places(config))
+        if how == "number":
+            places = [p for p in places if p[1] is not None and _is_number(p[0][p[1]])]
+            value = number
+        node, key, name = places[place % len(places)]
+    if key is None:
+        key, name = new_key, new_key
+    if how == "drop" and isinstance(node, dict) and key in node:
+        del node[key]
+    else:
+        node[key] = size if name in _SIZE_FIELDS else value
+
+
+@settings(max_examples=150, deadline=None)
+@given(study=st.sampled_from(sorted(STUDIES)), spoils=st.lists(_SPOIL, min_size=1, max_size=3))
+@example(study="solve", spoils=[(("sde", "gamma0"), "set", "", 1.0e300, 0, 0)])
+@example(study="verify-weights", spoils=[(("sde", "sigma_min"), "set", "", 1.0e-200, 0, 0)])
+@example(study="kappa-sweep", spoils=[(("prior", "s0"), "set", "", 1.0e300, 0, 0)])
+@example(study="solve", spoils=[(("prior",), "set", "", {
+    "kind": "mixture", "weights": [0.5, 0.5], "means": [1.0e300, 0.0],
+    "variances": [0.1, 0.1]}, 0, 0)])
+@example(study="simulate-forward", spoils=[(("n_trajectories",), "set", "", 0, 0, 1)])
+@example(study="solve", spoils=[(("n_trajectories",), "set", "", 0, 0, 1)])
+@example(study="nfe-sweep", spoils=[(("budgets",), "set", "", 0, 0, [10])])
+@example(study="convergence", spoils=[(("m_values",), "set", "", 0, 0, [10, 10])])
+@example(study="kappa-sweep", spoils=[(("kappas",), "set", "", [0.1, 1.0e300], 0, 0)])
+@example(study="simulate-forward", spoils=[(("y",), "set", "", 1.0e300, 0, 0)])
+def test_property_spoiled_shipped_config_exits_0_1_or_2(study, spoils):
+    # whatever a shipped config is spoiled to, the command line ends in an exit
+    # status: no traceback, and no RuntimeWarning (an error under this suite)
+    config = yaml.safe_load((CONFIG_DIR / f"{study}.yaml").read_text(encoding="utf-8"))
+    for spoil in spoils:
+        _spoil(config, *spoil)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp), config)
+        assert cli.main([study, "--config", str(cfg), "--out", str(Path(tmp) / "o.csv")]) \
+            in (0, 1, 2)

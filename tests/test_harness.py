@@ -143,6 +143,7 @@ def test_config_solver_labels(canonical_config_dict):
     lambda d: d.update(seed=-1),
     lambda d: d.update(solvers=5),
     lambda d: d.update(solvers=[{"kind": [1]}]),
+    lambda d: d.update(n_trajectories=1),  # no sample standard deviation from one path
 ])
 def test_config_rejects_bad_input(canonical_config_dict, mutate):
     d = copy.deepcopy(canonical_config_dict)
@@ -300,6 +301,19 @@ def test_nfe_sweep_structure(canonical_config_dict):
     # fixed-step errors fall with the budget, so the log-log slope is negative
     assert res.slopes["eum0"] < 0.0
     assert res.slopes["rk2"] < 0.0
+
+
+def test_no_slope_through_fewer_than_two_distinct_points(canonical_config_dict):
+    solvers = [{"kind": "isde", "p": 2, "label": "isde2"}]
+    res = nfe_sweep(config_from_dict(cfg_dict(canonical_config_dict, budgets=[10],
+                                              solvers=solvers)))
+    assert len(res.rows) == 1 and res.slopes == {}
+    res = convergence_study(config_from_dict(cfg_dict(canonical_config_dict, m_values=[10, 10],
+                                                      solvers=solvers)))
+    assert len(res.rows) == 2 and res.slopes == {}
+    res = nfe_sweep(config_from_dict(cfg_dict(canonical_config_dict, budgets=[10, 10, 20],
+                                              solvers=solvers)))
+    assert res.slopes["isde2"] < 0.0
 
 
 def test_nfe_sweep_budget_mismatch_names_the_solver(canonical_config_dict):

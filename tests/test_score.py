@@ -76,6 +76,12 @@ def test_prior_validation():
         MixturePrior((1.0, -0.0), (0.0, 1.0), (1.0, 1.0))
     with pytest.raises(ParameterError):
         MixturePrior((), (), ())
+    # moments that overflow: the variance, the mean, and E[x^2] around a mean of 0
+    for make in (lambda: GaussianPrior(0.5, 1e300),
+                 lambda: MixturePrior((0.5, 0.5), (1e300, 0.0), (0.1, 0.1)),
+                 lambda: MixturePrior((0.5, 0.5), (1e200, -1e200), (0.1, 0.1))):
+        with pytest.raises(ParameterError, match="overflows"):
+            make()
 
 
 @pytest.mark.parametrize("dimension", [2.7, 2.0, "3", True])

@@ -145,6 +145,19 @@ def test_bbed_variance_overflow_rejected(c, r):
         make_sde(SdeParams(kind="BBED", c=c, r=r))
 
 
+@pytest.mark.parametrize("kind, sigma_min, sigma_max, gamma0, match", [
+    ("fOUVE", 0.001, 0.1, 1e300, "step weights overflow"),  # e^{zeta t} in the weights
+    ("fOUVE", 1e-200, 0.1, 2.0, "step weights overflow"),   # rho = 458
+    ("OUVE", 1e-200, 0.1, 2.0, "step weights overflow"),
+    ("OUVE", 1e200, 1e201, 2.0, "step weights overflow"),   # sigma_min^2 overflows
+    ("fOUVE", 0.001, 0.1, 40.0, "rounds to 1"),             # 1 - k(1) = e^{-40} is lost
+])
+def test_closed_form_schedule_out_of_float_range_rejected(kind, sigma_min, sigma_max, gamma0,
+                                                          match):
+    with pytest.raises(ParameterError, match=match):
+        make_sde(SdeParams(kind=kind, sigma_min=sigma_min, sigma_max=sigma_max, gamma0=gamma0))
+
+
 def test_bbed_array_shape_roundtrip():
     sde = make_sde(SdeParams(kind="BBED", c=0.3, r=4.0))
     ts = np.array([[0.1, 0.2], [0.3, 0.9996]])

@@ -279,6 +279,25 @@ def test_step_plan_ito_variance_identity(all_sdes):
         assert plan.a_mid is None and plan.t_mid is None
 
 
+@pytest.mark.parametrize("schedule, eps_mode, kappa, passes", [
+    ("OT", False, 0.5, [40]),  # 10 steps x (omega_0, omega_0 to the stage, omega_1, Ito)
+    ("BBED", False, 0.5, [40]),
+    ("OT", True, 0.5, [10]),   # the Ito integrals alone: eps weights are expm1 of lambda steps
+    ("OT", True, 0.0, []),
+    ("fOUVE", False, 0.5, []),  # closed forms
+    ("OUVE", True, 0.5, []),
+])
+def test_step_plan_runs_at_most_one_quadrature_pass(all_sdes, monkeypatch, schedule,
+                                                    eps_mode, kappa, passes):
+    # passes: the number of intervals of each integrate_batch call
+    calls, batch = [], solvers.integrate_batch
+    monkeypatch.setattr(solvers, "integrate_batch",
+                        lambda f, a, b, **kw: calls.append(len(a)) or batch(f, a, b, **kw))
+    times = TimeGrid.for_sde(all_sdes[schedule], 11).times
+    _step_plan(all_sdes[schedule], times, p=2, kappa=kappa, eps_mode=eps_mode)
+    assert calls == passes
+
+
 def test_step_plan_eps_midpoints_bisect_lambda(all_sdes):
     def lam(sde, t):
         return math.log((1.0 - float(sde.k(t))) / float(sde.sigma(t)))
@@ -610,6 +629,19 @@ def test_divergence_reports_location(fouve):
             run()
         assert err.value.step_index == 0, label
         assert err.value.time == float(grid.times[1]), label
+
+
+@pytest.mark.parametrize("spec", [
+    SolverSpec(kind="isde", p=2, kappa=1e200),           # kappa ** 2 overflows a Python float
+    SolverSpec(kind="pc", corrector_stepsize=1e200),
+    SolverSpec(kind="isde", p=2, kappa=1e150),           # the state overflows in NumPy
+    SolverSpec(kind="euler_maruyama", kappa=1e150),
+])
+def test_run_solver_reports_overflow_as_divergence(fouve, gaussian_prior, spec):
+    # no OverflowError and no RuntimeWarning (an error under this suite) escapes
+    model = analytic_score_model(gaussian_prior, fouve)
+    with pytest.raises(DivergenceError):
+        run_solver(fouve, model, 1.0, TimeGrid.for_sde(fouve, 21), spec, x_init=np.zeros(8))
 
 
 # ---------------------------------------------------------------- baselines
