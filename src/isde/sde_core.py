@@ -33,7 +33,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .errors import (
     SingularityError,
     real_parameter,
 )
-from .quadrature import integrate, integrate_batch
+from .quadrature import _GAUSS_IDX, _NODES, _WEIGHTS_G, integrate, integrate_batch
 
 __all__ = [
     "SdeKind",
@@ -156,85 +155,22 @@ def _t(value):
     return np.asarray(value, dtype=float)
 
 
-def _end_slope(h0, h1, m0, m1):
-    """Moler's shape-preserving three-point slope at an end node (pchiptx.m):
-    h0, m0 are the width and secant of the end interval, h1, m1 of its neighbour."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-class _Pchip:
-    """Monotone piecewise-cubic Hermite interpolant through (x[i], y[i]) for
-    strictly increasing x, at least three nodes, evaluated on [x[0], x[-1]]
-    at a float or an array of times.
-
-    The node slopes are Fritsch and Carlson's (SIAM J. Numer. Anal. 17, 1980):
-    the weighted harmonic mean of the two neighbouring secants, or 0 where they
-    differ in sign or one is flat; :func:`_end_slope` at the ends. The cubic
-    of each interval is summed from its constant term up. This is the
-    operation order of the common reference implementation, and the tests hold
-    values and derivatives to it bit for bit.
-    """
-
-    def __init__(self, x, y):
-        h = np.diff(x)
-        m = np.diff(y) / h
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        with np.errstate(all="ignore"):  # the flat entries are discarded
-            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        d = np.concatenate([[_end_slope(h[0], h[1], m[0], m[1])], inner,
-                            [_end_slope(h[-1], h[-2], m[-1], m[-2])]])
-        t = (d[:-1] + d[1:] - 2 * m) / h
-        c1, c0 = (m - d[:-1]) / h - t, t / h
-        self._x, self._nodes = x, x.tolist()
-        # on interval i, with s = t - x[i]: value c3 + c2 s + c1 s^2 + c0 s^3,
-        # derivative c2 + 2 c1 s + 3 c0 s^2; kept as arrays and as Python rows
-        value = np.stack([y[:-1], d[:-1], c1, c0])
-        slope = np.stack([d[:-1], 2.0 * c1, 3.0 * c0])
-        self._value = value, value.T.tolist()
-        self._slope = slope, slope.T.tolist()
-
-    def finite(self) -> bool:
-        """Whether every coefficient of the value and the derivative is finite."""
-        return bool(np.isfinite(self._value[0]).all() and np.isfinite(self._slope[0]).all())
-
-    def _locate(self, t, coefficients):
-        """(t - x[i], coefficients of interval i) for the interval i holding t:
-        Python floats for a float t, arrays for an array."""
-        table, rows = coefficients
-        if isinstance(t, float):
-            i = min(bisect.bisect_right(self._nodes, t) - 1, len(rows) - 1)
-            return t - self._nodes[i], rows[i]
-        i = np.minimum(np.searchsorted(self._x, t, side="right") - 1, len(rows) - 1)
-        return t - self._x[i], table[:, i]
-
-    def __call__(self, t):
-        s, (c3, c2, c1, c0) = self._locate(t, self._value)
-        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
-
-    def derivative(self, t):
-        s, (c2, c1, c0) = self._locate(t, self._slope)
-        return c2 + c1 * s + c0 * (s * s)
-
-
 def _bbed_integrand(c: float, r: float, tau):
     return (c * r ** tau) ** 2 / (1.0 - tau) ** 2
 
 
-# BBED variance table: adaptive quadrature over the intervals of a 1024-node
-# grid graded quadratically toward t = 1 (where the integrand steepens), all
-# in one batched pass and prefix-summed, interpolated with a monotone cubic.
+# BBED variance var(t) = (1 - t)^2 int_0^t (c r^u / (1 - u))^2 du. The integral
+# up to each node of a 1024-node grid graded quadratically toward t = 1 (where
+# the integrand steepens) comes from one batched adaptive pass, prefix-summed;
+# the rest, from the last node at or below t, is one Gauss-7 panel. Every grid
+# interval is short against its distance to the pole at 1, so one panel
+# reaches round-off.
 _BBED_NODES = 1024
+_G7_NODES, _G7_WEIGHTS = _NODES[_GAUSS_IDX], _WEIGHTS_G
 
 
-@lru_cache(maxsize=None)
 def _bbed_var_table(c: float, r: float, t_edge: float):
+    """(nodes, int_0^node of the integrand at every node), up to t_edge."""
     u = np.linspace(0.0, 1.0, _BBED_NODES)
     nodes = t_edge * (1.0 - (1.0 - u) ** 2)
     nodes[-1] = t_edge
@@ -244,8 +180,7 @@ def _bbed_var_table(c: float, r: float, t_edge: float):
                                      nodes[1:], abs_tol=1e-14, rel_tol=1e-10).value
         except QuadratureDomainError:  # the integrand overflowed
             pieces = np.full(nodes.size - 1, np.inf)
-        var_nodes = (1.0 - nodes) ** 2 * np.concatenate([[0.0], np.cumsum(pieces)])
-    return nodes, var_nodes
+        return nodes, np.concatenate([[0.0], np.cumsum(pieces)])
 
 
 def _bbed_var_direct(c: float, r: float, t: float) -> float:
@@ -349,10 +284,11 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         c = float(params.c)
         r = float(params.r)
         t_edge = 0.5 * (t_rev + 1.0)  # grid reaches past t_rev; beyond it, direct quadrature
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = _Pchip(*_bbed_var_table(c, r, t_edge))
-        if not table.finite():  # an infinite node value, or a slope that overflowed
+        nodes, prefix = _bbed_var_table(c, r, t_edge)
+        if not np.isfinite(prefix).all():
             raise ParameterError(f"BBED variance overflows for c={c!r}, r={r!r}")
+        node_list, prefix_list = nodes.tolist(), prefix.tolist()
+        g7 = list(zip(_G7_NODES.tolist(), _G7_WEIGHTS.tolist()))
 
         def var(t):
             tt = _t(t)
@@ -360,20 +296,26 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
                 t = float(tt)
                 if not 0.0 <= t < 1.0:
                     raise ParameterError(f"BBED variance is defined for 0 <= t < 1, got {t!r}")
-                return max(table(t), 0.0) if t <= t_edge else _bbed_var_direct(c, r, t)
+                if t > t_edge:
+                    return _bbed_var_direct(c, r, t)
+                i = bisect.bisect_right(node_list, t) - 1
+                half = 0.5 * (t - node_list[i])
+                mid = node_list[i] + half
+                panel = sum(w * _bbed_integrand(c, r, mid + half * x) for x, w in g7)
+                return (1.0 - t) ** 2 * (prefix_list[i] + half * panel)
             if not np.all((tt >= 0.0) & (tt < 1.0)):
                 raise ParameterError("BBED variance is defined for 0 <= t < 1")
-            out = np.maximum(table(np.minimum(tt, t_edge)), 0.0)
+            ts = np.minimum(tt, t_edge)
+            i = np.searchsorted(nodes, ts, side="right") - 1
+            half = 0.5 * (ts - nodes[i])
+            u = (nodes[i] + half)[..., None] + half[..., None] * _G7_NODES
+            out = (1.0 - ts) ** 2 * (prefix[i] + half * (_bbed_integrand(c, r, u) @ _G7_WEIGHTS))
             beyond = tt > t_edge
-            out[beyond] = [_bbed_var_direct(c, r, u) for u in tt[beyond].tolist()]
+            out[beyond] = [_bbed_var_direct(c, r, b) for b in tt[beyond].tolist()]
             return out
 
-        def var_prime(t):
-            tt = _t(t)
-            if not np.all((tt >= 0.0) & (tt <= t_edge)):
-                raise ParameterError(
-                    f"BBED variance derivative is tabulated for 0 <= t <= {t_edge}")
-            return table.derivative(tt if tt.ndim else float(tt))
+        def var_prime(t):  # d/dt of (1 - t)^2 int_0^t: the integrand's g^2 less 2 var / (1 - t)
+            return g(t) ** 2 - 2.0 * var(t) / (1.0 - _t(t))
 
         def sigma(t):
             return np.sqrt(var(t))
@@ -426,8 +368,7 @@ def gamma_from_k(sde: InterpolatingSde, t):
     return out if out.ndim else float(out)
 
 
-def k_from_gamma(sde: InterpolatingSde, t: float, abs_tol: float = 1e-12,
-                 rel_tol: float = 1e-10) -> float:
+def k_from_gamma(sde: InterpolatingSde, t: float) -> float:
     """Interpolation function recovered from the stiffness: 1 - exp(-int_0^t gamma(s) ds).
 
     Deliberately evaluates the integral numerically even for schedules with a
@@ -440,12 +381,11 @@ def k_from_gamma(sde: InterpolatingSde, t: float, abs_tol: float = 1e-12,
         raise ParameterError(f"time {t!r} must be below the horizon t_max={sde.t_max!r}")
     if t == 0.0:
         return 0.0
-    res = integrate(lambda s: float(sde.gamma(s)), 0.0, t, abs_tol=abs_tol, rel_tol=rel_tol)
+    res = integrate(lambda s: float(sde.gamma(s)), 0.0, t, abs_tol=1e-12, rel_tol=1e-10)
     return float(-math.expm1(-res.value))
 
 
-def variance_from_diffusion(sde: InterpolatingSde, t: float, abs_tol: float = 1e-14,
-                            rel_tol: float = 1e-10) -> float:
+def variance_from_diffusion(sde: InterpolatingSde, t: float) -> float:
     """Perturbation variance by quadrature of the diffusion.
 
     Computes (1 - k(t))^2 [var0 + int_0^t (g(u)/(1 - k(u)))^2 du], using
@@ -463,7 +403,7 @@ def variance_from_diffusion(sde: InterpolatingSde, t: float, abs_tol: float = 1e
 
     fluct = 0.0
     if t > 0.0:
-        fluct = integrate(integrand, 0.0, t, abs_tol=abs_tol, rel_tol=rel_tol).value
+        fluct = integrate(integrand, 0.0, t, abs_tol=1e-14, rel_tol=1e-10).value
     omk_t = 1.0 - float(sde.k(t))
     return omk_t ** 2 * (sde.var0 + fluct)
 

@@ -22,6 +22,7 @@ initial state and trajectories are reproducible bitwise.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,8 +198,8 @@ def linear_step(sde: InterpolatingSde, x, y, t_from: float, t_to: float):
 _ITO = -1  # the row kind of _step_integrals that gives ito_increment
 
 
-def _step_integrals(sde: InterpolatingSde, kinds, t_from: np.ndarray, t_to: np.ndarray,
-                    abs_tol: float = 1e-14, rel_tol: float = 1e-10) -> np.ndarray:
+def _step_integrals(sde: InterpolatingSde, kinds, t_from: np.ndarray,
+                    t_to: np.ndarray) -> np.ndarray:
     """The step integral of every row t_from[i] -> t_to[i], unchecked.
 
     ``kinds`` is one row kind for all rows or one per row: an order n >= 0
@@ -237,12 +238,11 @@ def _step_integrals(sde: InterpolatingSde, kinds, t_from: np.ndarray, t_to: np.n
         omega = g ** 2 / (2.0 * omk) * (u - t_from[rows, None]) ** order[rows, None]
         return np.where(ito[rows, None], (g / omk) ** 2, omega / fact[rows, None])
 
-    value = integrate_batch(integrand, t_to, t_from, abs_tol=abs_tol, rel_tol=rel_tol).value
+    value = integrate_batch(integrand, t_to, t_from, abs_tol=1e-14, rel_tol=1e-10).value
     return np.where(ito, omk_lo * np.sqrt(np.maximum(value, 0.0)), -value)
 
 
-def _one_step_integral(name: str, sde: InterpolatingSde, kind: int, t_from, t_to,
-                       abs_tol: float, rel_tol: float) -> float:
+def _one_step_integral(name: str, sde: InterpolatingSde, kind: int, t_from, t_to) -> float:
     """:func:`_step_integrals` of one step, for the public function ``name``:
     the step from t_from down to t_to, checked against 0 <= t_to <= t_from < t_max."""
     t_from = real_parameter("t_from", t_from)
@@ -255,12 +255,10 @@ def _one_step_integral(name: str, sde: InterpolatingSde, kind: int, t_from, t_to
         raise ParameterError(f"times must satisfy 0 <= t_to <= t_from < t_max={sde.t_max!r}")
     if t_to == t_from:
         return 0.0
-    return float(_step_integrals(sde, kind, np.array([t_from]), np.array([t_to]),
-                                 abs_tol=abs_tol, rel_tol=rel_tol)[0])
+    return float(_step_integrals(sde, kind, np.array([t_from]), np.array([t_to]))[0])
 
 
-def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float,
-                 abs_tol: float = 1e-14, rel_tol: float = 1e-10) -> float:
+def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float) -> float:
     """Signed exponential weight of the reverse step from t_from down to t_to:
 
         int_{t_from}^{t_to} [g(u)^2 / (2 (1 - k(u)))] (u - t_from)^n / n! du.
@@ -272,11 +270,10 @@ def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float,
     one-step case of the weights :func:`isde_solve` computes per grid.
     """
     n = integer_parameter("weight order n", n, 0)
-    return _one_step_integral("omega_weight", sde, n, t_from, t_to, abs_tol, rel_tol)
+    return _one_step_integral("omega_weight", sde, n, t_from, t_to)
 
 
-def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float,
-                  abs_tol: float = 1e-14, rel_tol: float = 1e-10) -> float:
+def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float) -> float:
     """Standard deviation of the reverse-step stochastic integral (per unit kappa):
 
         I = (1 - k(t_to)) sqrt( int_{t_to}^{t_from} (g(u) / (1 - k(u)))^2 du ),
@@ -285,7 +282,7 @@ def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float,
     Phi = (1 - k(t_to)) / (1 - k(t_from)). Closed forms for fOUVE and OUVE,
     quadrature otherwise.
     """
-    return _one_step_integral("ito_increment", sde, _ITO, t_from, t_to, abs_tol, rel_tol)
+    return _one_step_integral("ito_increment", sde, _ITO, t_from, t_to)
 
 
 def _prepare_state(sde, y, seed, x_init):
@@ -421,6 +418,18 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
     return _StepPlan(**plan)
 
 
+@contextmanager
+def _overflow_as_divergence(kind: str):
+    """Run a solve with NumPy float warnings off (a state that overflows ends in
+    the finite checks' DivergenceError) and a Python-float OverflowError, where
+    NumPy would give inf, turned into DivergenceError."""
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    except OverflowError as e:
+        raise DivergenceError(f"{kind} solve overflowed: {e}") from e
+
+
 def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_init,
                    keep_trajectory: bool, make_step, p: int = 1) -> SolveOutput:
     """Run a fixed-grid solver of the given kind: everything except its step rule.
@@ -431,23 +440,26 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
     the streams it draws from. ``make_step`` runs before the first model call,
     so state-independent set-up belongs there. ``step(i, x, t_hi, t_lo)`` returns the state at node
     i + 1. The call count is the kind's calls per step (:data:`_SOLVERS`)
-    times the number of steps.
+    times the number of steps. A run whose arithmetic overflows raises
+    DivergenceError, with no float warnings on the way.
     """
     if grid.times[0] > sde.t_rev + 1e-12:
         raise ParameterError(
             f"grid starts at {grid.times[0]!r}, above the reverse start t_rev={sde.t_rev!r}")
     seed = integer_parameter("seed", seed, 0)
-    x, ya = _prepare_state(sde, y, seed, x_init)
-    step = make_step(ya, lambda channel: _channel_rng(seed, channel))
     times = grid.times
-    traj = [np.array(x, copy=True)] if keep_trajectory else None
-    for i in range(grid.n_steps):
-        tl = float(times[i + 1])
-        x = step(i, x, float(times[i]), tl)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"state became non-finite at t={tl!r}", step_index=i, time=tl)
-        if keep_trajectory:
-            traj.append(np.array(x, copy=True))
+    with _overflow_as_divergence(kind):
+        x, ya = _prepare_state(sde, y, seed, x_init)
+        traj = [np.array(x, copy=True)] if keep_trajectory else None
+        step = make_step(ya, lambda channel: _channel_rng(seed, channel))
+        for i in range(grid.n_steps):
+            tl = float(times[i + 1])
+            x = step(i, x, float(times[i]), tl)
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(f"state became non-finite at t={tl!r}",
+                                      step_index=i, time=tl)
+            if keep_trajectory:
+                traj.append(np.array(x, copy=True))
     trajectory = np.array(traj) if keep_trajectory else None
     nfe = _SOLVERS[kind][0](p) * grid.n_steps
     return SolveOutput(final_state=x, trajectory=trajectory, nfe=nfe, seed=seed)
@@ -631,11 +643,7 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     max_steps = integer_parameter("max_steps", max_steps, 1)
 
     seed = integer_parameter("seed", seed, 0)
-    x, ya = _prepare_state(sde, y, seed, x_init)
-    rhs = _flow_rhs(sde, model, ya)
     calls = 0
-    traj = [np.array(x, copy=True)] if keep_trajectory else None
-
     t = t_start
     h = (t_end - t_start) / 100.0  # negative
     err_prev = 1.0
@@ -643,57 +651,61 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     # an accepted step can land within one ulp of t_end; treat that as arrival
     # so the final clamped step cannot underflow
     done_gap = 1e-13 * max(abs(t_start), abs(t_end), 1.0)
-    while t - t_end > done_gap:
-        if attempts >= max_steps:
-            raise StiffnessError(
-                f"step budget {max_steps} exhausted at t={t!r} "
-                f"(rtol={rtol!r}, atol={atol!r})")
-        if t + h < t_end:
-            h = t_end - t
-        if abs(h) < 1e-14 * max(abs(t), 1.0):
-            raise StiffnessError(f"step size underflow at t={t!r} (h={h!r})")
+    with _overflow_as_divergence("rk45"):
+        x, ya = _prepare_state(sde, y, seed, x_init)
+        rhs = _flow_rhs(sde, model, ya)
+        traj = [np.array(x, copy=True)] if keep_trajectory else None
+        while t - t_end > done_gap:
+            if attempts >= max_steps:
+                raise StiffnessError(
+                    f"step budget {max_steps} exhausted at t={t!r} "
+                    f"(rtol={rtol!r}, atol={atol!r})")
+            if t + h < t_end:
+                h = t_end - t
+            if abs(h) < 1e-14 * max(abs(t), 1.0):
+                raise StiffnessError(f"step size underflow at t={t!r} (h={h!r})")
 
-        stages = []
-        for idx in range(7):
-            xi = x
-            for j, a in enumerate(_DP_A[idx]):
-                if a != 0.0:
-                    xi = xi + h * a * stages[j]
-            ki = rhs(xi, t + _DP_C[idx] * h)
-            calls += 1
-            if not np.all(np.isfinite(ki)):
-                raise DivergenceError(f"stage derivative non-finite at t={t!r}",
-                                      step_index=attempts, time=t)
-            stages.append(ki)
-        attempts += 1
+            stages = []
+            for idx in range(7):
+                xi = x
+                for j, a in enumerate(_DP_A[idx]):
+                    if a != 0.0:
+                        xi = xi + h * a * stages[j]
+                ki = rhs(xi, t + _DP_C[idx] * h)
+                calls += 1
+                if not np.all(np.isfinite(ki)):
+                    raise DivergenceError(f"stage derivative non-finite at t={t!r}",
+                                          step_index=attempts, time=t)
+                stages.append(ki)
+            attempts += 1
 
-        x5 = x
-        x4 = x
-        for j in range(7):
-            if _DP_B5[j] != 0.0:
-                x5 = x5 + h * _DP_B5[j] * stages[j]
-            if _DP_B4[j] != 0.0:
-                x4 = x4 + h * _DP_B4[j] * stages[j]
-        if not np.all(np.isfinite(x5)):
-            raise DivergenceError(f"state became non-finite at t={t + h!r}",
-                                  step_index=attempts, time=t + h)
+            x5 = x
+            x4 = x
+            for j in range(7):
+                if _DP_B5[j] != 0.0:
+                    x5 = x5 + h * _DP_B5[j] * stages[j]
+                if _DP_B4[j] != 0.0:
+                    x4 = x4 + h * _DP_B4[j] * stages[j]
+            if not np.all(np.isfinite(x5)):
+                raise DivergenceError(f"state became non-finite at t={t + h!r}",
+                                      step_index=attempts, time=t + h)
 
-        scale = atol + rtol * np.maximum(np.abs(x), np.abs(x5))
-        diff = (x5 - x4) / scale
-        err = math.sqrt(float(np.mean(np.square(diff))))
-        if err <= 1.0:
-            t = t + h
-            x = x5
-            if keep_trajectory:
-                traj.append(np.array(x, copy=True))
-            err = max(err, 1e-10)
-            fac = 0.9 * err ** -0.14 * err_prev ** 0.08
-            fac = min(10.0, max(0.2, fac))
-            err_prev = err
-            h = h * fac
-        else:
-            fac = max(0.2, 0.9 * err ** -0.2)
-            h = h * fac
+            scale = atol + rtol * np.maximum(np.abs(x), np.abs(x5))
+            diff = (x5 - x4) / scale
+            err = math.sqrt(float(np.mean(np.square(diff))))
+            if err <= 1.0:
+                t = t + h
+                x = x5
+                if keep_trajectory:
+                    traj.append(np.array(x, copy=True))
+                err = max(err, 1e-10)
+                fac = 0.9 * err ** -0.14 * err_prev ** 0.08
+                fac = min(10.0, max(0.2, fac))
+                err_prev = err
+                h = h * fac
+            else:
+                fac = max(0.2, 0.9 * err ** -0.2)
+                h = h * fac
 
     trajectory = np.array(traj) if keep_trajectory else None
     return SolveOutput(final_state=x, trajectory=trajectory, nfe=calls, seed=seed)
@@ -723,16 +735,10 @@ def run_solver(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     """Dispatch one reverse run according to ``spec``.
 
     For "rk45" only the grid endpoints are used (the step sequence is chosen
-    adaptively). A run whose arithmetic overflows raises DivergenceError, with
-    no float warnings on the way.
+    adaptively).
     """
-    run = _SOLVERS[spec.kind][1]
-    try:
-        with np.errstate(all="ignore"):  # a state that overflows ends in DivergenceError
-            return run(sde, model, y, grid, spec, seed=seed, x_init=x_init,
-                       keep_trajectory=keep_trajectory)
-    except OverflowError as e:  # in Python floats, where NumPy would give inf
-        raise DivergenceError(f"{spec.kind} solve overflowed: {e}") from e
+    return _SOLVERS[spec.kind][1](sde, model, y, grid, spec, seed=seed, x_init=x_init,
+                                  keep_trajectory=keep_trajectory)
 
 
 def nfe_per_step(spec: SolverSpec):

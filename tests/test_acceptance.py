@@ -58,8 +58,6 @@ def test_criterion_01_schedule_round_trips(all_sdes, record_criterion):
         k_hat = np.array([isde.k_from_gamma(sde, t) for t in ts])
         worst_k = max(worst_k, _rel(k_hat, sde.k(ts)))
         worst_k = max(worst_k, _rel(isde.gamma_from_k(sde, ts), sde.gamma(ts)))
-        if name == "BBED":
-            continue  # variance itself is tabulated, not closed form
         v_hat = np.array([isde.variance_from_diffusion(sde, t) for t in ts])
         worst_g = max(worst_g, _rel(v_hat, sde.var(ts)))
         worst_g = max(worst_g, _rel(isde.diffusion_from_variance(sde, ts),

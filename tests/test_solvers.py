@@ -224,7 +224,6 @@ def test_omega_quadrature_fallback(fouve):
 def test_ito_increment_variance_identity(all_sdes):
     rng = np.random.default_rng(6)
     for name, sde in all_sdes.items():
-        tol = 1e-6 if name == "BBED" else 1e-10
         for _ in range(8):
             tl, th = np.sort(rng.uniform(sde.delta, sde.t_rev, size=2))
             if th - tl < 1e-3:
@@ -232,7 +231,7 @@ def test_ito_increment_variance_identity(all_sdes):
             inc = ito_increment(sde, th, tl)
             phi = (1.0 - float(sde.k(tl))) / (1.0 - float(sde.k(th)))
             want = phi ** 2 * float(sde.var(th)) - float(sde.var(tl))
-            assert inc ** 2 == pytest.approx(want, rel=tol), name
+            assert inc ** 2 == pytest.approx(want, rel=1e-10), name
         assert ito_increment(sde, 0.5, 0.5) == 0.0
     with pytest.raises(ParameterError):
         ito_increment(all_sdes["fOUVE"], 0.3, 0.6)
@@ -274,8 +273,7 @@ def test_step_plan_ito_variance_identity(all_sdes):
         times = TimeGrid.for_sde(sde, 41).times
         plan = _step_plan(sde, times, p=1, kappa=1.0, eps_mode=False)
         want = plan.phi ** 2 * sde.var(times[:-1]) - sde.var(times[1:])
-        tol = 1e-6 if name == "BBED" else 1e-10  # BBED's variance is tabulated
-        np.testing.assert_allclose(plan.ito_std ** 2, want, rtol=tol, err_msg=name)
+        np.testing.assert_allclose(plan.ito_std ** 2, want, rtol=1e-10, err_msg=name)
         assert plan.a_mid is None and plan.t_mid is None
 
 
@@ -638,10 +636,21 @@ def test_divergence_reports_location(fouve):
     SolverSpec(kind="euler_maruyama", kappa=1e150),
 ])
 def test_run_solver_reports_overflow_as_divergence(fouve, gaussian_prior, spec):
-    # no OverflowError and no RuntimeWarning (an error under this suite) escapes
+    # no OverflowError and no RuntimeWarning (an error under this suite) escapes,
+    # through run_solver or from the public solver called directly
     model = analytic_score_model(gaussian_prior, fouve)
-    with pytest.raises(DivergenceError):
-        run_solver(fouve, model, 1.0, TimeGrid.for_sde(fouve, 21), spec, x_init=np.zeros(8))
+    grid, x0 = TimeGrid.for_sde(fouve, 21), np.zeros(8)
+    direct = {
+        "isde": lambda: isde_solve(fouve, model, 1.0, grid, p=spec.p, kappa=spec.kappa,
+                                   x_init=x0),
+        "pc": lambda: pc_sampler(fouve, model, 1.0, grid,
+                                 corrector_stepsize=spec.corrector_stepsize, x_init=x0),
+        "euler_maruyama": lambda: euler_maruyama(fouve, model, 1.0, grid, kappa=spec.kappa,
+                                                 x_init=x0),
+    }
+    for run in (lambda: run_solver(fouve, model, 1.0, grid, spec, x_init=x0), direct[spec.kind]):
+        with pytest.raises(DivergenceError):
+            run()
 
 
 # ---------------------------------------------------------------- baselines
@@ -883,18 +892,18 @@ def test_eps_model_runs_match_score_model(fouve, gaussian_prior, kind):
 
 
 # ---------------------------------------------------------------- properties
-# Random schedule parameters and intervals in [delta, t_rev]. BBED is left
-# out: its variance is interpolated from a table and meets the Ito identity
-# to about 1e-7 relative, not the 1e-9 asked here.
+# Random schedule parameters and intervals in [delta, t_rev].
 
 @st.composite
 def schedules(draw):
-    kind = draw(st.sampled_from(["fOUVE", "OUVE", "OT", "BrownianBridge"]))
+    kind = draw(st.sampled_from(["fOUVE", "OUVE", "BBED", "OT", "BrownianBridge"]))
     if kind in ("fOUVE", "OUVE"):
         sigma_min = draw(st.floats(1e-3, 0.5))
         params = SdeParams(kind=kind, sigma_min=sigma_min,
                            sigma_max=sigma_min * draw(st.floats(1.5, 200.0)),
                            gamma0=draw(st.floats(0.1, 5.0)))
+    elif kind == "BBED":
+        params = SdeParams(kind=kind, c=draw(st.floats(0.01, 1.0)), r=draw(st.floats(0.1, 50.0)))
     elif kind == "OT":
         params = SdeParams(kind=kind, sigma_max=draw(st.floats(0.01, 2.0)))
     else:
