@@ -136,6 +136,11 @@ def _check_keys(block: dict, allowed: set, what: str) -> None:
         raise ConfigError(f"unknown {what}: {', '.join(unknown)}")
 
 
+# The largest |y|, prior mean and prior standard deviation a config may give:
+# squares of the states stay finite, so the statistics of a run do too.
+_SCALE = 1e150
+
+
 def _prior_from_dict(block) -> object:
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("config key 'prior' must be a mapping with a 'kind'")
@@ -146,9 +151,14 @@ def _prior_from_dict(block) -> object:
             f"{', '.join(sorted(_PRIORS))}")
     _check_keys(block, _names(cls) | {"kind"}, "prior keys")
     try:
-        return cls(**{k: v for k, v in block.items() if k != "kind"})
+        prior = cls(**{k: v for k, v in block.items() if k != "kind"})
     except (ParameterError, TypeError) as e:
         raise ConfigError(f"invalid prior block: {e}")
+    mean, var = prior.moments()
+    if abs(mean) > _SCALE or var > _SCALE ** 2:
+        raise ConfigError(f"config key 'prior' must have |mean| and sqrt(variance) at most "
+                          f"{_SCALE:g}, got mean {mean!r} and variance {var!r}")
+    return prior
 
 
 def _default_label(spec: SolverSpec) -> str:
@@ -194,17 +204,18 @@ def _list_of(read):
     return read_list
 
 
-def _finite_real(name: str, value) -> float:
+def _scaled_real(name: str, value) -> float:
     value = real_parameter(name, value)
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
+    if not abs(value) <= _SCALE:
+        raise ParameterError(f"{name} must be a real of magnitude at most {_SCALE:g}, "
+                             f"got {value!r}")
     return value
 
 
 # How each top-level key with a plain value is read; the solver entries and the
 # sde and prior blocks are read on their own.
 _READERS = {
-    "y": _finite_real,
+    "y": _scaled_real,
     "seed": _integers(0),
     "n_trajectories": _integers(2),  # a sample standard deviation needs two paths
     "m_values": _list_of(_integers(2)),
@@ -595,8 +606,9 @@ def verify_weights(config: ExperimentConfig) -> StudyResult:
 
     For each adjacent node pair the exponential weights (orders 0 and 1) and
     the diffusion increment are computed twice: through the production path
-    (closed form where one exists) and through raw adaptive quadrature of the
-    defining integrals. The largest relative disagreement is reported.
+    (closed form where one exists, the variance identity for the increment)
+    and through raw adaptive quadrature of the defining integrals. The largest
+    relative disagreement is reported.
     """
     t0 = time.perf_counter()
     sde = config.sde

@@ -19,7 +19,7 @@ Five concrete families are provided (construction via :func:`make_sde`):
                    nonzero initial variance sigma_min^2; infinite horizon.
     OUVE           same k; variance starts at 0 and grows toward the same envelope.
     BBED           bridge interpolation k = t with exponential diffusion c r^t;
-                   variance has no closed form and is obtained by quadrature.
+                   variance by quadrature on a table, and by a series past its edge.
     OT             bridge interpolation with sigma = sigma_max t.
     BrownianBridge unit diffusion, variance t(1 - t) (std sqrt(t(1-t))).
 
@@ -131,9 +131,8 @@ class InterpolatingSde:
     t_max: float = math.inf
     t_rev: float = 1.0
     delta: float = 1e-2
-    # fOUVE and OUVE: (c, zeta, s, zeta2) with g^2 / (2 (1 - k)) = c e^{zeta t} and
-    # int_{t_lo}^{t_hi} (g / (1 - k))^2 du = s^2 (e^{zeta2 t_hi} - e^{zeta2 t_lo});
-    # None for the kinds whose step integrals need quadrature
+    # fOUVE and OUVE: (c, zeta) with g^2 / (2 (1 - k)) = c e^{zeta t}; None for the
+    # kinds whose omega weights need quadrature
     exp_weights: tuple | None = None
 
 
@@ -183,10 +182,23 @@ def _bbed_var_table(c: float, r: float, t_edge: float):
         return nodes, np.concatenate([[0.0], np.cumsum(pieces)])
 
 
-def _bbed_var_direct(c: float, r: float, t: float) -> float:
-    res = integrate(lambda tau: _bbed_integrand(c, r, tau), 0.0, float(t),
-                    abs_tol=1e-14, rel_tol=1e-10)
-    return (1.0 - t) ** 2 * res.value
+def _bbed_var_tail(c: float, r: float, t_edge: float, prefix_edge: float):
+    """BBED var(t) for t above t_edge, from the table's integral up to t_edge.
+
+    In v = 1 - u the integrand is c^2 r^2 e^{-a v} / v^2 with a = 2 ln r;
+    integrated term by term from v = 1 - t to v_e = 1 - t_edge it gives
+    1/v - 1/v_e - a ln(v_e / v) + sum_{k >= 2} (-a)^k (v_e^{k-1} - v^{k-1}) / ((k-1) k!).
+    |a| v_e < 0.75 for every float r, so 40 terms reach round-off.
+    """
+    a, v_e = 2.0 * math.log(r), 1.0 - t_edge
+    terms = [((-a) ** k / ((k - 1) * math.factorial(k)), k - 1) for k in range(2, 40)]
+
+    def tail(t):
+        v = 1.0 - t
+        series = sum(ck * (v_e ** n - v ** n) for ck, n in terms)
+        return v * v * prefix_edge + (c * r) ** 2 * v * (
+            1.0 - v / v_e - a * v * np.log(v_e / v) + v * series)
+    return tail
 
 
 def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
@@ -206,7 +218,7 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         smax = float(params.sigma_max)
         g0 = float(params.gamma0)
         rho = math.log(smax / smin)
-        try:  # exp_weights' integrals stay below smin^2 e^{2 (rho + g0) t} up to t_rev = 1
+        try:  # the omega weights and Phi^2 var stay below smin^2 e^{2 (rho + g0)} up to t_rev = 1
             smin2 = smin ** 2
             top = smin2 * math.exp(2.0 * (rho + g0))
         except OverflowError:
@@ -241,7 +253,7 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
                 return smin * np.exp(rho * _t(t)) * math.sqrt(2.0 * (rho + g0))
 
             var0 = smin2
-            c, s = smin2 * (rho + g0), smin
+            c = smin2 * (rho + g0)
         else:
             k2 = smin2 * rho / (g0 + rho)
 
@@ -261,12 +273,12 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
                 return smin * np.exp(rho * _t(t)) * math.sqrt(2.0 * rho)
 
             var0 = 0.0
-            c, s = smin2 * rho, smin * math.sqrt(rho / (rho + g0))
+            c = smin2 * rho
 
         return InterpolatingSde(params=params, k=k, k_prime=k_prime, gamma=gamma, g=g,
                                 sigma=sigma, var=var, var_prime=var_prime, var0=var0,
                                 t_max=math.inf, t_rev=1.0, delta=delta,
-                                exp_weights=(c, 2.0 * rho + g0, s, 2.0 * (rho + g0)))
+                                exp_weights=(c, 2.0 * rho + g0))
 
     # the three bridge-type kinds share k(t) = t, gamma = 1/(1-t), t_max = 1
     def k(t):
@@ -283,10 +295,11 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
     if kind is SdeKind.BBED:
         c = float(params.c)
         r = float(params.r)
-        t_edge = 0.5 * (t_rev + 1.0)  # grid reaches past t_rev; beyond it, direct quadrature
+        t_edge = 0.5 * (t_rev + 1.0)  # grid reaches past t_rev; beyond it, a series
         nodes, prefix = _bbed_var_table(c, r, t_edge)
         if not np.isfinite(prefix).all():
             raise ParameterError(f"BBED variance overflows for c={c!r}, r={r!r}")
+        tail = _bbed_var_tail(c, r, t_edge, float(prefix[-1]))
         node_list, prefix_list = nodes.tolist(), prefix.tolist()
         g7 = list(zip(_G7_NODES.tolist(), _G7_WEIGHTS.tolist()))
 
@@ -297,7 +310,7 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
                 if not 0.0 <= t < 1.0:
                     raise ParameterError(f"BBED variance is defined for 0 <= t < 1, got {t!r}")
                 if t > t_edge:
-                    return _bbed_var_direct(c, r, t)
+                    return float(tail(t))
                 i = bisect.bisect_right(node_list, t) - 1
                 half = 0.5 * (t - node_list[i])
                 mid = node_list[i] + half
@@ -311,7 +324,7 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
             u = (nodes[i] + half)[..., None] + half[..., None] * _G7_NODES
             out = (1.0 - ts) ** 2 * (prefix[i] + half * (_bbed_integrand(c, r, u) @ _G7_WEIGHTS))
             beyond = tt > t_edge
-            out[beyond] = [_bbed_var_direct(c, r, b) for b in tt[beyond].tolist()]
+            out[beyond] = tail(tt[beyond])
             return out
 
         def var_prime(t):  # d/dt of (1 - t)^2 int_0^t: the integrand's g^2 less 2 var / (1 - t)

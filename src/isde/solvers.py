@@ -195,34 +195,24 @@ def linear_step(sde: InterpolatingSde, x, y, t_from: float, t_to: float):
     return out if out.ndim else float(out)
 
 
-_ITO = -1  # the row kind of _step_integrals that gives ito_increment
-
-
-def _step_integrals(sde: InterpolatingSde, kinds, t_from: np.ndarray,
+def _step_integrals(sde: InterpolatingSde, orders, t_from: np.ndarray,
                     t_to: np.ndarray) -> np.ndarray:
-    """The step integral of every row t_from[i] -> t_to[i], unchecked.
+    """The :func:`omega_weight` of every row t_from[i] -> t_to[i], unchecked.
 
-    ``kinds`` is one row kind for all rows or one per row: an order n >= 0
-    gives :func:`omega_weight`, :data:`_ITO` gives :func:`ito_increment`.
-    Orders up to 1 and the Ito integral have closed forms on bundles with
-    ``exp_weights``; otherwise all rows share one batched quadrature.
+    ``orders`` is one order n >= 0 for all rows or one per row. Orders up to 1
+    have closed forms on bundles with ``exp_weights``; otherwise all rows
+    share one batched quadrature.
     """
-    kinds = np.broadcast_to(np.asarray(kinds, dtype=int), t_from.shape)
-    ito = kinds == _ITO
-    omk_lo = 1.0 - np.asarray(sde.k(t_to), dtype=float)
-    if sde.exp_weights is not None and np.all(kinds <= 1):
-        c, zeta, s, zeta2 = sde.exp_weights
+    orders = np.broadcast_to(np.asarray(orders, dtype=int), t_from.shape)
+    if sde.exp_weights is not None and np.all(orders <= 1):
+        c, zeta = sde.exp_weights
         out = []
         # math per element: np.exp can differ from math.exp in the last bit, moving the goldens
-        for kind, th, tl, omk in zip(kinds.tolist(), t_from.tolist(), t_to.tolist(),
-                                     omk_lo.tolist()):
-            if kind == _ITO:
-                out.append(s * omk * math.sqrt(math.exp(zeta2 * th) - math.exp(zeta2 * tl)))
-                continue
+        for n, th, tl in zip(orders.tolist(), t_from.tolist(), t_to.tolist()):
             h = th - tl
             e_lo = math.exp(zeta * tl)
             growth = math.expm1(zeta * h)
-            if kind == 0:
+            if n == 0:
                 # ascending integral c/zeta (e^{zeta th} - e^{zeta tl}), negated
                 out.append(-(c / zeta) * e_lo * growth)
             else:
@@ -230,21 +220,25 @@ def _step_integrals(sde: InterpolatingSde, kinds, t_from: np.ndarray,
                 out.append(-(c * e_lo / zeta) * (h - growth / zeta))
         return np.array(out)
 
-    order = np.maximum(kinds, 0)
-    fact = np.array([math.factorial(n) for n in order.tolist()], dtype=float)
+    fact = np.array([math.factorial(n) for n in orders.tolist()], dtype=float)
 
     def integrand(u, rows):
-        g, omk = sde.g(u), 1.0 - sde.k(u)
-        omega = g ** 2 / (2.0 * omk) * (u - t_from[rows, None]) ** order[rows, None]
-        return np.where(ito[rows, None], (g / omk) ** 2, omega / fact[rows, None])
+        return (sde.g(u) ** 2 / (2.0 * (1.0 - sde.k(u))) * (u - t_from[rows, None])
+                ** orders[rows, None] / fact[rows, None])
 
-    value = integrate_batch(integrand, t_to, t_from, abs_tol=1e-14, rel_tol=1e-10).value
-    return np.where(ito, omk_lo * np.sqrt(np.maximum(value, 0.0)), -value)
+    return -integrate_batch(integrand, t_to, t_from, abs_tol=1e-14, rel_tol=1e-10).value
 
 
-def _one_step_integral(name: str, sde: InterpolatingSde, kind: int, t_from, t_to) -> float:
-    """:func:`_step_integrals` of one step, for the public function ``name``:
-    the step from t_from down to t_to, checked against 0 <= t_to <= t_from < t_max."""
+def _ito_std(sde: InterpolatingSde, t_from, t_to):
+    """:func:`ito_increment` of every step t_from[i] -> t_to[i], unchecked, from
+    the variance identity I^2 = Phi^2 var(t_from) - var(t_to)."""
+    phi = _transition_factor(sde.k(t_to), sde.k(t_from))
+    return np.sqrt(np.maximum(phi ** 2 * sde.var(t_from) - sde.var(t_to), 0.0))
+
+
+def _one_step(name: str, sde: InterpolatingSde, t_from, t_to, integral) -> float:
+    """``integral`` of the step from t_from down to t_to, as one-element arrays, for the
+    public function ``name``; the step is checked against 0 <= t_to <= t_from < t_max."""
     t_from = real_parameter("t_from", t_from)
     t_to = real_parameter("t_to", t_to)
     if t_to > t_from:
@@ -255,7 +249,7 @@ def _one_step_integral(name: str, sde: InterpolatingSde, kind: int, t_from, t_to
         raise ParameterError(f"times must satisfy 0 <= t_to <= t_from < t_max={sde.t_max!r}")
     if t_to == t_from:
         return 0.0
-    return float(_step_integrals(sde, kind, np.array([t_from]), np.array([t_to]))[0])
+    return float(integral(np.array([t_from]), np.array([t_to]))[0])
 
 
 def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float) -> float:
@@ -270,19 +264,22 @@ def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float) -> f
     one-step case of the weights :func:`isde_solve` computes per grid.
     """
     n = integer_parameter("weight order n", n, 0)
-    return _one_step_integral("omega_weight", sde, n, t_from, t_to)
+    return _one_step("omega_weight", sde, t_from, t_to,
+                     lambda hi, lo: _step_integrals(sde, n, hi, lo))
 
 
 def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float) -> float:
     """Standard deviation of the reverse-step stochastic integral (per unit kappa):
 
-        I = (1 - k(t_to)) sqrt( int_{t_to}^{t_from} (g(u) / (1 - k(u)))^2 du ),
+        I = (1 - k(t_to)) sqrt( int_{t_to}^{t_from} (g(u) / (1 - k(u)))^2 du ).
 
-    satisfying I^2 = Phi^2 var(t_from) - var(t_to) with
-    Phi = (1 - k(t_to)) / (1 - k(t_from)). Closed forms for fOUVE and OUVE,
-    quadrature otherwise.
+    As var' = g^2 - 2 gamma var, d/dt [var / (1 - k)^2] = (g / (1 - k))^2, so every
+    schedule takes I from I^2 = Phi^2 var(t_from) - var(t_to) (0 where that rounds
+    below 0), with Phi = (1 - k(t_to)) / (1 - k(t_from)) and no quadrature. This is
+    the one-step case of the standard deviations :func:`isde_solve` computes per grid.
     """
-    return _one_step_integral("ito_increment", sde, _ITO, t_from, t_to)
+    return _one_step("ito_increment", sde, t_from, t_to,
+                     lambda hi, lo: _ito_std(sde, hi, lo))
 
 
 def _prepare_state(sde, y, seed, x_init):
@@ -372,7 +369,7 @@ class _StepPlan:
     a_mid: np.ndarray | None = None      # p = 2: the stage's coefficient of f
     d_mid: np.ndarray | None = None      # p = 2: t_hi - t_mid, or lambda_hi - lambda_mid = -h/2
     w1: np.ndarray | None = None         # p = 2: score -omega_1 over the step; eps expm1(h) - h
-    ito_std: np.ndarray | None = None    # kappa > 0: ito_increment per step
+    ito_std: np.ndarray | None = None    # kappa > 0: ito_increment per step, from the variances
 
 
 def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
@@ -393,18 +390,8 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
         t_mid = _lambda_midpoints(sde, times, lam) if eps_mode else 0.5 * (t_hi + t_lo)
         k_mid = np.asarray(sde.k(t_mid), dtype=float)
         plan.update(t_mid=t_mid, phi_mid=_transition_factor(k_mid, k[:-1]))
-    # the plan's step integrals, all from t_hi and in one call: in score mode
-    # omega_0, and at p = 2 omega_0 to the stage and omega_1; at kappa > 0 the Ito one
-    rows = [] if eps_mode else [(0, t_lo)] + ([(0, t_mid), (1, t_lo)] if p == 2 else [])
     if kappa > 0.0:
-        rows.append((_ITO, t_lo))
-    if rows:
-        kinds, stops = zip(*rows)
-        values = np.split(_step_integrals(sde, np.repeat(kinds, t_hi.size),
-                                          np.tile(t_hi, len(rows)), np.concatenate(stops)),
-                          len(rows))
-        if kappa > 0.0:
-            plan["ito_std"] = values[-1]
+        plan["ito_std"] = _ito_std(sde, t_hi, t_lo)
     if eps_mode:
         h = lam[1:] - lam[:-1]  # positive: lambda decreases with t
         plan.update(c=-np.asarray(sde.sigma(t_lo), dtype=float), w0=np.expm1(h))
@@ -412,6 +399,12 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
             plan.update(a_mid=-np.asarray(sde.sigma(t_mid), dtype=float) * np.expm1(0.5 * h),
                         d_mid=-0.5 * h, w1=plan["w0"] - h)
     else:
+        # the omega weights in one call: omega_0, and at p = 2 omega_0 to the stage and omega_1
+        rows = [(0, t_lo)] + ([(0, t_mid), (1, t_lo)] if p == 2 else [])
+        orders, stops = zip(*rows)
+        values = np.split(_step_integrals(sde, np.repeat(orders, t_hi.size),
+                                          np.tile(t_hi, len(rows)), np.concatenate(stops)),
+                          len(rows))
         plan.update(c=1.0 - k[1:], w0=-values[0])
         if p == 2:
             plan.update(a_mid=(1.0 - k_mid) * -values[1], d_mid=t_hi - t_mid, w1=-values[2])

@@ -337,8 +337,9 @@ def test_installed_console_script_matches_pyproject():
     ("simulate-forward", ("n_trajectories",), 1, 2),  # no sample standard deviation
     ("solve", ("n_trajectories",), 1, 2),
     ("kappa-sweep", ("kappas",), [0.1, 1.0e300], 1),  # kappa^2 overflows inside the solver
-    ("simulate-forward", ("y",), 1.0e300, 1),          # the sample variance overflows
+    ("simulate-forward", ("y",), 1.0e300, 2),          # squares of the states would overflow
     ("marginal-check", ("solvers", 0, "kappa"), 2527.0, 1),  # the state overflows
+    ("simulate-forward", ("prior", "m0"), 1.0e300, 2),
 ])
 def test_overflowing_or_degenerate_values_exit_with_an_error(tmp_path, capsys, study, path,
                                                              value, status):
@@ -350,7 +351,10 @@ def test_overflowing_or_degenerate_values_exit_with_an_error(tmp_path, capsys, s
     rc = cli.main([study, "--config", str(write_cfg(tmp_path, data)),
                    "--out", str(tmp_path / "o.csv")])
     assert rc == status
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if status == 2:  # a rejected config names the key
+        assert path[0] in err
     assert not (tmp_path / "o.csv").exists()
 
 

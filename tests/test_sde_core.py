@@ -144,6 +144,8 @@ def test_bbed_variance_near_the_float_limit():
     sde = make_sde(SdeParams(kind="BBED", c=1e150, r=4.0))
     ts = np.linspace(0.0, 0.9995, 201)
     assert np.all(np.isfinite(sde.var(ts))) and np.all(np.isfinite(sde.var_prime(ts)))
+    for t in (0.9996, 1.0 - 1e-12):  # past the table: the series
+        assert 0.0 < sde.var(t) < math.inf and 0.0 < sde.var(np.array([t]))[0] < math.inf
     model = isde.analytic_score_model(isde.GaussianPrior(m0=0.5, s0=0.2), sde)
     out = isde.isde_solve(sde, model, 1.0, isde.TimeGrid.for_sde(sde, 21), p=2, kappa=0.5,
                           x_init=np.zeros(8))
@@ -181,6 +183,25 @@ def test_bbed_variance_matches_quadrature(c, r):
     want = np.array([(1.0 - t) ** 2 * integrate(lambda u: (c * r ** u / (1.0 - u)) ** 2, 0.0, t,
                                                  abs_tol=1e-16, rel_tol=1e-13).value
                      for t in ts.tolist()])
+    np.testing.assert_allclose(sde.var(ts), want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose([sde.var(t) for t in ts.tolist()], want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("c, r", [(0.3, 4.0), (0.08, 40.0), (0.5, 0.3)])
+def test_bbed_variance_past_the_table_matches_quadrature(c, r):
+    # past t_edge = 0.9995 var is a series; the oracle integrates up to t_edge in u, and
+    # from there in s = 1 / (1 - u), where (c r^u / (1 - u))^2 du = c^2 r^{2 - 2/s} ds
+    # is bounded, on the array and the scalar path
+    sde = make_sde(SdeParams(kind="BBED", c=c, r=r))
+    t_edge = 0.9995
+    head = integrate(lambda u: (c * r ** u / (1.0 - u)) ** 2, 0.0, t_edge,
+                     abs_tol=1e-16, rel_tol=1e-13).value
+    ts = np.concatenate([1.0 - 10.0 ** np.random.default_rng(5).uniform(-12.0, -3.31, 40),
+                         [1.0 - 1e-12]])
+    assert np.all(ts > t_edge)
+    want = np.array([(1.0 - t) ** 2 * (head + c ** 2 * integrate(
+        lambda s: r ** (2.0 - 2.0 / s), 1.0 / (1.0 - t_edge), 1.0 / (1.0 - t),
+        abs_tol=0.0, rel_tol=1e-13).value) for t in ts.tolist()])
     np.testing.assert_allclose(sde.var(ts), want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose([sde.var(t) for t in ts.tolist()], want, rtol=1e-12, atol=0.0)
 

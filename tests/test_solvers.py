@@ -221,7 +221,17 @@ def test_omega_quadrature_fallback(fouve):
         assert omega_weight(sde, n, th, tl) == pytest.approx(-val, rel=1e-8)
 
 
+def ito_variance(sde, t_from, t_to):
+    """The defining integral of ito_increment^2: (1 - k_lo)^2 int (g / (1 - k))^2 du."""
+    def diffusion(u):
+        return (float(sde.g(u)) / (1.0 - float(sde.k(u)))) ** 2
+
+    return (1.0 - float(sde.k(t_to))) ** 2 * integrate(
+        diffusion, t_to, t_from, abs_tol=1e-14, rel_tol=1e-12).value
+
+
 def test_ito_increment_variance_identity(all_sdes):
+    # ito_increment comes from Phi^2 var(t_from) - var(t_to); hold it to the integral
     rng = np.random.default_rng(6)
     for name, sde in all_sdes.items():
         for _ in range(8):
@@ -229,9 +239,7 @@ def test_ito_increment_variance_identity(all_sdes):
             if th - tl < 1e-3:
                 continue
             inc = ito_increment(sde, th, tl)
-            phi = (1.0 - float(sde.k(tl))) / (1.0 - float(sde.k(th)))
-            want = phi ** 2 * float(sde.var(th)) - float(sde.var(tl))
-            assert inc ** 2 == pytest.approx(want, rel=1e-10), name
+            assert inc ** 2 == pytest.approx(ito_variance(sde, th, tl), rel=1e-10), name
         assert ito_increment(sde, 0.5, 0.5) == 0.0
     with pytest.raises(ParameterError):
         ito_increment(all_sdes["fOUVE"], 0.3, 0.6)
@@ -248,9 +256,6 @@ def test_step_plan_weights_match_scalar_quadrature(all_sdes, nodes):
         def big_g(u):
             return float(sde.g(u)) ** 2 / (2.0 * (1.0 - float(sde.k(u))))
 
-        def diffusion(u):
-            return (float(sde.g(u)) / (1.0 - float(sde.k(u)))) ** 2
-
         for i in range(times.size - 1):
             th, tl, tm = float(times[i]), float(times[i + 1]), float(plan.t_mid[i])
             oracle = {
@@ -260,30 +265,31 @@ def test_step_plan_weights_match_scalar_quadrature(all_sdes, nodes):
                 * integrate(big_g, tm, th, abs_tol=1e-14, rel_tol=1e-12).value,
                 "w1": integrate(lambda u: big_g(u) * (u - th), tl, th,
                                 abs_tol=1e-14, rel_tol=1e-12).value,
-                "ito_std": (1.0 - float(sde.k(tl))) * math.sqrt(
-                    integrate(diffusion, tl, th, abs_tol=1e-14, rel_tol=1e-12).value),
+                "ito_std": math.sqrt(ito_variance(sde, th, tl)),
             }
             for field, want in oracle.items():
                 got = getattr(plan, field)[i]
-                assert abs(got - want) <= 1e-10 * abs(want), (name, nodes, i, field)
+                tol = 1e-12 if field == "ito_std" else 1e-10
+                assert abs(got - want) <= tol * abs(want), (name, nodes, i, field)
 
 
 def test_step_plan_ito_variance_identity(all_sdes):
     for name, sde in all_sdes.items():
         times = TimeGrid.for_sde(sde, 41).times
         plan = _step_plan(sde, times, p=1, kappa=1.0, eps_mode=False)
-        want = plan.phi ** 2 * sde.var(times[:-1]) - sde.var(times[1:])
+        want = [ito_variance(sde, th, tl) for th, tl in zip(times[:-1], times[1:])]
         np.testing.assert_allclose(plan.ito_std ** 2, want, rtol=1e-10, err_msg=name)
         assert plan.a_mid is None and plan.t_mid is None
 
 
 @pytest.mark.parametrize("schedule, eps_mode, kappa, passes", [
-    ("OT", False, 0.5, [40]),  # 10 steps x (omega_0, omega_0 to the stage, omega_1, Ito)
-    ("BBED", False, 0.5, [40]),
-    ("OT", True, 0.5, [10]),   # the Ito integrals alone: eps weights are expm1 of lambda steps
+    ("OT", False, 0.5, [30]),  # 10 steps x (omega_0, omega_0 to the stage, omega_1)
+    ("BBED", False, 0.5, [30]),
+    ("OT", True, 0.5, []),     # eps weights are expm1 of lambda steps; Ito stds come from var
     ("OT", True, 0.0, []),
     ("fOUVE", False, 0.5, []),  # closed forms
     ("OUVE", True, 0.5, []),
+    ("BBED", True, 0.5, []),
 ])
 def test_step_plan_runs_at_most_one_quadrature_pass(all_sdes, monkeypatch, schedule,
                                                     eps_mode, kappa, passes):
@@ -925,9 +931,10 @@ unit = st.floats(0.0, 1.0)
 def test_property_ito_variance_identity(sde, u, v):
     th, tl = interval(sde, u, v)
     phi = (1.0 - float(sde.k(tl))) / (1.0 - float(sde.k(th)))
-    hi, lo = phi ** 2 * float(sde.var(th)), float(sde.var(tl))
-    # the right side cancels to about eps * hi; the quadrature is good to 1e-10
-    assert ito_increment(sde, th, tl) ** 2 == pytest.approx(hi - lo, rel=1e-9, abs=1e-13 * hi)
+    hi = phi ** 2 * float(sde.var(th))
+    # ito_increment^2 = hi - var(t_to) cancels to about eps * hi
+    assert ito_increment(sde, th, tl) ** 2 == pytest.approx(ito_variance(sde, th, tl),
+                                                           rel=1e-9, abs=1e-13 * hi)
 
 
 @settings(deadline=None, max_examples=200)
