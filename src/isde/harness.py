@@ -154,11 +154,18 @@ def _prior_from_dict(block) -> object:
         prior = cls(**{k: v for k, v in block.items() if k != "kind"})
     except (ParameterError, TypeError) as e:
         raise ConfigError(f"invalid prior block: {e}")
-    mean, var = prior.moments()
-    if abs(mean) > _SCALE or var > _SCALE ** 2:
-        raise ConfigError(f"config key 'prior' must have |mean| and sqrt(variance) at most "
-                          f"{_SCALE:g}, got mean {mean!r} and variance {var!r}")
     return prior
+
+
+def _check_scale(y, prior) -> None:
+    """Reject |y|, |prior mean| or prior std above _SCALE (or NaN), naming the key."""
+    if not abs(real_parameter("config key 'y'", y)) <= _SCALE:
+        raise ParameterError(f"config key 'y' must be a real of magnitude at most {_SCALE:g}, "
+                             f"got {y!r}")
+    mean, var = prior.moments()
+    if not (abs(mean) <= _SCALE and var <= _SCALE ** 2):
+        raise ParameterError(f"config key 'prior' must have |mean| and sqrt(variance) at most "
+                             f"{_SCALE:g}, got mean {mean!r} and variance {var!r}")
 
 
 def _default_label(spec: SolverSpec) -> str:
@@ -204,18 +211,10 @@ def _list_of(read):
     return read_list
 
 
-def _scaled_real(name: str, value) -> float:
-    value = real_parameter(name, value)
-    if not abs(value) <= _SCALE:
-        raise ParameterError(f"{name} must be a real of magnitude at most {_SCALE:g}, "
-                             f"got {value!r}")
-    return value
-
-
 # How each top-level key with a plain value is read; the solver entries and the
 # sde and prior blocks are read on their own.
 _READERS = {
-    "y": _scaled_real,
+    "y": real_parameter,
     "seed": _integers(0),
     "n_trajectories": _integers(2),  # a sample standard deviation needs two paths
     "m_values": _list_of(_integers(2)),
@@ -253,6 +252,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     try:
         kwargs = {k: read(f"config key {k!r}", data[k])
                   for k, read in _READERS.items() if k in data}
+        _check_scale(kwargs["y"], prior)
     except ParameterError as e:
         raise ConfigError(str(e)) from None
     solvers = [] if data.get("solvers") is None else data["solvers"]
@@ -310,20 +310,21 @@ def reference_solution(sde: InterpolatingSde, prior, y, x_start, t_start: float 
 # forward samples); solver runs are numbered 1, 2, ... and each gets the seed
 # derived from the config seed and its index.
 
-def _seed_sequence(seed, index: int) -> np.random.SeedSequence:
-    """Seed sequence of run ``index``. The seed is checked here: an
+def _seed_sequence(config: ExperimentConfig, index: int) -> np.random.SeedSequence:
+    """Seed sequence of run ``index``, after the seed and scale checks: an
     ExperimentConfig built without config_from_dict is checked nowhere else."""
-    return np.random.SeedSequence([integer_parameter("seed", seed, 0), index])
+    _check_scale(config.y, config.prior)
+    return np.random.SeedSequence([integer_parameter("seed", config.seed, 0), index])
 
 
-def _derived_seed(seed, index: int) -> int:
+def _derived_seed(config: ExperimentConfig, index: int) -> int:
     """The integer seed of run ``index``."""
-    return int(_seed_sequence(seed, index).generate_state(1)[0])
+    return int(_seed_sequence(config, index).generate_state(1)[0])
 
 
 def _shared_rng(config: ExperimentConfig) -> np.random.Generator:
     """The generator of a study's shared draws (run index 0)."""
-    return np.random.default_rng(_seed_sequence(config.seed, 0))
+    return np.random.default_rng(_seed_sequence(config, 0))
 
 
 def _solver_study(config: ExperimentConfig, study: str):
@@ -358,7 +359,7 @@ def _matched_start(config: ExperimentConfig, index: int) -> np.ndarray:
                           f"got {config.n_trajectories}")
     sde = config.sde
     mean, var = marginal_moments(config.prior, sde, config.y, sde.t_rev)
-    seed = _derived_seed(config.seed, index)
+    seed = _derived_seed(config, index)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     z_half = rng.standard_normal(config.n_trajectories // 2)
     z = np.concatenate([z_half, -z_half])
@@ -371,7 +372,7 @@ def _solve(config: ExperimentConfig, model, spec: SolverSpec, m_nodes: int, inde
     """Run ``index`` of a study: one solve on the uniform ``m_nodes`` grid."""
     grid = TimeGrid.for_sde(config.sde, m_nodes)
     return run_solver(config.sde, model, config.y, grid, spec,
-                      seed=_derived_seed(config.seed, index), x_init=x_init)
+                      seed=_derived_seed(config, index), x_init=x_init)
 
 
 def _endpoint_error(final, ref) -> float:

@@ -6,9 +6,9 @@ The 15-point Kronrod rule is evaluated per panel together with its embedded
 interval at a time; it is the oracle used by schedule-consistency checks and
 weight cross-checks. :func:`integrate_batch` takes a vectorized integrand and
 integrates many intervals at once, evaluating every open panel in one call;
-it computes the omega weights of score-model grids on schedules without
-closed forms, and the BBED variance table. Tolerances default far below
-solver truncation error.
+it computes the omega weights of score-model grids on the bridge schedules
+(in the log-distance to their pole at t = 1) and the BBED variance table.
+Tolerances default far below solver truncation error.
 """
 
 from __future__ import annotations

@@ -132,7 +132,7 @@ class InterpolatingSde:
     t_rev: float = 1.0
     delta: float = 1e-2
     # fOUVE and OUVE: (c, zeta) with g^2 / (2 (1 - k)) = c e^{zeta t}; None for the
-    # kinds whose omega weights need quadrature
+    # bridges (k = t), whose omega weights take quadrature in the log-distance to t = 1
     exp_weights: tuple | None = None
 
 
@@ -324,7 +324,8 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
             u = (nodes[i] + half)[..., None] + half[..., None] * _G7_NODES
             out = (1.0 - ts) ** 2 * (prefix[i] + half * (_bbed_integrand(c, r, u) @ _G7_WEIGHTS))
             beyond = tt > t_edge
-            out[beyond] = tail(tt[beyond])
+            if beyond.any():  # the series costs 38 array terms even on no times
+                out[beyond] = tail(tt[beyond])
             return out
 
         def var_prime(t):  # d/dt of (1 - t)^2 int_0^t: the integrand's g^2 less 2 var / (1 - t)

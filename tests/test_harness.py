@@ -399,18 +399,36 @@ def test_ks_statistic_matches_scipy():
 # One study per way of drawing from the seed: shared draws only (simulate-forward),
 # shared start plus seeded solves (solve), matched starts (kappa-sweep), and
 # shared draws plus matched starts (marginal-check).
-@pytest.mark.parametrize("study, extra", [
+SEEDED_STUDIES = [
     (simulate_forward, {}),
     (solve_study, {"solvers": [{"kind": "isde", "m_nodes": 5}]}),
     (kappa_sweep, {"solvers": [{"kind": "isde", "p": 2}]}),
     (marginal_check, {"n_trajectories": 1000, "solvers": [{"kind": "isde", "m_nodes": 5}]}),
-])
+]
+
+
+@pytest.mark.parametrize("study, extra", SEEDED_STUDIES)
 @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
 def test_studies_check_the_seed_of_a_config_built_directly(canonical_config_dict, study,
                                                            extra, seed):
     config = config_from_dict(cfg_dict(canonical_config_dict, **extra))
     with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
         study(dataclasses.replace(config, seed=seed))
+
+
+@pytest.mark.parametrize("study, extra", SEEDED_STUDIES)
+@pytest.mark.parametrize("change, key", [
+    ({"y": 1e300}, "'y'"),
+    ({"y": math.nan}, "'y'"),
+    ({"prior": DeltaPrior(-1e300)}, "'prior'"),
+    ({"prior": isde.GaussianPrior(m0=0.5, s0=1e151)}, "'prior'"),
+])
+def test_studies_check_the_scale_of_a_config_built_directly(canonical_config_dict, study,
+                                                            extra, change, key):
+    # the check of config_from_dict, made before any draw can overflow
+    config = config_from_dict(cfg_dict(canonical_config_dict, **extra))
+    with pytest.raises(isde.IsdeError, match=f"config key {key} .* at most 1e\\+150"):
+        study(dataclasses.replace(config, **change))
 
 
 def test_simulate_forward_table(canonical_config_dict):

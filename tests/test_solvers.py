@@ -38,7 +38,7 @@ from isde.errors import (
     ShapeError,
     StiffnessError,
 )
-from isde import solvers
+from isde import quadrature, solvers
 from isde.solvers import _step_plan
 
 
@@ -245,10 +245,23 @@ def test_ito_increment_variance_identity(all_sdes):
         ito_increment(all_sdes["fOUVE"], 0.3, 0.6)
 
 
+def test_ito_increment_scales_linearly_in_the_diffusion():
+    # var is c^2 times that of c = 1; at c = 1e150 Phi^2 var(t_from) alone overflows
+    one = make_sde(SdeParams(kind="BBED", c=1.0, r=4.0))
+    big = make_sde(SdeParams(kind="BBED", c=1e150, r=4.0))
+    for th, tl in ((1.0 - 1e-12, 0.0), (0.9996, 0.5), (0.7, 0.2)):
+        assert ito_increment(big, th, tl) == pytest.approx(
+            1e150 * ito_increment(one, th, tl), rel=1e-12)
+    # a variance that underflows to 0 gives no deviation, not 0/0
+    dead = dataclasses.replace(one, var=lambda t: 0.0 * np.asarray(t, dtype=float))
+    assert ito_increment(dead, 0.7, 0.2) == 0.0
+
+
 # ----------------------------------------------------------------- step plans
 
-@pytest.mark.parametrize("nodes", [11, 41, 201])
+@pytest.mark.parametrize("nodes", [2, 11, 41, 201, 2001])
 def test_step_plan_weights_match_scalar_quadrature(all_sdes, nodes):
+    stride = 50 if nodes == 2001 else 1  # every 50th step of the finest grid
     for name, sde in all_sdes.items():
         times = TimeGrid.for_sde(sde, nodes).times
         plan = _step_plan(sde, times, p=2, kappa=0.5, eps_mode=False)
@@ -256,7 +269,7 @@ def test_step_plan_weights_match_scalar_quadrature(all_sdes, nodes):
         def big_g(u):
             return float(sde.g(u)) ** 2 / (2.0 * (1.0 - float(sde.k(u))))
 
-        for i in range(times.size - 1):
+        for i in range(0, times.size - 1, stride):
             th, tl, tm = float(times[i]), float(times[i + 1]), float(plan.t_mid[i])
             oracle = {
                 "w0": integrate(big_g, tl, th, abs_tol=1e-14, rel_tol=1e-12).value,
@@ -300,6 +313,19 @@ def test_step_plan_runs_at_most_one_quadrature_pass(all_sdes, monkeypatch, sched
     times = TimeGrid.for_sde(all_sdes[schedule], 11).times
     _step_plan(all_sdes[schedule], times, p=2, kappa=kappa, eps_mode=eps_mode)
     assert calls == passes
+
+
+@pytest.mark.parametrize("nodes", [41, 201])
+@pytest.mark.parametrize("schedule", ["OT", "BBED", "BrownianBridge"])
+def test_bridge_step_plan_weights_take_one_quadrature_round(all_sdes, monkeypatch, schedule,
+                                                            nodes):
+    # in the log-distance to the pole at t = 1 no panel of these grids needs a bisection
+    rounds, panels = [], quadrature._gk_panels
+    monkeypatch.setattr(quadrature, "_gk_panels",
+                        lambda f, lo, hi, rows: rounds.append(len(lo)) or panels(f, lo, hi, rows))
+    times = TimeGrid.for_sde(all_sdes[schedule], nodes).times
+    _step_plan(all_sdes[schedule], times, p=2, kappa=0.0, eps_mode=False)
+    assert rounds == [3 * (nodes - 1)]
 
 
 def test_step_plan_eps_midpoints_bisect_lambda(all_sdes):
