@@ -39,6 +39,7 @@ from .sde_core import InterpolatingSde, SdeParams, make_sde, sample_forward
 from .solvers import (
     SolverSpec,
     TimeGrid,
+    _channel_rng,
     _nonnegative_real,
     ito_increment,
     nfe_per_step,
@@ -359,9 +360,8 @@ def _matched_start(config: ExperimentConfig, index: int) -> np.ndarray:
                           f"got {config.n_trajectories}")
     sde = config.sde
     mean, var = marginal_moments(config.prior, sde, config.y, sde.t_rev)
-    seed = _derived_seed(config, index)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    z_half = rng.standard_normal(config.n_trajectories // 2)
+    z_half = _channel_rng(_derived_seed(config, index), 0).standard_normal(
+        config.n_trajectories // 2)
     z = np.concatenate([z_half, -z_half])
     z /= math.sqrt(float(np.var(z, ddof=1)))
     return mean + math.sqrt(var) * z

@@ -1,14 +1,15 @@
 """Adaptive one-dimensional quadrature on a Gauss-Kronrod 7-15 pair.
 
 The 15-point Kronrod rule is evaluated per panel together with its embedded
-7-point Gauss rule; their difference drives the adaptive bisection.
-:func:`integrate` takes a scalar integrand and bisects the worst panel of one
-interval at a time; it is the oracle used by schedule-consistency checks and
-weight cross-checks. :func:`integrate_batch` takes a vectorized integrand and
+7-point Gauss rule, by one routine for both integrators; their difference
+drives the adaptive bisection. :func:`integrate` takes a scalar integrand,
+called one node at a time, and bisects the worst panel of one interval at a
+time; it is the oracle used by schedule-consistency checks and weight
+cross-checks. :func:`integrate_batch` takes a vectorized integrand and
 integrates many intervals at once, evaluating every open panel in one call;
 it computes the omega weights of score-model grids on the bridge schedules
-(in the log-distance to their pole at t = 1) and the BBED variance table.
-Tolerances default far below solver truncation error.
+(in the log-distance to their pole at t = 1). Tolerances default far below
+solver truncation error.
 """
 
 from __future__ import annotations
@@ -79,30 +80,6 @@ class QuadResult:
     evaluations: int
 
 
-def _panel(f, a: float, b: float):
-    """One GK7-15 evaluation on [a, b]; returns (value, error, abs_integral)."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = center + half * _NODES
-    fx = np.array([float(f(float(x))) for x in xs])
-    if not np.all(np.isfinite(fx)):
-        bad = xs[~np.isfinite(fx)][0]
-        raise QuadratureDomainError(f"integrand returned a nonfinite value at x={bad!r}")
-    sum_k = float(_WEIGHTS_K @ fx)
-    sum_g = float(_WEIGHTS_G @ fx[_GAUSS_IDX])
-    resk = half * sum_k
-    resg = half * sum_g
-    resabs = abs(half) * float(_WEIGHTS_K @ np.abs(fx))
-    # scaled error estimate in the style of the classic GK implementations
-    mean_f = 0.5 * sum_k
-    resasc = abs(half) * float(_WEIGHTS_K @ np.abs(fx - mean_f))
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err, resabs
-
-
 def integrate(f, a: float, b: float, abs_tol: float = 1e-12, rel_tol: float = 1e-10,
               max_subdivisions: int = 2000) -> QuadResult:
     """Integrate ``f`` over [a, b] to the requested tolerance.
@@ -122,7 +99,12 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-12, rel_tol: float = 1e
     if abs_tol < 0 or rel_tol < 0:
         raise ParameterError("tolerances must be nonnegative")
 
-    value, err, _ = _panel(f, a, b)
+    def panels(lo, hi):  # GK7-15 on the panels [lo[j], hi[j]], one integrand call per node
+        return (v.tolist() for v in _gk_panels(
+            lambda xs, rows: [[float(f(x)) for x in row] for row in xs.tolist()],
+            np.array(lo), np.array(hi), None))
+
+    (value,), (err,) = panels([a], [b])
     evals = 15
     if a == b:
         return QuadResult(0.0, 0.0, evals)
@@ -153,8 +135,7 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-12, rel_tol: float = 1e
                 f"error estimate {total_err:.3e} > {tol:.3e}",
                 QuadResult(total, total_err, evals),
             )
-        lv, le, _ = _panel(f, pa, mid)
-        rv, re_, _ = _panel(f, mid, pb)
+        (lv, rv), (le, re_) = panels([pa, mid], [mid, pb])
         evals += 30
         subdivisions += 1
         total += (lv + rv) - pval
@@ -178,7 +159,7 @@ def _gk_panels(f, lo, hi, rows):
     resk = half * sum_k
     err = np.abs(resk - half * sum_g)
     resabs, resasc = np.abs(half) * (np.abs([fx, fx - 0.5 * sum_k[:, None]]) @ _WEIGHTS_K)
-    # the scaled estimate of _panel, elementwise
+    # scaled error estimate in the style of the classic GK implementations
     scale = (resasc != 0.0) & (err != 0.0)
     ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=scale)
     err = np.where(scale, resasc * np.minimum(1.0, ratio ** 1.5), err)

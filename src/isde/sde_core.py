@@ -19,7 +19,7 @@ Five concrete families are provided (construction via :func:`make_sde`):
                    nonzero initial variance sigma_min^2; infinite horizon.
     OUVE           same k; variance starts at 0 and grows toward the same envelope.
     BBED           bridge interpolation k = t with exponential diffusion c r^t;
-                   variance by quadrature on a table, and by a series past its edge.
+                   variance from a table of Gauss-7 panels, and a series past its edge.
     OT             bridge interpolation with sigma = sigma_max t.
     BrownianBridge unit diffusion, variance t(1 - t) (std sqrt(t(1-t))).
 
@@ -38,13 +38,12 @@ import numpy as np
 
 from .errors import (
     ParameterError,
-    QuadratureDomainError,
     ScheduleConsistencyError,
     ShapeError,
     SingularityError,
     real_parameter,
 )
-from .quadrature import _GAUSS_IDX, _NODES, _WEIGHTS_G, integrate, integrate_batch
+from .quadrature import _GAUSS_IDX, _NODES, _WEIGHTS_G, integrate
 
 __all__ = [
     "SdeKind",
@@ -158,28 +157,30 @@ def _bbed_integrand(c: float, r: float, tau):
     return (c * r ** tau) ** 2 / (1.0 - tau) ** 2
 
 
-# BBED variance var(t) = (1 - t)^2 int_0^t (c r^u / (1 - u))^2 du. The integral
-# up to each node of a 1024-node grid graded quadratically toward t = 1 (where
-# the integrand steepens) comes from one batched adaptive pass, prefix-summed;
-# the rest, from the last node at or below t, is one Gauss-7 panel. Every grid
-# interval is short against its distance to the pole at 1, so one panel
-# reaches round-off.
+# BBED variance var(t) = (1 - t)^2 int_0^t (c r^u / (1 - u))^2 du. On a 1024-node
+# grid graded quadratically toward t = 1 (where the integrand steepens), the
+# integral up to each node is the prefix sum of one Gauss-7 panel per grid
+# interval, and the rest, from the last node at or below t, is one more panel.
+# Every grid interval is short against its distance to the pole at 1, so one
+# panel reaches round-off.
 _BBED_NODES = 1024
 _G7_NODES, _G7_WEIGHTS = _NODES[_GAUSS_IDX], _WEIGHTS_G
 
 
+def _bbed_g7(c: float, r: float, lo, hi):
+    """One Gauss-7 panel of the BBED integrand on every interval [lo, hi]."""
+    half = 0.5 * (hi - lo)
+    u = (lo + half)[..., None] + half[..., None] * _G7_NODES
+    return half * (_bbed_integrand(c, r, u) @ _G7_WEIGHTS)
+
+
 def _bbed_var_table(c: float, r: float, t_edge: float):
-    """(nodes, int_0^node of the integrand at every node), up to t_edge."""
+    """(nodes, int_0^node of the integrand at every node) up to t_edge; inf on overflow."""
     u = np.linspace(0.0, 1.0, _BBED_NODES)
     nodes = t_edge * (1.0 - (1.0 - u) ** 2)
     nodes[-1] = t_edge
     with np.errstate(over="ignore"):
-        try:
-            pieces = integrate_batch(lambda tau, rows: _bbed_integrand(c, r, tau), nodes[:-1],
-                                     nodes[1:], abs_tol=1e-14, rel_tol=1e-10).value
-        except QuadratureDomainError:  # the integrand overflowed
-            pieces = np.full(nodes.size - 1, np.inf)
-        return nodes, np.concatenate([[0.0], np.cumsum(pieces)])
+        return nodes, np.concatenate([[0.0], np.cumsum(_bbed_g7(c, r, nodes[:-1], nodes[1:]))])
 
 
 def _bbed_var_tail(c: float, r: float, t_edge: float, prefix_edge: float):
@@ -320,9 +321,7 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
                 raise ParameterError("BBED variance is defined for 0 <= t < 1")
             ts = np.minimum(tt, t_edge)
             i = np.searchsorted(nodes, ts, side="right") - 1
-            half = 0.5 * (ts - nodes[i])
-            u = (nodes[i] + half)[..., None] + half[..., None] * _G7_NODES
-            out = (1.0 - ts) ** 2 * (prefix[i] + half * (_bbed_integrand(c, r, u) @ _G7_WEIGHTS))
+            out = (1.0 - ts) ** 2 * (prefix[i] + _bbed_g7(c, r, nodes[i], ts))
             beyond = tt > t_edge
             if beyond.any():  # the series costs 38 array terms even on no times
                 out[beyond] = tail(tt[beyond])

@@ -11,7 +11,7 @@ kappa = 0 is the probability-flow ODE. The exponential integrator
 exactly through the transition factor Psi and pushes the score term through
 exponential-weight integrals; the classical baselines (Euler-Maruyama,
 predictor-corrector, explicit midpoint, adaptive embedded RK5(4)) discretize
-the whole right-hand side.
+the whole drift, one function for all four.
 
 Randomness is split into independent per-purpose streams derived from a single
 integer seed (spawn keys: 0 initial draw, 1 diffusion increments, 2 corrector
@@ -522,14 +522,28 @@ def _score_eval(model: ScoreModel, sde: InterpolatingSde):
     return fn
 
 
-def _flow_rhs(sde: InterpolatingSde, model: ScoreModel, ya):
-    """Right-hand side gamma (y - x) - g^2 s / 2 of the probability-flow ODE, as f(x, t)."""
+def _reverse_drift(sde: InterpolatingSde, model: ScoreModel, ya, kappa: float):
+    """Drift gamma (y - x) - ((1 + kappa^2)/2) g^2 s of the reverse family, as f(x, t)."""
     score = _score_eval(model, sde)
+    half = 0.5 * (1.0 + kappa ** 2)
 
-    def rhs(state, t):
-        return np.asarray(float(sde.gamma(t)) * (ya - state)
-                          - 0.5 * float(sde.g(t)) ** 2 * score(state, ya, t), dtype=float)
-    return rhs
+    def drift(x, t):
+        return float(sde.gamma(t)) * (ya - x) - half * float(sde.g(t)) ** 2 * score(x, ya, t)
+    return drift
+
+
+def _em_step(sde: InterpolatingSde, model: ScoreModel, ya, kappa: float, rng):
+    """Euler-Maruyama step of the reverse family; kappa > 0 draws from channel 1."""
+    drift = _reverse_drift(sde, model, ya, kappa)
+    rng_ito = rng(1) if kappa > 0.0 else None
+
+    def step(i, x, th, tl):
+        dt = tl - th  # negative
+        x = x + drift(x, th) * dt
+        if kappa > 0.0:
+            x = x + kappa * float(sde.g(th)) * math.sqrt(-dt) * rng_ito.standard_normal(np.shape(x))
+        return x
+    return step
 
 
 def euler_maruyama(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -540,25 +554,8 @@ def euler_maruyama(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     One model call per step, evaluated at the left (larger-time) node.
     """
     kappa = _nonnegative_real("kappa", kappa)
-    score = _score_eval(model, sde)
-
-    def make_step(ya, rng):
-        rng_ito = rng(1) if kappa > 0.0 else None
-
-        def step(i, x, th, tl):
-            dt = tl - th  # negative
-            s = score(x, ya, th)
-            g2 = float(sde.g(th)) ** 2
-            rhs = float(sde.gamma(th)) * (ya - x) - 0.5 * (1.0 + kappa ** 2) * g2 * s
-            x = x + rhs * dt
-            if kappa > 0.0:
-                x = x + kappa * float(sde.g(th)) * math.sqrt(-dt) \
-                    * rng_ito.standard_normal(np.shape(x))
-            return x
-        return step
-
     return _solve_on_grid("euler_maruyama", sde, y, grid, seed, x_init, keep_trajectory,
-                          make_step)
+                          lambda ya, rng: _em_step(sde, model, ya, kappa, rng))
 
 
 def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -576,14 +573,10 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     score = _score_eval(model, sde)
 
     def make_step(ya, rng):
-        rng_ito, rng_corr = rng(1), rng(2)
+        predict, rng_corr = _em_step(sde, model, ya, 1.0, rng), rng(2)
 
         def step(i, x, th, tl):
-            dt = tl - th
-            s = score(x, ya, th)
-            g_hi = float(sde.g(th))
-            rhs = float(sde.gamma(th)) * (ya - x) - g_hi ** 2 * s
-            x = x + rhs * dt + g_hi * math.sqrt(-dt) * rng_ito.standard_normal(np.shape(x))
+            x = predict(i, x, th, tl)
             s_corr = score(x, ya, tl)
             eta = 2.0 * (r * float(sde.sigma(tl))) ** 2
             return x + eta * s_corr + math.sqrt(2.0 * eta) * rng_corr.standard_normal(np.shape(x))
@@ -596,7 +589,7 @@ def rk2_midpoint(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
                  seed: int = 0, x_init=None, keep_trajectory: bool = False) -> SolveOutput:
     """Explicit midpoint rule on the probability-flow ODE (two model calls per step)."""
     def make_step(ya, rng):
-        rhs = _flow_rhs(sde, model, ya)
+        rhs = _reverse_drift(sde, model, ya, 0.0)
 
         def step(i, x, th, tl):
             dt = tl - th
@@ -607,7 +600,7 @@ def rk2_midpoint(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     return _solve_on_grid("rk2", sde, y, grid, seed, x_init, keep_trajectory, make_step)
 
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; the last row of _DP_A holds the fifth-order weights
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _DP_A = (
     (),
@@ -618,8 +611,6 @@ _DP_A = (
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
 )
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-          11.0 / 84.0, 0.0)
 _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
 
@@ -659,7 +650,7 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     done_gap = 1e-13 * max(abs(t_start), abs(t_end), 1.0)
     with _overflow_as_divergence("rk45"):
         x, ya = _prepare_state(sde, y, seed, x_init)
-        rhs = _flow_rhs(sde, model, ya)
+        rhs = _reverse_drift(sde, model, ya, 0.0)
         traj = [np.array(x, copy=True)] if keep_trajectory else None
         while t - t_end > done_gap:
             if attempts >= max_steps:
@@ -685,11 +676,9 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
                 stages.append(ki)
             attempts += 1
 
-            x5 = x
+            x5 = xi  # the last row of _DP_A is the fifth-order solution, the last stage's input
             x4 = x
             for j in range(7):
-                if _DP_B5[j] != 0.0:
-                    x5 = x5 + h * _DP_B5[j] * stages[j]
                 if _DP_B4[j] != 0.0:
                     x4 = x4 + h * _DP_B4[j] * stages[j]
             if not np.all(np.isfinite(x5)):

@@ -98,6 +98,24 @@ def test_random_smooth_integrands_match_library_quadrature():
         assert abs(mine - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
+def test_scalar_oracle_keeps_worst_panel_first_bisection():
+    # integrate bisects one worst panel at a time, integrate_batch every panel
+    # over its share of the tolerance; on a sharp peak they take different
+    # evaluation counts to the same value, so the oracle keeps its own strategy
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 / (1e-4 + (t - 0.3) ** 2)
+
+    scalar = integrate(f, 0.0, 1.0)
+    batch = integrate_batch(lambda x, rows: 1.0 / (1e-4 + (x - 0.3) ** 2), [0.0], [1.0])
+    assert scalar.evaluations == len(calls) == 465
+    assert all(isinstance(t, float) for t in calls)
+    assert batch.evaluations[0] == 525
+    assert abs(scalar.value - batch.value[0]) <= 1e-12 * scalar.value
+
+
 # ------------------------------------------------------- batched quadrature
 
 def test_batch_matches_scalar_integrate():

@@ -174,14 +174,16 @@ def test_bbed_array_shape_roundtrip():
     assert isinstance(sde.var(0.4), float)
 
 
-@pytest.mark.parametrize("c, r", [(0.3, 4.0), (0.08, 40.0), (0.5, 0.3)])
+@pytest.mark.parametrize("c, r", [(0.3, 4.0), (0.08, 40.0), (0.5, 0.3), (1e150, 4.0),
+                                  (1e-100, 1e100), (1.0, 1e-100), (1e-3, 1e4)])
 def test_bbed_variance_matches_quadrature(c, r):
-    # the table plus one Gauss panel against an adaptive integral from 0, on
-    # the array and the scalar path
+    # the table's Gauss-7 prefix sums plus one more panel against an adaptive
+    # integral from 0, on the array and the scalar path, out to extreme c and r;
+    # the oracle's tolerance is relative only, as the integrals span 1e-200 to 1e304
     sde = make_sde(SdeParams(kind="BBED", c=c, r=r))
     ts = np.random.default_rng(5).uniform(0.0, sde.t_rev, 500)
     want = np.array([(1.0 - t) ** 2 * integrate(lambda u: (c * r ** u / (1.0 - u)) ** 2, 0.0, t,
-                                                 abs_tol=1e-16, rel_tol=1e-13).value
+                                                 abs_tol=0.0, rel_tol=1e-13).value
                      for t in ts.tolist()])
     np.testing.assert_allclose(sde.var(ts), want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose([sde.var(t) for t in ts.tolist()], want, rtol=1e-12, atol=0.0)

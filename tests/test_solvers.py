@@ -981,3 +981,26 @@ def test_property_plan_phi_multiplies_to_the_transition_factor(sde, u, v, nodes)
     phi = _step_plan(sde, grid.times, 1, 0.0, eps_mode=True).phi
     want = (1.0 - float(sde.k(grid.times[-1]))) / (1.0 - float(sde.k(grid.times[0])))
     assert float(np.prod(phi)) == pytest.approx(want, rel=1e-12)
+
+
+@settings(deadline=None, max_examples=25)
+@given(kind=st.sampled_from(["fOUVE", "OUVE"]), sigma_min=st.floats(1e-3, 0.5),
+       spread=st.floats(1.5, 10.0), gamma0=st.floats(0.1, 2.0), m0=st.floats(-1.0, 1.0),
+       s0=st.floats(0.05, 1.0), y=st.floats(-1.0, 1.0))
+def test_property_score_and_eps_first_order_solves_differ_at_first_order(
+        kind, sigma_min, spread, gamma0, m0, s0, y):
+    # at p = 1 score mode expands the model output in t and eps mode in lambda, so
+    # their endpoints differ by O(h): the largest gap over shared start paths
+    # shrinks about tenfold from 11 to 101 nodes
+    sde = make_sde(SdeParams(kind=kind, sigma_min=sigma_min, sigma_max=sigma_min * spread,
+                             gamma0=gamma0))
+    model = analytic_score_model(isde.GaussianPrior(m0=m0, s0=s0), sde)
+    x_init = reverse_init(sde, y, np.random.default_rng(1), shape=(256,))
+
+    def gap(n_nodes):
+        grid = TimeGrid.for_sde(sde, n_nodes)
+        score, eps = (isde_solve(sde, m, y, grid, p=1, x_init=x_init).final_state
+                      for m in (model, eps_adapter(model, sde)))
+        return float(np.max(np.abs(score - eps)))
+
+    assert 7.0 <= gap(11) / gap(101) <= 15.0
