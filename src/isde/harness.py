@@ -187,8 +187,6 @@ def _entry_from_dict(block, index: int) -> SolverEntry:
     _check_keys(block, spec_keys | _names(SolverEntry) - {"spec"},
                 f"keys in solver entry {index}")
     kwargs = {k: v for k, v in block.items() if k in spec_keys}
-    if kwargs["kind"] == "euler_maruyama":
-        kwargs.setdefault("kappa", 1.0)  # the conventional default for this sampler
     m_nodes = block.get("m_nodes")
     try:
         spec = SolverSpec(**kwargs)
@@ -483,10 +481,7 @@ def kappa_sweep(config: ExperimentConfig) -> StudyResult:
             raise ConfigError(
                 f"kappa sweep applies to the exponential integrator only, "
                 f"got {e.label!r} ({e.spec.kind})")
-        if config.nfe_budget % e.spec.p != 0:
-            raise ConfigError(
-                f"nfe_budget {config.nfe_budget} is not a multiple of p={e.spec.p} "
-                f"for solver {e.label!r}")
+    nodes = [_budget_nodes(e, config.nfe_budget) for e in entries]
     n = config.n_trajectories
     m_lo, v_lo = marginal_moments(config.prior, config.sde, config.y, config.sde.delta)
     stats = {}
@@ -494,15 +489,15 @@ def kappa_sweep(config: ExperimentConfig) -> StudyResult:
         stats["warning"] = (f"n_trajectories={n} is below 100; "
                             "sweep statistics are noisy")
     cells = {}
-    for index, e in enumerate(entries, 1):
+    for index, (e, m_nodes) in enumerate(zip(entries, nodes), 1):
         # common random numbers across the kappa values of one solver: the
         # same seed drives the start draws and the diffusion increments, so
         # differences between rows isolate the effect of kappa
         x_init = _matched_start(config, index)
         cells[e.label] = []
         for kap in config.kappas:
-            out = _solve(config, model, replace(e.spec, kappa=float(kap)),
-                         config.nfe_budget // e.spec.p + 1, index, x_init)
+            out = _solve(config, model, replace(e.spec, kappa=float(kap)), m_nodes, index,
+                         x_init)
             var = float(np.var(out.final_state, ddof=1))
             cells[e.label].append((abs(float(np.mean(out.final_state)) - m_lo), var,
                                    abs(var - v_lo) / v_lo))

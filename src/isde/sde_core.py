@@ -330,9 +330,6 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         def var_prime(t):  # d/dt of (1 - t)^2 int_0^t: the integrand's g^2 less 2 var / (1 - t)
             return g(t) ** 2 - 2.0 * var(t) / (1.0 - _t(t))
 
-        def sigma(t):
-            return np.sqrt(var(t))
-
         def g(t):
             return c * r ** _t(t)
 
@@ -344,9 +341,6 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
 
         def var_prime(t):
             return 2.0 * smax ** 2 * _t(t)
-
-        def sigma(t):
-            return smax * _t(t)
 
         def g(t):
             tt = _t(t)
@@ -360,12 +354,11 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         def var_prime(t):
             return 1.0 - 2.0 * _t(t)
 
-        def sigma(t):
-            tt = _t(t)
-            return np.sqrt(tt * (1.0 - tt))
-
         def g(t):
             return 1.0 + 0.0 * _t(t)
+
+    def sigma(t):  # OT's smax t bit for bit: a correctly rounded square has an exact root
+        return np.sqrt(var(t))
 
     return InterpolatingSde(params=params, k=k, k_prime=k_prime, gamma=gamma, g=g,
                             sigma=sigma, var=var, var_prime=var_prime, var0=0.0,
@@ -416,7 +409,7 @@ def variance_from_diffusion(sde: InterpolatingSde, t: float) -> float:
 
     fluct = 0.0
     if t > 0.0:
-        fluct = integrate(integrand, 0.0, t, abs_tol=1e-14, rel_tol=1e-10).value
+        fluct = integrate(integrand, 0.0, t, abs_tol=0.0, rel_tol=1e-10).value
     omk_t = 1.0 - float(sde.k(t))
     return omk_t ** 2 * (sde.var0 + fluct)
 

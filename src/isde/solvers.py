@@ -114,12 +114,13 @@ class SolverSpec:
     kind is one of "isde", "euler_maruyama", "pc", "rk2", "rk45". Fields not
     read by the chosen kind are ignored (p and kappa drive "isde", kappa
     drives "euler_maruyama", corrector_stepsize drives "pc", rtol/atol drive
-    "rk45").
+    "rk45"). kappa defaults to 1 for "euler_maruyama", as in
+    :func:`euler_maruyama`, and to 0 for the other kinds.
     """
 
     kind: str
     p: int = 1
-    kappa: float = 0.0
+    kappa: float | None = None
     corrector_stepsize: float = 0.5
     rtol: float = 1e-5
     atol: float = 1e-5
@@ -129,6 +130,8 @@ class SolverSpec:
             raise ParameterError(
                 f"unknown solver kind {self.kind!r}; expected one of {tuple(_SOLVERS)}")
         _check_order(self.p)
+        if self.kappa is None:
+            object.__setattr__(self, "kappa", 1.0 if self.kind == "euler_maruyama" else 0.0)
         for name in ("kappa", "corrector_stepsize"):
             object.__setattr__(self, name, _nonnegative_real(name, getattr(self, name)))
         for name in ("rtol", "atol"):
@@ -318,44 +321,27 @@ def _lambda_midpoints(sde: InterpolatingSde, times: np.ndarray,
     """Stage times t_mid[i] in [times[i + 1], times[i]] where lambda reaches
     the midpoint of the step's node values lam[i] and lam[i + 1].
 
-    lambda is strictly decreasing in t, so every root is bracketed by its
-    step. All brackets shrink at once until each is at most xtol = 1e-14 wide
-    (or 100 rounds pass): each round evaluates an Illinois false-position
-    point and, as in Brent's method, a point xtol/2 from it towards the
-    farther end, which closes the bracket once the first point is that close
-    to the root. The root is read off the secant through the final bracket.
+    Newton's method on lambda' = -g^2 / (2 var) < 0 (as g^2 = var' + 2 gamma var),
+    started at each step's midpoint in t: the Newton step of a residual f is
+    2 f (sigma / g)^2. The sign of each residual shrinks the stage's bracket, and
+    a point that leaves its bracket is replaced by the bracket's midpoint. The
+    solve stops once, for every stage, the raw Newton step is at most 1e-10 (the
+    error is quadratic in it, so that point is exact to rounding) or the bracket
+    is at most 1e-14 wide, or after 100 rounds. A stop on |dt| <= 1e-14 alone
+    would run to the cap wherever lambda's own rounding is larger.
     """
-    xtol = 1e-14
     target = 0.5 * (lam[:-1] + lam[1:])
     lo, hi = times[1:], times[:-1]
-    f_lo = lam[1:] - target  # positive
-    f_hi = lam[:-1] - target  # negative
-    w_lo = np.ones_like(lo)  # Illinois weights: the end kept twice in a row is halved
-    w_hi = np.ones_like(hi)
-    last = np.zeros(lo.shape, dtype=int)  # 1: lo moved last, -1: hi moved last
+    t = 0.5 * (lo + hi)
     for _ in range(100):
-        open_ = hi - lo > xtol
-        if not open_.any():
+        f = _half_log_snr(sde, t) - target  # lambda decreases: f > 0 puts the root above t
+        lo, hi = np.where(f >= 0.0, t, lo), np.where(f <= 0.0, t, hi)
+        step = 2.0 * f * (sde.sigma(t) / sde.g(t)) ** 2
+        new = t + step
+        if np.all((np.abs(step) <= 1e-10) | (hi - lo <= 1e-14)):
             break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = lo + w_lo * f_lo * (hi - lo) / (w_lo * f_lo - w_hi * f_hi)
-        t = np.where(np.isfinite(t), np.clip(t, lo, hi), 0.5 * (lo + hi))
-        nudge = np.clip(t + np.where(hi - t > t - lo, 0.5, -0.5) * xtol, lo, hi)
-        ft, f_nudge = np.split(_half_log_snr(sde, np.concatenate([t, nudge]))
-                               - np.concatenate([target, target]), 2)
-        up = open_ & (ft >= 0.0)
-        down = open_ & (ft < 0.0)
-        w_hi = np.where(down, 1.0, np.where(up & (last == 1), 0.5 * w_hi, w_hi))
-        w_lo = np.where(up, 1.0, np.where(down & (last == -1), 0.5 * w_lo, w_lo))
-        last = np.where(up, 1, np.where(down, -1, last))
-        for point, fp in ((t, ft), (nudge, f_nudge)):
-            up = open_ & (fp >= 0.0) & (point > lo)
-            down = open_ & (fp <= 0.0) & (point < hi)
-            lo, f_lo = np.where(up, point, lo), np.where(up, fp, f_lo)
-            hi, f_hi = np.where(down, point, hi), np.where(down, fp, f_hi)
-    span = f_lo - f_hi
-    frac = np.divide(f_lo, span, out=np.zeros_like(span), where=span != 0.0)
-    return lo + frac * (hi - lo)
+        t = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+    return np.clip(new, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -623,8 +609,9 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     t_start down to t_end with a PI step controller.
 
     Seven model calls per attempted step. Raises StiffnessError when the step
-    budget is exhausted or the step size underflows, DivergenceError when the
-    state or a stage becomes non-finite.
+    budget is exhausted or the step size underflows, DivergenceError when a
+    stage derivative becomes non-finite; a non-finite state does that, as
+    gamma > 0 carries it into the drift.
     """
     t_start = real_parameter("t_start", t_start)
     t_end = real_parameter("t_end", t_end)
@@ -681,9 +668,6 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
             for j in range(7):
                 if _DP_B4[j] != 0.0:
                     x4 = x4 + h * _DP_B4[j] * stages[j]
-            if not np.all(np.isfinite(x5)):
-                raise DivergenceError(f"state became non-finite at t={t + h!r}",
-                                      step_index=attempts, time=t + h)
 
             scale = atol + rtol * np.maximum(np.abs(x), np.abs(x5))
             diff = (x5 - x4) / scale

@@ -253,6 +253,16 @@ def test_variance_recovered_from_diffusion(all_sdes):
     assert variance_from_diffusion(fouve, 0.0) == pytest.approx(fouve.var0, rel=1e-12)
 
 
+def test_variance_from_diffusion_keeps_small_variances():
+    # a relative tolerance only: an absolute one of 1e-14 swamped these variances
+    for params in (SdeParams(kind="BBED", c=1e-100, r=1e100),
+                   SdeParams(kind="OT", sigma_max=1e-100)):
+        sde = make_sde(params)
+        for t in (0.1, 0.3, 0.6, 0.9, sde.t_rev):
+            assert variance_from_diffusion(sde, t) == pytest.approx(float(sde.var(t)),
+                                                                    rel=1e-10, abs=0.0)
+
+
 def test_variance_from_diffusion_domain():
     bb = make_sde(SdeParams(kind="BrownianBridge"))
     with pytest.raises(ParameterError):

@@ -332,7 +332,9 @@ def test_step_plan_eps_midpoints_bisect_lambda(all_sdes):
     def lam(sde, t):
         return math.log((1.0 - float(sde.k(t))) / float(sde.sigma(t)))
 
-    for name, sde in all_sdes.items():
+    # at c = 1e150 |lambda| is about 345: its rounding, about 6e-14, stalls a stop on |dt| alone
+    sdes = dict(all_sdes, BBED_huge=make_sde(SdeParams(kind="BBED", c=1e150, r=4.0)))
+    for name, sde in sdes.items():
         for nodes in (2, 11, 201):
             times = TimeGrid.for_sde(sde, nodes).times
             plan = _step_plan(sde, times, p=2, kappa=0.0, eps_mode=True)
@@ -340,6 +342,19 @@ def test_step_plan_eps_midpoints_bisect_lambda(all_sdes):
             for th, tl, tm in zip(times[:-1], times[1:], plan.t_mid):
                 lam_mid = 0.5 * (lam(sde, th) + lam(sde, tl))
                 assert abs(lam(sde, tm) - lam_mid) <= 1e-12, (name, nodes)
+
+
+@pytest.mark.parametrize("nodes", [41, 201])
+def test_eps_midpoints_take_few_newton_rounds(all_sdes, monkeypatch, nodes):
+    # Newton on lambda' = -g^2 / (2 var) from the step midpoints; lambda is linear in t on fOUVE
+    calls, half_log_snr = [], solvers._half_log_snr
+    monkeypatch.setattr(solvers, "_half_log_snr",
+                        lambda sde, t: calls.append(1) or half_log_snr(sde, t))
+    for name, sde in all_sdes.items():
+        times = TimeGrid.for_sde(sde, nodes).times
+        calls.clear()
+        solvers._lambda_midpoints(sde, times, half_log_snr(sde, times))
+        assert len(calls) == 1 if name == "fOUVE" else len(calls) <= 7, (name, len(calls))
 
 
 def _step_by_mode(sde, model, x, y, th, tl, p, kappa, z):
@@ -563,7 +578,7 @@ def test_solvers_make_only_the_streams_they_draw_from(fouve, monkeypatch):
                         lambda seed, channel: made.append(channel) or real(seed, channel))
     grid = TimeGrid.for_sde(fouve, 5)
     for spec, channels in ((SolverSpec("isde", p=2), []), (SolverSpec("isde", kappa=0.5), [1]),
-                           (SolverSpec("euler_maruyama"), []),
+                           (SolverSpec("euler_maruyama", kappa=0.0), []),
                            (SolverSpec("euler_maruyama", kappa=1.0), [1]),
                            (SolverSpec("pc"), [1, 2]), (SolverSpec("rk2"), []),
                            (SolverSpec("rk45"), [])):
@@ -827,6 +842,17 @@ def test_rk45_tightening_tolerance_reduces_error(fouve, gaussian_prior):
     assert errs[1e-8] < errs[1e-3]
 
 
+def test_rk45_rejects_and_shrinks_steps(gaussian_prior):
+    # 6 of 27 attempts are rejected: 4 at t_rev, next to gamma's pole at t = 1, and 2 below t = 0.21
+    bb = make_sde(SdeParams(kind="BrownianBridge"))
+    model = analytic_score_model(gaussian_prior, bb)
+    x0 = reverse_init(bb, 1.0, np.random.default_rng(7), shape=(256,))
+    out = rk45_adaptive(bb, model, 1.0, bb.t_rev, bb.delta, x_init=x0, keep_trajectory=True)
+    assert out.nfe == 7 * 27
+    assert out.trajectory.shape == (22, 256)
+    assert np.mean(np.abs(out.final_state - reference_solution(bb, gaussian_prior, 1.0, x0))) < 1e-3
+
+
 def test_rk45_step_budget(fouve, gaussian_prior):
     model = analytic_score_model(gaussian_prior, fouve)
     with pytest.raises(StiffnessError):
@@ -871,6 +897,8 @@ def test_run_solver_matches_direct_calls(fouve, gaussian_prior):
          lambda: isde_solve(fouve, model, 1.0, grid, p=2, kappa=0.5, seed=3)),
         (SolverSpec(kind="euler_maruyama", kappa=1.0),
          lambda: euler_maruyama(fouve, model, 1.0, grid, kappa=1.0, seed=3)),
+        (SolverSpec(kind="euler_maruyama"),  # both default to kappa = 1
+         lambda: euler_maruyama(fouve, model, 1.0, grid, seed=3)),
         (SolverSpec(kind="pc", corrector_stepsize=0.3),
          lambda: pc_sampler(fouve, model, 1.0, grid, corrector_stepsize=0.3, seed=3)),
         (SolverSpec(kind="rk2"),
