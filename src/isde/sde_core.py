@@ -19,7 +19,7 @@ Five concrete families are provided (construction via :func:`make_sde`):
                    nonzero initial variance sigma_min^2; infinite horizon.
     OUVE           same k; variance starts at 0 and grows toward the same envelope.
     BBED           bridge interpolation k = t with exponential diffusion c r^t;
-                   variance from a table of Gauss-7 panels, and a series past its edge.
+                   variance from one table of Gauss-7 panels in s = 1 / (1 - u).
     OT             bridge interpolation with sigma = sigma_max t.
     BrownianBridge unit diffusion, variance t(1 - t) (std sqrt(t(1-t))).
 
@@ -153,53 +153,26 @@ def _t(value):
     return np.asarray(value, dtype=float)
 
 
-def _bbed_integrand(c: float, r: float, tau):
-    return (c * r ** tau) ** 2 / (1.0 - tau) ** 2
+# BBED variance var(t) = (1 - t)^2 int_0^t (c r^u / (1 - u))^2 du. In s = 1 / (1 - u)
+# the integrand is c^2 e^{a u} ds with a = 2 ln r: bounded, with no pole. On a table
+# of 1,024 nodes graded quadratically up to 0.9995 and 156 more at quarter octaves
+# of 1 - t up to 8.9e-16 below 1, the integral up to each node is the prefix sum of
+# one Gauss-7 panel in s per interval, and the rest, from the last node at or below
+# t, is one more panel. Each interval is short against its distance to s = 0, where
+# e^{-a/s} is singular, so one panel reaches round-off. The table integrates
+# e^{a u - b}, at most e^650, so its sums stay finite out to s = 2^53, and at least
+# e^-600 where r < 1e271, so small variances near t = 0 keep their digits; var is
+# M (1 - t)^2 times it with M = c^2 e^b.
+_BBED_T = np.concatenate([0.9995 * (1.0 - (1.0 - np.linspace(0.0, 1.0, 1024)) ** 2),
+                          1.0 - 0.0005 * 2.0 ** (-np.arange(1, 157) / 4.0)])
+_G7_NODES1, _G7_WEIGHTS = 1.0 + _NODES[_GAUSS_IDX], _WEIGHTS_G
 
 
-# BBED variance var(t) = (1 - t)^2 int_0^t (c r^u / (1 - u))^2 du. On a 1024-node
-# grid graded quadratically toward t = 1 (where the integrand steepens), the
-# integral up to each node is the prefix sum of one Gauss-7 panel per grid
-# interval, and the rest, from the last node at or below t, is one more panel.
-# Every grid interval is short against its distance to the pole at 1, so one
-# panel reaches round-off.
-_BBED_NODES = 1024
-_G7_NODES, _G7_WEIGHTS = _NODES[_GAUSS_IDX], _WEIGHTS_G
-
-
-def _bbed_g7(c: float, r: float, lo, hi):
-    """One Gauss-7 panel of the BBED integrand on every interval [lo, hi]."""
-    half = 0.5 * (hi - lo)
-    u = (lo + half)[..., None] + half[..., None] * _G7_NODES
-    return half * (_bbed_integrand(c, r, u) @ _G7_WEIGHTS)
-
-
-def _bbed_var_table(c: float, r: float, t_edge: float):
-    """(nodes, int_0^node of the integrand at every node) up to t_edge; inf on overflow."""
-    u = np.linspace(0.0, 1.0, _BBED_NODES)
-    nodes = t_edge * (1.0 - (1.0 - u) ** 2)
-    nodes[-1] = t_edge
-    with np.errstate(over="ignore"):
-        return nodes, np.concatenate([[0.0], np.cumsum(_bbed_g7(c, r, nodes[:-1], nodes[1:]))])
-
-
-def _bbed_var_tail(c: float, r: float, t_edge: float, prefix_edge: float):
-    """BBED var(t) for t above t_edge, from the table's integral up to t_edge.
-
-    In v = 1 - u the integrand is c^2 r^2 e^{-a v} / v^2 with a = 2 ln r;
-    integrated term by term from v = 1 - t to v_e = 1 - t_edge it gives
-    1/v - 1/v_e - a ln(v_e / v) + sum_{k >= 2} (-a)^k (v_e^{k-1} - v^{k-1}) / ((k-1) k!).
-    |a| v_e < 0.75 for every float r, so 40 terms reach round-off.
-    """
-    a, v_e = 2.0 * math.log(r), 1.0 - t_edge
-    terms = [((-a) ** k / ((k - 1) * math.factorial(k)), k - 1) for k in range(2, 40)]
-
-    def tail(t):
-        v = 1.0 - t
-        series = sum(ck * (v_e ** n - v ** n) for ck, n in terms)
-        return v * v * prefix_edge + (c * r) ** 2 * v * (
-            1.0 - v / v_e - a * v * np.log(v_e / v) + v * series)
-    return tail
+def _bbed_panels(a: float, b: float, lo, hi):
+    """One Gauss-7 panel of e^{a u - b} ds on every interval [lo, hi] of t."""
+    half = 0.5 * (hi - lo) / ((1.0 - hi) * (1.0 - lo))  # in s
+    d = (lo / (1.0 - lo))[..., None] + half[..., None] * _G7_NODES1  # s - 1 = u / (1 - u)
+    return half * (np.exp(a * (d / (1.0 + d)) - b) @ _G7_WEIGHTS)
 
 
 def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
@@ -296,13 +269,18 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
     if kind is SdeKind.BBED:
         c = float(params.c)
         r = float(params.r)
-        t_edge = 0.5 * (t_rev + 1.0)  # grid reaches past t_rev; beyond it, a series
-        nodes, prefix = _bbed_var_table(c, r, t_edge)
-        if not np.isfinite(prefix).all():
+        a = 2.0 * math.log(r)
+        b = max(a - 650.0, min(a, 600.0), 0.0)
+        m = c * max(1.0, r) * math.exp(0.5 * (b - max(a, 0.0)))  # c e^{b/2}, c max(1, r) if b >= 0
+        scale = m * m  # M
+        prefix = np.concatenate([[0.0], np.cumsum(_bbed_panels(a, b, _BBED_T[:-1], _BBED_T[1:]))])
+        # reject where a Gauss panel of (g / (1 - u))^2 (weights summing to 2) or the integral
+        # can overflow on [0, 0.9995]; that integrand is log-convex, so it peaks at an end
+        edge = c * r ** 0.9995 / 0.0005
+        if not math.isfinite(2.0 * max(c * c, edge * edge, scale * float(prefix[1023]))):
             raise ParameterError(f"BBED variance overflows for c={c!r}, r={r!r}")
-        tail = _bbed_var_tail(c, r, t_edge, float(prefix[-1]))
-        node_list, prefix_list = nodes.tolist(), prefix.tolist()
-        g7 = list(zip(_G7_NODES.tolist(), _G7_WEIGHTS.tolist()))
+        node_list, prefix_list = _BBED_T.tolist(), prefix.tolist()
+        g7 = list(zip(_G7_NODES1.tolist(), _G7_WEIGHTS.tolist()))
 
         def var(t):
             tt = _t(t)
@@ -310,22 +288,16 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
                 t = float(tt)
                 if not 0.0 <= t < 1.0:
                     raise ParameterError(f"BBED variance is defined for 0 <= t < 1, got {t!r}")
-                if t > t_edge:
-                    return float(tail(t))
                 i = bisect.bisect_right(node_list, t) - 1
-                half = 0.5 * (t - node_list[i])
-                mid = node_list[i] + half
-                panel = sum(w * _bbed_integrand(c, r, mid + half * x) for x, w in g7)
-                return (1.0 - t) ** 2 * (prefix_list[i] + half * panel)
+                lo = node_list[i]
+                half = 0.5 * (t - lo) / ((1.0 - t) * (1.0 - lo))
+                ds = [(lo / (1.0 - lo) + half * x, w) for x, w in g7]
+                panel = sum(w * math.exp(a * (d / (1.0 + d)) - b) for d, w in ds)
+                return scale * ((1.0 - t) ** 2 * (prefix_list[i] + half * panel))
             if not np.all((tt >= 0.0) & (tt < 1.0)):
                 raise ParameterError("BBED variance is defined for 0 <= t < 1")
-            ts = np.minimum(tt, t_edge)
-            i = np.searchsorted(nodes, ts, side="right") - 1
-            out = (1.0 - ts) ** 2 * (prefix[i] + _bbed_g7(c, r, nodes[i], ts))
-            beyond = tt > t_edge
-            if beyond.any():  # the series costs 38 array terms even on no times
-                out[beyond] = tail(tt[beyond])
-            return out
+            i = np.searchsorted(_BBED_T, tt, side="right") - 1
+            return scale * ((1.0 - tt) ** 2 * (prefix[i] + _bbed_panels(a, b, _BBED_T[i], tt)))
 
         def var_prime(t):  # d/dt of (1 - t)^2 int_0^t: the integrand's g^2 less 2 var / (1 - t)
             return g(t) ** 2 - 2.0 * var(t) / (1.0 - _t(t))
@@ -335,6 +307,8 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
 
     elif kind is SdeKind.OT:
         smax = float(params.sigma_max)
+        if not math.isfinite(2.0 * smax * smax * t_rev / (1.0 - t_rev)):  # g(t_rev)^2
+            raise ParameterError(f"OT diffusion overflows for sigma_max={smax!r}")
 
         def var(t):
             return (smax * _t(t)) ** 2

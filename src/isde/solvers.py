@@ -326,9 +326,11 @@ def _lambda_midpoints(sde: InterpolatingSde, times: np.ndarray,
     2 f (sigma / g)^2. The sign of each residual shrinks the stage's bracket, and
     a point that leaves its bracket is replaced by the bracket's midpoint. The
     solve stops once, for every stage, the raw Newton step is at most 1e-10 (the
-    error is quadratic in it, so that point is exact to rounding) or the bracket
-    is at most 1e-14 wide, or after 100 rounds. A stop on |dt| <= 1e-14 alone
-    would run to the cap wherever lambda's own rounding is larger.
+    error is quadratic in it, so that point is exact to rounding), the bracket
+    is at most 1e-14 wide or the residual is within 4 eps of the target's size
+    (where lambda is flat to rounding, every point of the band is a root), or
+    after 100 rounds. A stop on |dt| <= 1e-14 alone would run to the cap
+    wherever lambda's own rounding is larger.
     """
     target = 0.5 * (lam[:-1] + lam[1:])
     lo, hi = times[1:], times[:-1]
@@ -338,7 +340,8 @@ def _lambda_midpoints(sde: InterpolatingSde, times: np.ndarray,
         lo, hi = np.where(f >= 0.0, t, lo), np.where(f <= 0.0, t, hi)
         step = 2.0 * f * (sde.sigma(t) / sde.g(t)) ** 2
         new = t + step
-        if np.all((np.abs(step) <= 1e-10) | (hi - lo <= 1e-14)):
+        if np.all((np.abs(step) <= 1e-10) | (hi - lo <= 1e-14)
+                  | (np.abs(f) <= 4.0 * np.finfo(float).eps * (1.0 + np.abs(target)))):
             break
         t = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
     return np.clip(new, lo, hi)

@@ -340,6 +340,7 @@ def test_installed_console_script_matches_pyproject():
     ("simulate-forward", ("y",), 1.0e300, 2),          # squares of the states would overflow
     ("marginal-check", ("solvers", 0, "kappa"), 2527.0, 1),  # the state overflows
     ("simulate-forward", ("prior", "m0"), 1.0e300, 2),
+    ("solve", ("sde",), {"kind": "OT", "sigma_max": 1.0e200}, 2),  # g(t_rev)^2 overflows
 ])
 def test_overflowing_or_degenerate_values_exit_with_an_error(tmp_path, capsys, study, path,
                                                              value, status):

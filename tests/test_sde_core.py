@@ -133,7 +133,8 @@ def test_bbed_variance_domain():
         sde.var(-0.1)
 
 
-@pytest.mark.parametrize("c, r", [(1e200, 4.0), (0.3, 1e300)])
+@pytest.mark.parametrize("c, r", [(1e200, 4.0), (0.3, 1e300),
+                                  (1e-149, 1e300)])  # (g / (1 - u))^2 overflows at u = 0.9995
 def test_bbed_variance_overflow_rejected(c, r):
     with pytest.raises(ParameterError, match="BBED variance overflows"):
         make_sde(SdeParams(kind="BBED", c=c, r=r))
@@ -144,12 +145,29 @@ def test_bbed_variance_near_the_float_limit():
     sde = make_sde(SdeParams(kind="BBED", c=1e150, r=4.0))
     ts = np.linspace(0.0, 0.9995, 201)
     assert np.all(np.isfinite(sde.var(ts))) and np.all(np.isfinite(sde.var_prime(ts)))
-    for t in (0.9996, 1.0 - 1e-12):  # past the table: the series
+    for t in (0.9996, 1.0 - 1e-12, 1.0 - 2.0 ** -53):  # on to the float limit
         assert 0.0 < sde.var(t) < math.inf and 0.0 < sde.var(np.array([t]))[0] < math.inf
     model = isde.analytic_score_model(isde.GaussianPrior(m0=0.5, s0=0.2), sde)
     out = isde.isde_solve(sde, model, 1.0, isde.TimeGrid.for_sde(sde, 21), p=2, kappa=0.5,
                           x_init=np.zeros(8))
     assert np.all(np.isfinite(out.final_state))
+
+
+@pytest.mark.parametrize("sigma_max", [1e200, 1e153])
+def test_ot_diffusion_overflow_rejected(sigma_max):
+    # g(t_rev)^2 = 2 sigma_max^2 t_rev / (1 - t_rev) overflows from about 3.0e152
+    with pytest.raises(ParameterError, match="sigma_max"):
+        make_sde(SdeParams(kind="OT", sigma_max=sigma_max))
+
+
+def test_ot_near_the_float_limit_solves():
+    sde = make_sde(SdeParams(kind="OT", sigma_max=2e152))
+    model = isde.analytic_score_model(isde.GaussianPrior(m0=0.5, s0=0.2), sde)
+    grid = isde.TimeGrid.for_sde(sde, 21)
+    for mdl, p, kappa in ((model, 1, 0.0), (model, 2, 0.5),
+                          (isde.eps_adapter(model, sde), 2, 0.0)):
+        out = isde.isde_solve(sde, mdl, 1.0, grid, p=p, kappa=kappa, x_init=np.zeros(8))
+        assert np.all(np.isfinite(out.final_state)), (mdl.parameterization, p)
 
 
 @pytest.mark.parametrize("kind, sigma_min, sigma_max, gamma0, match", [
@@ -175,7 +193,8 @@ def test_bbed_array_shape_roundtrip():
 
 
 @pytest.mark.parametrize("c, r", [(0.3, 4.0), (0.08, 40.0), (0.5, 0.3), (1e150, 4.0),
-                                  (1e-100, 1e100), (1.0, 1e-100), (1e-3, 1e4)])
+                                  (1e-100, 1e100), (1.0, 1e-100), (1e-3, 1e4),
+                                  (1e-50, 1e200)])  # r^2u spans 1e400: the table's scale moves
 def test_bbed_variance_matches_quadrature(c, r):
     # the table's Gauss-7 prefix sums plus one more panel against an adaptive
     # integral from 0, on the array and the scalar path, out to extreme c and r;
@@ -191,15 +210,15 @@ def test_bbed_variance_matches_quadrature(c, r):
 
 @pytest.mark.parametrize("c, r", [(0.3, 4.0), (0.08, 40.0), (0.5, 0.3)])
 def test_bbed_variance_past_the_table_matches_quadrature(c, r):
-    # past t_edge = 0.9995 var is a series; the oracle integrates up to t_edge in u, and
-    # from there in s = 1 / (1 - u), where (c r^u / (1 - u))^2 du = c^2 r^{2 - 2/s} ds
-    # is bounded, on the array and the scalar path
+    # near the pole, from t_edge = 0.9995 out to the float limit, the oracle integrates
+    # up to t_edge in u, and from there in s = 1 / (1 - u), where
+    # (c r^u / (1 - u))^2 du = c^2 r^{2 - 2/s} ds is bounded, on the array and the scalar path
     sde = make_sde(SdeParams(kind="BBED", c=c, r=r))
     t_edge = 0.9995
     head = integrate(lambda u: (c * r ** u / (1.0 - u)) ** 2, 0.0, t_edge,
                      abs_tol=1e-16, rel_tol=1e-13).value
     ts = np.concatenate([1.0 - 10.0 ** np.random.default_rng(5).uniform(-12.0, -3.31, 40),
-                         [1.0 - 1e-12]])
+                         [1.0 - 1e-12, 1.0 - 2.0 ** -52, 1.0 - 2.0 ** -53]])
     assert np.all(ts > t_edge)
     want = np.array([(1.0 - t) ** 2 * (head + c ** 2 * integrate(
         lambda s: r ** (2.0 - 2.0 / s), 1.0 / (1.0 - t_edge), 1.0 / (1.0 - t),
