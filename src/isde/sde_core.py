@@ -163,8 +163,9 @@ def _t(value):
 # e^{a u - b}, at most e^650, so its sums stay finite out to s = 2^53, and at least
 # e^-600 where r < 1e271, so small variances near t = 0 keep their digits; var is
 # M (1 - t)^2 times it with M = c^2 e^b.
-_BBED_T = np.concatenate([0.9995 * (1.0 - (1.0 - np.linspace(0.0, 1.0, 1024)) ** 2),
-                          1.0 - 0.0005 * 2.0 ** (-np.arange(1, 157) / 4.0)])
+_BBED_N, _BBED_GAP = 1024, 0.0005  # quadratic nodes up to 1 - _BBED_GAP = 0.9995 exactly
+_BBED_T = np.concatenate([(1.0 - _BBED_GAP) * (1.0 - (1.0 - np.linspace(0.0, 1.0, _BBED_N)) ** 2),
+                          1.0 - _BBED_GAP * 2.0 ** (-np.arange(1, 157) / 4.0)])
 _G7_NODES1, _G7_WEIGHTS = 1.0 + _NODES[_GAUSS_IDX], _WEIGHTS_G
 
 
@@ -276,8 +277,8 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         prefix = np.concatenate([[0.0], np.cumsum(_bbed_panels(a, b, _BBED_T[:-1], _BBED_T[1:]))])
         # reject where a Gauss panel of (g / (1 - u))^2 (weights summing to 2) or the integral
         # can overflow on [0, 0.9995]; that integrand is log-convex, so it peaks at an end
-        edge = c * r ** 0.9995 / 0.0005
-        if not math.isfinite(2.0 * max(c * c, edge * edge, scale * float(prefix[1023]))):
+        edge = c * r ** (1.0 - _BBED_GAP) / _BBED_GAP
+        if not math.isfinite(2.0 * max(c * c, edge * edge, scale * float(prefix[_BBED_N - 1]))):
             raise ParameterError(f"BBED variance overflows for c={c!r}, r={r!r}")
         node_list, prefix_list = _BBED_T.tolist(), prefix.tolist()
         g7 = list(zip(_G7_NODES1.tolist(), _G7_WEIGHTS.tolist()))

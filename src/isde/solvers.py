@@ -398,8 +398,11 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
         h = lam[1:] - lam[:-1]  # positive: lambda decreases with t
         plan.update(c=-np.asarray(sde.sigma(t_lo), dtype=float), w0=np.expm1(h))
         if p == 2:
+            # w1 rounds to 0 where lambda is flat to rounding (h = 0): there the step has no
+            # slope term, and d_mid = 1 keeps its (f - f_mid) / d_mid from being 0/0
+            w1 = plan["w0"] - h
             plan.update(a_mid=-np.asarray(sde.sigma(t_mid), dtype=float) * np.expm1(0.5 * h),
-                        d_mid=-0.5 * h, w1=plan["w0"] - h)
+                        d_mid=np.where(w1 == 0.0, 1.0, -0.5 * h), w1=w1)
     else:
         # the omega weights in one call: omega_0, and at p = 2 omega_0 to the stage and omega_1
         rows = [(0, t_lo)] + ([(0, t_mid), (1, t_lo)] if p == 2 else [])
