@@ -4,11 +4,14 @@ Every schedule is the same object: an interpolation k(t) pulling the state
 from x0 toward y, plus a noise level sigma(t). Everything else (stiffness
 gamma, diffusion g, perturbation variance) is derived from those two, and the
 derivations can be run in both directions. This script tabulates each
-schedule, checks the two reconstruction identities numerically, and compares
-Monte Carlo forward draws against the closed-form kernel moments.
+schedule, checks the reconstruction identities numerically (k from gamma and
+the variance from g by quadrature, gamma from a central difference of k), and
+compares Monte Carlo forward draws against the closed-form kernel moments.
 
     python3 demos/01_schedules_and_forward_kernel.py
 """
+
+import math
 
 import numpy as np
 
@@ -31,19 +34,28 @@ for name, params in BUNDLES.items():
     print(f"{'t':>6} {'k':>10} {'gamma':>10} {'sigma':>11} {'g':>11}"
           f" {'mc mean':>10} {'exact':>10} {'mc std':>10} {'exact':>10}")
     for t in (0.1, 0.5, 0.9 * sde.t_rev):
-        kernel = isde.perturbation_kernel(sde, x0, y, t)
+        mean = float(isde.mean_evolution(sde, x0, y, t))
         draws = isde.sample_forward(sde, np.full(20000, x0), y, t, rng)
         print(f"{t:6.3f} {sde.k(t):10.5f} {sde.gamma(t):10.4f} {sde.sigma(t):11.4e}"
-              f" {sde.g(t):11.4e} {np.mean(draws):10.5f} {kernel.mean:10.5f}"
-              f" {np.std(draws):10.3e} {kernel.std:10.3e}")
+              f" {sde.g(t):11.4e} {np.mean(draws):10.5f} {mean:10.5f}"
+              f" {np.std(draws):10.3e} {sde.sigma(t):10.3e}")
 
-    # reconstruction identities: k from gamma by quadrature, gamma from k by
-    # differentiation, variance from the diffusion and back
+    # reconstruction identities: k = 1 - exp(-int gamma) by quadrature, gamma =
+    # k' / (1 - k) by a central difference of k, and the variance
+    # (1 - k)^2 [var(0) + int (g / (1 - k))^2] by quadrature of the diffusion
     ts = np.linspace(sde.t_rev / 50, sde.t_rev, 25)
-    k_rt = max(abs(isde.k_from_gamma(sde, t) - float(sde.k(t))) for t in ts)
-    g_rt = float(np.max(np.abs(isde.gamma_from_k(sde, ts) - sde.gamma(ts))))
-    v_rt = max(abs(isde.variance_from_diffusion(sde, t) - float(sde.var(t)))
-               for t in ts)
+    k_rt = max(abs(-math.expm1(-isde.integrate(lambda u: float(sde.gamma(u)), 0.0, t).value)
+                   - float(sde.k(t))) for t in ts)
+    h = 1e-6
+    g_rt = float(np.max(np.abs((sde.k(ts + h) - sde.k(ts - h)) / (2.0 * h) / (1.0 - sde.k(ts))
+                               - sde.gamma(ts))))
+
+    def var_from_g(t):
+        fluct = isde.integrate(lambda u: (float(sde.g(u)) / (1.0 - float(sde.k(u)))) ** 2,
+                               0.0, t).value
+        return (1.0 - float(sde.k(t))) ** 2 * (float(sde.var(0.0)) + fluct)
+
+    v_rt = max(abs(var_from_g(t) - float(sde.var(t))) for t in ts)
     print(f"   round trips: |k| {k_rt:.1e}   |gamma| {g_rt:.1e}   |var| {v_rt:.1e}")
 
 print("\nAll five families expose the same interface; the solvers never need"

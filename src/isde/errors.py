@@ -20,7 +20,6 @@ __all__ = [
     "ParameterError",
     "ShapeError",
     "SingularityError",
-    "ScheduleConsistencyError",
     "QuadratureError",
     "QuadratureDomainError",
     "QuadratureToleranceError",
@@ -43,11 +42,7 @@ class ShapeError(IsdeError, ValueError):
 
 
 class SingularityError(IsdeError, ArithmeticError):
-    """A schedule quantity diverges or degenerates (k(t) -> 1, sigma_t = 0, zero variance)."""
-
-
-class ScheduleConsistencyError(IsdeError, ArithmeticError):
-    """A schedule identity is violated beyond tolerance (e.g. negative g^2 from a variance)."""
+    """A schedule quantity degenerates (sigma_t = 0, a zero marginal variance)."""
 
 
 class QuadratureError(IsdeError):

@@ -4,7 +4,7 @@ The 15-point Kronrod rule is evaluated per panel together with its embedded
 7-point Gauss rule, by one routine for both integrators; their difference
 drives the adaptive bisection. :func:`integrate` takes a scalar integrand,
 called one node at a time, and bisects the worst panel of one interval at a
-time; it is the oracle used by schedule-consistency checks and weight
+time; it is the oracle of the tests' schedule round trips and of the weight
 cross-checks. :func:`integrate_batch` takes a vectorized integrand and
 integrates many intervals at once, evaluating every open panel in one call;
 it computes the omega weights of score-model grids on the bridge schedules

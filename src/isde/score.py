@@ -151,7 +151,7 @@ def marginal_moments(prior, sde: InterpolatingSde, y, t):
     every prior; the marginal law itself is Gaussian only for delta and
     Gaussian priors.
     """
-    t = float(t)
+    t = real_parameter("t", t)
     if t < 0.0 or t > sde.t_rev:
         raise ParameterError(f"time {t!r} outside [0, t_rev={sde.t_rev!r}]")
     pm, pv = prior.moments()
@@ -168,7 +168,7 @@ def analytic_score(prior, sde: InterpolatingSde, x, y, t):
     Delta and Gaussian priors give the linear score (mu - x) / v; mixtures use
     posterior responsibilities computed in log space for far-tail stability.
     """
-    t = float(t)
+    t = real_parameter("t", t)
     if not (0.0 < t <= sde.t_rev):
         raise ParameterError(f"score is defined for 0 < t <= t_rev, got t={t!r}")
     xa = np.asarray(x, dtype=float)

@@ -13,6 +13,10 @@ standard deviation sigma are mutually constrained:
     var_t = (1 - k)^2 [var_0 + int_0^t (g / (1 - k))^2 du],
     g^2   = var' + 2 gamma var.
 
+A bundle carries k, gamma, g, sigma and var, the five callables the solvers
+and studies read, and no derivative: the tests recover each identity above
+from them by quadrature and by central differences.
+
 Five concrete families are provided (construction via :func:`make_sde`):
 
     fOUVE          k = 1 - e^{-gamma0 t}, sigma = sigma_min (sigma_max/sigma_min)^t,
@@ -36,27 +40,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    ParameterError,
-    ScheduleConsistencyError,
-    ShapeError,
-    SingularityError,
-    real_parameter,
-)
-from .quadrature import _GAUSS_IDX, _NODES, _WEIGHTS_G, integrate
+from .errors import ParameterError, ShapeError, real_parameter
+from .quadrature import _GAUSS_IDX, _NODES, _WEIGHTS_G
 
 __all__ = [
     "SdeKind",
     "SdeParams",
     "InterpolatingSde",
-    "GaussianKernel",
     "make_sde",
-    "gamma_from_k",
-    "k_from_gamma",
-    "variance_from_diffusion",
-    "diffusion_from_variance",
     "mean_evolution",
-    "perturbation_kernel",
     "sample_forward",
 ]
 
@@ -120,33 +112,16 @@ class InterpolatingSde:
 
     params: SdeParams
     k: callable = field(repr=False)
-    k_prime: callable = field(repr=False)
     gamma: callable = field(repr=False)
     g: callable = field(repr=False)
     sigma: callable = field(repr=False)
     var: callable = field(repr=False)
-    var_prime: callable = field(repr=False)
-    var0: float = 0.0
     t_max: float = math.inf
     t_rev: float = 1.0
     delta: float = 1e-2
     # fOUVE and OUVE: (c, zeta) with g^2 / (2 (1 - k)) = c e^{zeta t}; None for the
     # bridges (k = t), whose omega weights take quadrature in the log-distance to t = 1
     exp_weights: tuple | None = None
-
-
-@dataclass(frozen=True)
-class GaussianKernel:
-    """Isotropic Gaussian law of x_t given (x_0, y): N(mean, std^2 I)."""
-
-    mean: np.ndarray
-    std: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.mean)):
-            raise ParameterError("kernel mean must be finite")
-        if not (self.std >= 0.0):
-            raise ParameterError(f"kernel std must be nonnegative, got {self.std!r}")
 
 
 def _t(value):
@@ -181,12 +156,16 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
 
     Reverse-time defaults: start T = 1 for the infinite-horizon kinds
     (fOUVE, OUVE) and T = 0.999 for the finite-horizon kinds (BBED, OT,
-    BrownianBridge, all singular at t = 1); stop delta = 1e-2.
+    BrownianBridge, all singular at t = 1); stop delta = 1e-2, which must lie
+    below the start.
     """
     if not isinstance(params, SdeParams):
         params = SdeParams(**params) if isinstance(params, dict) else SdeParams(params)
     delta = _require_positive("delta", delta)
     kind = params.kind
+    t_rev = 1.0 if kind in (SdeKind.FOUVE, SdeKind.OUVE) else 0.999
+    if delta >= t_rev:
+        raise ParameterError(f"parameter 'delta' must be below t_rev={t_rev!r}, got {delta!r}")
 
     if kind in (SdeKind.FOUVE, SdeKind.OUVE):
         smin = float(params.sigma_min)
@@ -205,9 +184,6 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         def k(t):
             return -np.expm1(-g0 * _t(t))
 
-        def k_prime(t):
-            return g0 * np.exp(-g0 * _t(t))
-
         def gamma(t):
             return g0 + 0.0 * _t(t)
 
@@ -218,16 +194,12 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
             def var(t):
                 return smin2 * np.exp(2.0 * rho * _t(t))
 
-            def var_prime(t):
-                return 2.0 * rho * smin2 * np.exp(2.0 * rho * _t(t))
-
             def sigma(t):
                 return smin * np.exp(rho * _t(t))
 
             def g(t):
                 return smin * np.exp(rho * _t(t)) * math.sqrt(2.0 * (rho + g0))
 
-            var0 = smin2
             c = smin2 * (rho + g0)
         else:
             k2 = smin2 * rho / (g0 + rho)
@@ -236,36 +208,24 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
                 tt = _t(t)
                 return k2 * (np.exp(2.0 * rho * tt) - np.exp(-2.0 * g0 * tt))
 
-            def var_prime(t):
-                tt = _t(t)
-                return k2 * (2.0 * rho * np.exp(2.0 * rho * tt)
-                             + 2.0 * g0 * np.exp(-2.0 * g0 * tt))
-
             def sigma(t):
                 return np.sqrt(var(t))
 
             def g(t):
                 return smin * np.exp(rho * _t(t)) * math.sqrt(2.0 * rho)
 
-            var0 = 0.0
             c = smin2 * rho
 
-        return InterpolatingSde(params=params, k=k, k_prime=k_prime, gamma=gamma, g=g,
-                                sigma=sigma, var=var, var_prime=var_prime, var0=var0,
-                                t_max=math.inf, t_rev=1.0, delta=delta,
+        return InterpolatingSde(params=params, k=k, gamma=gamma, g=g, sigma=sigma, var=var,
+                                t_max=math.inf, t_rev=t_rev, delta=delta,
                                 exp_weights=(c, 2.0 * rho + g0))
 
     # the three bridge-type kinds share k(t) = t, gamma = 1/(1-t), t_max = 1
     def k(t):
         return _t(t) + 0.0
 
-    def k_prime(t):
-        return 1.0 + 0.0 * _t(t)
-
     def gamma(t):
         return 1.0 / (1.0 - _t(t))
-
-    t_rev = 0.999
 
     if kind is SdeKind.BBED:
         c = float(params.c)
@@ -300,9 +260,6 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
             i = np.searchsorted(_BBED_T, tt, side="right") - 1
             return scale * ((1.0 - tt) ** 2 * (prefix[i] + _bbed_panels(a, b, _BBED_T[i], tt)))
 
-        def var_prime(t):  # d/dt of (1 - t)^2 int_0^t: the integrand's g^2 less 2 var / (1 - t)
-            return g(t) ** 2 - 2.0 * var(t) / (1.0 - _t(t))
-
         def g(t):
             return c * r ** _t(t)
 
@@ -314,9 +271,6 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         def var(t):
             return (smax * _t(t)) ** 2
 
-        def var_prime(t):
-            return 2.0 * smax ** 2 * _t(t)
-
         def g(t):
             tt = _t(t)
             return smax * np.sqrt(2.0 * tt / (1.0 - tt))
@@ -326,87 +280,14 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
             tt = _t(t)
             return tt * (1.0 - tt)
 
-        def var_prime(t):
-            return 1.0 - 2.0 * _t(t)
-
         def g(t):
             return 1.0 + 0.0 * _t(t)
 
     def sigma(t):  # OT's smax t bit for bit: a correctly rounded square has an exact root
         return np.sqrt(var(t))
 
-    return InterpolatingSde(params=params, k=k, k_prime=k_prime, gamma=gamma, g=g,
-                            sigma=sigma, var=var, var_prime=var_prime, var0=0.0,
+    return InterpolatingSde(params=params, k=k, gamma=gamma, g=g, sigma=sigma, var=var,
                             t_max=1.0, t_rev=t_rev, delta=delta)
-
-
-def gamma_from_k(sde: InterpolatingSde, t):
-    """Stiffness recovered from the interpolation function: k'(t) / (1 - k(t))."""
-    kv = np.asarray(sde.k(t), dtype=float)
-    if np.any(kv >= 1.0):
-        raise SingularityError(f"k(t) reached 1 at t={t!r}; stiffness diverges")
-    out = np.asarray(sde.k_prime(t), dtype=float) / (1.0 - kv)
-    return out if out.ndim else float(out)
-
-
-def k_from_gamma(sde: InterpolatingSde, t: float) -> float:
-    """Interpolation function recovered from the stiffness: 1 - exp(-int_0^t gamma(s) ds).
-
-    Deliberately evaluates the integral numerically even for schedules with a
-    closed form: this operation is the independent verification route for k.
-    """
-    t = float(t)
-    if t < 0.0:
-        raise ParameterError(f"time must be nonnegative, got {t!r}")
-    if t >= sde.t_max:
-        raise ParameterError(f"time {t!r} must be below the horizon t_max={sde.t_max!r}")
-    if t == 0.0:
-        return 0.0
-    res = integrate(lambda s: float(sde.gamma(s)), 0.0, t, abs_tol=1e-12, rel_tol=1e-10)
-    return float(-math.expm1(-res.value))
-
-
-def variance_from_diffusion(sde: InterpolatingSde, t: float) -> float:
-    """Perturbation variance by quadrature of the diffusion.
-
-    Computes (1 - k(t))^2 [var0 + int_0^t (g(u)/(1 - k(u)))^2 du], using
-    e^{int gamma} = 1/(1 - k). The decayed initial variance var0 (nonzero only
-    for fOUVE, whose schedule starts at sigma_min rather than 0) is included so
-    the result matches sigma(t)^2 wherever a closed form exists.
-    """
-    t = float(t)
-    if t < 0.0 or t > sde.t_rev:
-        raise ParameterError(f"time {t!r} outside [0, t_rev={sde.t_rev!r}]")
-
-    def integrand(u: float) -> float:
-        omk = 1.0 - float(sde.k(u))
-        return (float(sde.g(u)) / omk) ** 2
-
-    fluct = 0.0
-    if t > 0.0:
-        fluct = integrate(integrand, 0.0, t, abs_tol=0.0, rel_tol=1e-10).value
-    omk_t = 1.0 - float(sde.k(t))
-    return omk_t ** 2 * (sde.var0 + fluct)
-
-
-def diffusion_from_variance(sde: InterpolatingSde, t):
-    """Squared diffusion recovered from the variance: g^2 = var' + 2 gamma var.
-
-    Raises ScheduleConsistencyError if the combination is negative beyond
-    rounding tolerance; tiny negative values are clipped to zero.
-    """
-    vp = np.asarray(sde.var_prime(t), dtype=float)
-    gv = np.asarray(sde.gamma(t), dtype=float)
-    vv = np.asarray(sde.var(t), dtype=float)
-    g2 = vp + 2.0 * gv * vv
-    scale = np.abs(vp) + np.abs(2.0 * gv * vv)
-    bad = g2 < -1e-10 * np.maximum(scale, 1e-300)
-    if np.any(bad):
-        worst = np.min(np.asarray(g2)[np.asarray(bad)]) if np.ndim(g2) else float(g2)
-        raise ScheduleConsistencyError(
-            f"var' + 2 gamma var is negative ({worst!r}) at t={t!r}; schedule inconsistent")
-    g2 = np.maximum(g2, 0.0)
-    return g2 if g2.ndim else float(g2)
 
 
 def mean_evolution(sde: InterpolatingSde, x0, y, t):
@@ -421,18 +302,13 @@ def mean_evolution(sde: InterpolatingSde, x0, y, t):
     return (1.0 - kv) * x0a + kv * ya
 
 
-def perturbation_kernel(sde: InterpolatingSde, x0, y, t) -> GaussianKernel:
-    """Gaussian law of x_t given (x0, y)."""
-    return GaussianKernel(mean=np.asarray(mean_evolution(sde, x0, y, t), dtype=float),
-                          std=float(sde.sigma(t)))
-
-
 def sample_forward(sde: InterpolatingSde, x0, y, t, rng: np.random.Generator):
     """One draw of x_t given (x0, y): mu_t + sigma_t z, z standard normal per coordinate."""
-    t = float(t)
+    t = real_parameter("t", t)
     if t < 0.0 or t > sde.t_rev:
         raise ParameterError(f"time {t!r} outside [0, t_rev={sde.t_rev!r}]")
-    kern = perturbation_kernel(sde, x0, y, t)
-    z = rng.standard_normal(np.shape(kern.mean))
-    return kern.mean + kern.std * z
+    mean = np.asarray(mean_evolution(sde, x0, y, t), dtype=float)
+    if not np.all(np.isfinite(mean)):
+        raise ParameterError("the kernel mean of x0 and y must be finite")
+    return mean + float(sde.sigma(t)) * rng.standard_normal(np.shape(mean))
 

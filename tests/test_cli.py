@@ -73,17 +73,15 @@ def test_import_loads_no_scipy(tmp_path):
 # the package's public names; isde.__all__ is built from the submodules' lists
 PUBLIC_NAMES = {
     "ConfigError", "DivergenceError", "IsdeError", "ParameterError", "QuadratureDomainError",
-    "QuadratureError", "QuadratureToleranceError", "ScheduleConsistencyError", "ShapeError",
-    "SingularityError", "StiffnessError",
+    "QuadratureError", "QuadratureToleranceError", "ShapeError", "SingularityError",
+    "StiffnessError",
     "QuadResult", "integrate",
-    "GaussianKernel", "InterpolatingSde", "SdeKind", "SdeParams", "diffusion_from_variance",
-    "gamma_from_k", "k_from_gamma", "make_sde", "mean_evolution", "perturbation_kernel",
-    "sample_forward", "variance_from_diffusion",
+    "InterpolatingSde", "SdeKind", "SdeParams", "make_sde", "mean_evolution", "sample_forward",
     "DeltaPrior", "GaussianPrior", "MixturePrior", "ScoreModel", "analytic_score",
     "analytic_score_model", "dsm_loss_mc", "eps_adapter", "eps_loss_mc", "marginal_moments",
     "score_from_eps",
     "SolveOutput", "SolverSpec", "TimeGrid", "euler_maruyama", "isde_solve", "ito_increment",
-    "linear_step", "nfe_per_step", "omega_weight", "pc_sampler", "reverse_init",
+    "nfe_per_step", "omega_weight", "pc_sampler", "reverse_init",
     "rk2_midpoint", "rk45_adaptive", "run_solver",
     "ExperimentConfig", "SolverEntry", "StudyResult", "STUDIES", "config_from_dict",
     "convergence_study", "kappa_sweep", "marginal_check", "nfe_sweep", "reference_solution",
@@ -219,6 +217,7 @@ def test_config_error_exits_2(tmp_path, canonical_config_dict, capsys):
     (("kappas",), ["0.5"]),
     (("solvers", 0, "kappa"), "0.25"),
     (("solvers", 0, "rtol"), "1e-5"),  # YAML reads an unquoted 1e-5 as a string
+    (("sde", "delta"), 1.0),  # at fOUVE's reverse start t_rev = 1: no step left
 ])
 def test_malformed_number_exits_2(tmp_path, canonical_config_dict, capsys, path, value):
     data = copy.deepcopy(canonical_config_dict)
