@@ -15,7 +15,6 @@ ensemble of reverse-start draws.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, ParameterError, SingularityError, integer_parameter,
-                     real_parameter)
+                     real_array, real_parameter)
 from .quadrature import integrate
 from .score import (
     DeltaPrior,
@@ -67,16 +66,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverEntry:
-    """One solver column in a study: spec, display label, optional grid size."""
+    """One solver column in a study: spec, display label (it heads CSV cells, so a
+    nonempty string with no comma, double quote or line break), optional grid size."""
 
     spec: SolverSpec
     label: str
     m_nodes: int | None = None
 
+    def __post_init__(self):
+        if not (isinstance(self.label, str) and self.label
+                and not any(c in self.label for c in ',"\r\n')):
+            raise ParameterError(f"label must be a nonempty string with no comma, double "
+                                 f"quote or line break, got {self.label!r}")
+        if self.m_nodes is not None:
+            object.__setattr__(self, "m_nodes", integer_parameter("m_nodes", self.m_nodes, 2))
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, ready-to-run study inputs. Treat as read-only."""
+    """Validated, ready-to-run study inputs. Construction reads the fields of
+    ``_READERS``, checks the 1e150 scale of y and the prior and that no two solver
+    labels repeat, and raises ParameterError naming the key."""
 
     sde: InterpolatingSde
     prior: object
@@ -89,7 +99,15 @@ class ExperimentConfig:
     kappas: tuple = (0.0, 0.05, 0.1, 0.125, 0.15)
     nfe_budget: int = 10
     n_times: int = 11
-    raw: dict | None = None
+
+    def __post_init__(self):
+        for name, read in _READERS.items():
+            object.__setattr__(self, name, read(f"config key {name!r}", getattr(self, name)))
+        _check_scale(self.y, self.prior)
+        labels = [e.label for e in self.solvers]
+        dupes = sorted({l for l in labels if labels.count(l) > 1})
+        if dupes:
+            raise ParameterError(f"duplicate solver labels: {', '.join(dupes)}")
 
 
 @dataclass
@@ -186,16 +204,13 @@ def _entry_from_dict(block, index: int) -> SolverEntry:
     spec_keys = _names(SolverSpec)
     _check_keys(block, spec_keys | _names(SolverEntry) - {"spec"},
                 f"keys in solver entry {index}")
-    kwargs = {k: v for k, v in block.items() if k in spec_keys}
-    m_nodes = block.get("m_nodes")
     try:
-        spec = SolverSpec(**kwargs)
-        if m_nodes is not None:
-            m_nodes = integer_parameter("m_nodes", m_nodes, 2)
+        spec = SolverSpec(**{k: v for k, v in block.items() if k in spec_keys})
+        label = block.get("label")
+        return SolverEntry(spec=spec, label=_default_label(spec) if label is None else label,
+                           m_nodes=block.get("m_nodes"))
     except ParameterError as e:
         raise ConfigError(f"invalid solver entry {index}: {e}")
-    label = str(block.get("label", _default_label(spec)))
-    return SolverEntry(spec=spec, label=label, m_nodes=m_nodes)
 
 
 def _integers(minimum: int):
@@ -210,8 +225,8 @@ def _list_of(read):
     return read_list
 
 
-# How each top-level key with a plain value is read; the solver entries and the
-# sde and prior blocks are read on their own.
+# How ExperimentConfig reads each field with a plain value; config_from_dict reads
+# the solver entries and the sde and prior blocks on their own.
 _READERS = {
     "y": real_parameter,
     "seed": _integers(0),
@@ -228,11 +243,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Validate a plain mapping (e.g. parsed YAML) into an ExperimentConfig.
 
     Raises ConfigError naming the offending key for anything missing, unknown,
-    or out of range.
+    or out of range: the blocks are read here, the rest by ExperimentConfig.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    _check_keys(data, _names(ExperimentConfig) - {"raw"}, "config keys")
+    _check_keys(data, _names(ExperimentConfig), "config keys")
     for f in fields(ExperimentConfig):
         if f.default is MISSING and f.name not in data:
             raise ConfigError(f"missing required config key: {f.name!r}")
@@ -248,23 +263,16 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"invalid sde block: {e}")
 
     prior = _prior_from_dict(data["prior"])
-    try:
-        kwargs = {k: read(f"config key {k!r}", data[k])
-                  for k, read in _READERS.items() if k in data}
-        _check_scale(kwargs["y"], prior)
-    except ParameterError as e:
-        raise ConfigError(str(e)) from None
     solvers = [] if data.get("solvers") is None else data["solvers"]
     if not isinstance(solvers, (list, tuple)):
         raise ConfigError(f"config key 'solvers' must be a list of solver entries, "
                           f"got {solvers!r}")
     entries = tuple(_entry_from_dict(block, i) for i, block in enumerate(solvers))
-    labels = [e.label for e in entries]
-    dupes = sorted({l for l in labels if labels.count(l) > 1})
-    if dupes:
-        raise ConfigError(f"duplicate solver labels: {', '.join(dupes)}")
-    return ExperimentConfig(sde=sde, prior=prior, solvers=entries, raw=copy.deepcopy(data),
-                            **kwargs)
+    try:
+        return ExperimentConfig(sde=sde, prior=prior, solvers=entries,
+                                **{k: data[k] for k in _READERS if k in data})
+    except ParameterError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _describe_config(config: ExperimentConfig, study: str, **extra) -> dict:
@@ -278,27 +286,21 @@ def _describe_config(config: ExperimentConfig, study: str, **extra) -> dict:
             "n_trajectories": config.n_trajectories, "solvers": solvers, **extra}
 
 
-def reference_solution(sde: InterpolatingSde, prior, y, x_start, t_start: float = None,
-                       t_end: float = None):
+def reference_solution(sde: InterpolatingSde, prior, y, x_start):
     """Exact probability-flow endpoint map for Gaussian marginals.
 
-    Maps a state at t_start to t_end by matching standardized coordinates:
+    Maps a state at t_rev to delta by matching standardized coordinates:
     x_end = mean_end + (x_start - mean_start) sqrt(var_end / var_start).
     Exact for delta and Gaussian priors, whose marginals stay Gaussian.
     """
     if isinstance(prior, MixturePrior):
         raise ParameterError(
             "reference map requires a delta or Gaussian prior (Gaussian marginals)")
-    t_start = sde.t_rev if t_start is None else real_parameter("t_start", t_start)
-    t_end = sde.delta if t_end is None else real_parameter("t_end", t_end)
-    if not (0.0 < t_end <= t_start <= sde.t_rev):
-        raise ParameterError(
-            f"need 0 < t_end <= t_start <= t_rev, got {t_end!r}, {t_start!r}")
-    m_start, v_start = marginal_moments(prior, sde, y, t_start)
-    m_end, v_end = marginal_moments(prior, sde, y, t_end)
+    x = real_array("x_start", x_start)
+    m_start, v_start = marginal_moments(prior, sde, y, sde.t_rev)
+    m_end, v_end = marginal_moments(prior, sde, y, sde.delta)
     if v_start <= 0.0:
-        raise SingularityError(f"zero marginal variance at t_start={t_start!r}")
-    x = np.asarray(x_start, dtype=float)
+        raise SingularityError(f"zero marginal variance at t_rev={sde.t_rev!r}")
     out = m_end + (x - m_start) * math.sqrt(v_end / v_start)
     return out if out.ndim else float(out)
 
@@ -310,10 +312,8 @@ def reference_solution(sde: InterpolatingSde, prior, y, x_start, t_start: float 
 # derived from the config seed and its index.
 
 def _seed_sequence(config: ExperimentConfig, index: int) -> np.random.SeedSequence:
-    """Seed sequence of run ``index``, after the seed and scale checks: an
-    ExperimentConfig built without config_from_dict is checked nowhere else."""
-    _check_scale(config.y, config.prior)
-    return np.random.SeedSequence([integer_parameter("seed", config.seed, 0), index])
+    """Seed sequence of run ``index``."""
+    return np.random.SeedSequence([config.seed, index])
 
 
 def _derived_seed(config: ExperimentConfig, index: int) -> int:

@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, real_parameter
+from .errors import ParameterError, ShapeError, real_array, real_parameter
 from .quadrature import _GAUSS_IDX, _NODES, _WEIGHTS_G
 
 __all__ = [
@@ -160,7 +160,7 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
     below the start.
     """
     if not isinstance(params, SdeParams):
-        params = SdeParams(**params) if isinstance(params, dict) else SdeParams(params)
+        raise ParameterError(f"make_sde needs an SdeParams, got {type(params).__name__}")
     delta = _require_positive("delta", delta)
     kind = params.kind
     t_rev = 1.0 if kind in (SdeKind.FOUVE, SdeKind.OUVE) else 0.999
@@ -291,14 +291,15 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
 
 
 def mean_evolution(sde: InterpolatingSde, x0, y, t):
-    """Kernel mean mu_t = (1 - k(t)) x0 + k(t) y (broadcasting x0 against y)."""
-    x0a = np.asarray(x0, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    """Kernel mean mu_t = (1 - k(t)) x0 + k(t) y (broadcasting x0 against y); x0, y
+    and t are real numbers or arrays of them, never bools or strings."""
+    x0a = real_array("x0", x0)
+    ya = real_array("y", y)
     try:
         np.broadcast_shapes(x0a.shape, ya.shape)
     except ValueError:
         raise ShapeError(f"x0 shape {x0a.shape} and y shape {ya.shape} do not broadcast")
-    kv = sde.k(t)
+    kv = sde.k(real_array("t", t))
     return (1.0 - kv) * x0a + kv * ya
 
 

@@ -16,7 +16,7 @@ the whole drift, one function for all four.
 Randomness is split into independent per-purpose streams derived from a single
 integer seed (spawn keys: 0 initial draw, 1 diffusion increments, 2 corrector
 noise), so deterministic and stochastic variants of a run share the same
-initial state and trajectories are reproducible bitwise.
+initial state and runs are reproducible bitwise.
 """
 
 from __future__ import annotations
@@ -109,6 +109,14 @@ def _nonnegative_real(name: str, value) -> float:
     return value
 
 
+def _tolerances(rtol, atol) -> tuple:
+    """rtol and atol of an rk45 solve as floats, both positive."""
+    rtol, atol = real_parameter("rtol", rtol), real_parameter("atol", atol)
+    if not (rtol > 0.0 and atol > 0.0):
+        raise ParameterError(f"rtol and atol must be positive, got {rtol!r}, {atol!r}")
+    return rtol, atol
+
+
 @dataclass(frozen=True)
 class SolverSpec:
     """Which sampler to run and its tuning knobs.
@@ -136,19 +144,15 @@ class SolverSpec:
             object.__setattr__(self, "kappa", 1.0 if self.kind == "euler_maruyama" else 0.0)
         for name in ("kappa", "corrector_stepsize"):
             object.__setattr__(self, name, _nonnegative_real(name, getattr(self, name)))
-        for name in ("rtol", "atol"):
-            object.__setattr__(self, name, real_parameter(name, getattr(self, name)))
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ParameterError(
-                f"rtol and atol must be positive, got {self.rtol!r}, {self.atol!r}")
+        for name, value in zip(("rtol", "atol"), _tolerances(self.rtol, self.atol)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class SolveOutput:
-    """Result of one reverse run: endpoint, optional node states, model calls, seed."""
+    """Result of one reverse run: endpoint, model calls, seed."""
 
     final_state: np.ndarray
-    trajectory: np.ndarray | None
     nfe: int
     seed: int
 
@@ -158,11 +162,12 @@ def _channel_rng(seed: int, channel: int) -> np.random.Generator:
 
 
 def reverse_init(sde: InterpolatingSde, y, rng: np.random.Generator, shape=None):
-    """Draw the reverse-time start x_T = y + sigma(t_rev) z, z standard normal."""
+    """Draw the reverse-time start x_T = y + sigma(t_rev) z, z standard normal, of
+    ``shape`` (default: y's shape), to which y must broadcast."""
     ya = real_array("y", y)
     target = ya.shape if shape is None else tuple(shape)
     try:
-        np.broadcast_shapes(ya.shape, target)
+        np.broadcast_to(ya, target)
     except ValueError:
         raise ShapeError(f"y shape {ya.shape} does not broadcast to {target}")
     z = rng.standard_normal(target)
@@ -400,7 +405,7 @@ def _overflow_as_divergence(kind: str):
 
 
 def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_init,
-                   keep_trajectory: bool, make_step, p: int = 1) -> SolveOutput:
+                   make_step, p: int = 1) -> SolveOutput:
     """Run a fixed-grid solver of the given kind: everything except its step rule.
 
     After the grid check and the start draw, ``make_step(ya, rng)`` builds the
@@ -419,7 +424,6 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
     times = grid.times
     with _overflow_as_divergence(kind):
         x, ya = _prepare_state(sde, y, seed, x_init)
-        traj = [np.array(x, copy=True)] if keep_trajectory else None
         step = make_step(ya, lambda channel: _channel_rng(seed, channel))
         for i in range(grid.n_steps):
             tl = float(times[i + 1])
@@ -427,16 +431,11 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
             if not np.all(np.isfinite(x)):
                 raise DivergenceError(f"state became non-finite at t={tl!r}",
                                       step_index=i, time=tl)
-            if keep_trajectory:
-                traj.append(np.array(x, copy=True))
-    trajectory = np.array(traj) if keep_trajectory else None
-    nfe = _SOLVERS[kind][0](p) * grid.n_steps
-    return SolveOutput(final_state=x, trajectory=trajectory, nfe=nfe, seed=seed)
+    return SolveOutput(final_state=x, nfe=_SOLVERS[kind][0](p) * grid.n_steps, seed=seed)
 
 
 def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
-               p: int = 1, kappa: float = 0.0, seed: int = 0, x_init=None,
-               keep_trajectory: bool = False) -> SolveOutput:
+               p: int = 1, kappa: float = 0.0, seed: int = 0, x_init=None) -> SolveOutput:
     """Exponential integrator of order p in {1, 2} for the reverse family.
 
     Each step solves the linear part exactly and integrates the model output
@@ -472,7 +471,7 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 
         return step
 
-    return _solve_on_grid("isde", sde, y, grid, seed, x_init, keep_trajectory, make_step, p=p)
+    return _solve_on_grid("isde", sde, y, grid, seed, x_init, make_step, p=p)
 
 
 def _score_eval(model: ScoreModel, sde: InterpolatingSde):
@@ -510,20 +509,18 @@ def _em_step(sde: InterpolatingSde, model: ScoreModel, ya, kappa: float, rng):
 
 
 def euler_maruyama(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
-                   kappa: float = 1.0, seed: int = 0, x_init=None,
-                   keep_trajectory: bool = False) -> SolveOutput:
+                   kappa: float = 1.0, seed: int = 0, x_init=None) -> SolveOutput:
     """Euler-Maruyama discretization of the reverse family (kappa = 0: Euler ODE).
 
     One model call per step, evaluated at the left (larger-time) node.
     """
     kappa = _nonnegative_real("kappa", kappa)
-    return _solve_on_grid("euler_maruyama", sde, y, grid, seed, x_init, keep_trajectory,
+    return _solve_on_grid("euler_maruyama", sde, y, grid, seed, x_init,
                           lambda ya, rng: _em_step(sde, model, ya, kappa, rng))
 
 
 def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
-               corrector_stepsize: float = 0.5, seed: int = 0, x_init=None,
-               keep_trajectory: bool = False) -> SolveOutput:
+               corrector_stepsize: float = 0.5, seed: int = 0, x_init=None) -> SolveOutput:
     """Predictor-corrector sampler: Euler-Maruyama (kappa = 1) predictor plus
     one Langevin corrector sweep per node.
 
@@ -545,11 +542,11 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
             return x + eta * s_corr + math.sqrt(2.0 * eta) * rng_corr.standard_normal(np.shape(x))
         return step
 
-    return _solve_on_grid("pc", sde, y, grid, seed, x_init, keep_trajectory, make_step)
+    return _solve_on_grid("pc", sde, y, grid, seed, x_init, make_step)
 
 
 def rk2_midpoint(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
-                 seed: int = 0, x_init=None, keep_trajectory: bool = False) -> SolveOutput:
+                 seed: int = 0, x_init=None) -> SolveOutput:
     """Explicit midpoint rule on the probability-flow ODE (two model calls per step)."""
     def make_step(ya, rng):
         rhs = _reverse_drift(sde, model, ya, 0.0)
@@ -560,7 +557,7 @@ def rk2_midpoint(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
             return x + dt * rhs(x_mid, 0.5 * (th + tl))
         return step
 
-    return _solve_on_grid("rk2", sde, y, grid, seed, x_init, keep_trajectory, make_step)
+    return _solve_on_grid("rk2", sde, y, grid, seed, x_init, make_step)
 
 
 # Dormand-Prince 5(4) tableau; the last row of _DP_A holds the fifth-order weights
@@ -576,19 +573,19 @@ _DP_A = (
 )
 _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
+_RK45_MAX_ATTEMPTS = 10_000  # attempted steps before rk45_adaptive raises StiffnessError
 
 
 def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
                   t_end: float, rtol: float = 1e-5, atol: float = 1e-5,
-                  seed: int = 0, x_init=None, max_steps: int = 10_000,
-                  keep_trajectory: bool = False) -> SolveOutput:
+                  seed: int = 0, x_init=None) -> SolveOutput:
     """Adaptive embedded RK5(4) on the probability-flow ODE, integrating from
     t_start down to t_end with a PI step controller.
 
-    Seven model calls per attempted step. Raises StiffnessError when the step
-    budget is exhausted or the step size underflows, DivergenceError when a
-    stage derivative becomes non-finite; a non-finite state does that, as
-    gamma > 0 carries it into the drift.
+    Seven model calls per attempted step. Raises StiffnessError after
+    ``_RK45_MAX_ATTEMPTS`` (10,000) attempted steps or when the step size
+    underflows, DivergenceError when a stage derivative becomes non-finite; a
+    non-finite state does that, as gamma > 0 carries it into the drift.
     """
     t_start = real_parameter("t_start", t_start)
     t_end = real_parameter("t_end", t_end)
@@ -597,12 +594,7 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     if t_start > sde.t_rev + 1e-12:
         raise ParameterError(
             f"t_start={t_start!r} is above the reverse start t_rev={sde.t_rev!r}")
-    rtol = real_parameter("rtol", rtol)
-    atol = real_parameter("atol", atol)
-    if not (rtol > 0.0 and atol > 0.0):
-        raise ParameterError(f"rtol and atol must be positive, got {rtol!r}, {atol!r}")
-    max_steps = integer_parameter("max_steps", max_steps, 1)
-
+    rtol, atol = _tolerances(rtol, atol)
     seed = integer_parameter("seed", seed, 0)
     calls = 0
     t = t_start
@@ -615,11 +607,10 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     with _overflow_as_divergence("rk45"):
         x, ya = _prepare_state(sde, y, seed, x_init)
         rhs = _reverse_drift(sde, model, ya, 0.0)
-        traj = [np.array(x, copy=True)] if keep_trajectory else None
         while t - t_end > done_gap:
-            if attempts >= max_steps:
+            if attempts >= _RK45_MAX_ATTEMPTS:
                 raise StiffnessError(
-                    f"step budget {max_steps} exhausted at t={t!r} "
+                    f"step budget {_RK45_MAX_ATTEMPTS} exhausted at t={t!r} "
                     f"(rtol={rtol!r}, atol={atol!r})")
             if t + h < t_end:
                 h = t_end - t
@@ -652,8 +643,6 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
             if err <= 1.0:
                 t = t + h
                 x = x5
-                if keep_trajectory:
-                    traj.append(np.array(x, copy=True))
                 err = max(err, 1e-10)
                 fac = 0.9 * err ** -0.14 * err_prev ** 0.08
                 fac = min(10.0, max(0.2, fac))
@@ -662,9 +651,7 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
             else:
                 fac = max(0.2, 0.9 * err ** -0.2)
                 h = h * fac
-
-    trajectory = np.array(traj) if keep_trajectory else None
-    return SolveOutput(final_state=x, trajectory=trajectory, nfe=calls, seed=seed)
+    return SolveOutput(final_state=x, nfe=calls, seed=seed)
 
 
 # Every solver kind: (model calls per grid step as a function of the order p,
@@ -686,15 +673,13 @@ _SOLVERS = {
 
 
 def run_solver(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
-               spec: SolverSpec, seed: int = 0, x_init=None,
-               keep_trajectory: bool = False) -> SolveOutput:
+               spec: SolverSpec, seed: int = 0, x_init=None) -> SolveOutput:
     """Dispatch one reverse run according to ``spec``.
 
     For "rk45" only the grid endpoints are used (the step sequence is chosen
     adaptively).
     """
-    return _SOLVERS[spec.kind][1](sde, model, y, grid, spec, seed=seed, x_init=x_init,
-                                  keep_trajectory=keep_trajectory)
+    return _SOLVERS[spec.kind][1](sde, model, y, grid, spec, seed=seed, x_init=x_init)
 
 
 def nfe_per_step(spec: SolverSpec):

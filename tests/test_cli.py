@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import hashlib
 import importlib
+import inspect
 import importlib.metadata as md
 import json
 import math
@@ -88,6 +90,35 @@ PUBLIC_NAMES = {
     "simulate_forward", "solve_study", "verify_weights",
     "__version__",
 }
+
+
+# the parameters of the solver, reference and schedule entry points, and the fields
+# of the records they take and give: a knob comes back only with a change here
+SIGNATURES = {
+    "isde_solve": ("sde", "model", "y", "grid", "p", "kappa", "seed", "x_init"),
+    "euler_maruyama": ("sde", "model", "y", "grid", "kappa", "seed", "x_init"),
+    "pc_sampler": ("sde", "model", "y", "grid", "corrector_stepsize", "seed", "x_init"),
+    "rk2_midpoint": ("sde", "model", "y", "grid", "seed", "x_init"),
+    "rk45_adaptive": ("sde", "model", "y", "t_start", "t_end", "rtol", "atol", "seed", "x_init"),
+    "run_solver": ("sde", "model", "y", "grid", "spec", "seed", "x_init"),
+    "reference_solution": ("sde", "prior", "y", "x_start"),
+    "make_sde": ("params", "delta"),
+}
+FIELDS = {
+    "SolveOutput": ("final_state", "nfe", "seed"),
+    "SolverEntry": ("spec", "label", "m_nodes"),
+    "ExperimentConfig": ("sde", "prior", "y", "seed", "solvers", "n_trajectories", "m_values",
+                         "budgets", "kappas", "nfe_budget", "n_times"),
+}
+
+
+def test_entry_point_parameters_and_record_fields():
+    for name, params in SIGNATURES.items():
+        assert tuple(inspect.signature(getattr(isde, name)).parameters) == params, name
+    for name, names in FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(getattr(isde, name))) == names, name
+    # a study input cannot change after its construction checks
+    assert isde.ExperimentConfig.__dataclass_params__.frozen
 
 
 def test_every_export_resolves():
@@ -218,6 +249,7 @@ def test_config_error_exits_2(tmp_path, canonical_config_dict, capsys):
     (("solvers", 0, "kappa"), "0.25"),
     (("solvers", 0, "rtol"), "1e-5"),  # YAML reads an unquoted 1e-5 as a string
     (("sde", "delta"), 1.0),  # at fOUVE's reverse start t_rev = 1: no step left
+    (("solvers", 0, "label"), "isde,one"),  # not a number: a comma would split its CSV cell
 ])
 def test_malformed_number_exits_2(tmp_path, canonical_config_dict, capsys, path, value):
     data = copy.deepcopy(canonical_config_dict)

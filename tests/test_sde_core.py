@@ -53,9 +53,11 @@ def test_brownian_bridge_needs_no_parameters():
     assert sde.t_rev == 0.999
 
 
-def test_make_sde_accepts_param_dict():
-    sde = make_sde({"kind": "OT", "sigma_max": 0.1})
-    assert sde.params.kind == isde.SdeKind.OT
+def test_make_sde_rejects_a_param_dict():
+    # an SdeParams is the one input format; a dict or a bare kind is not one
+    for params in ({"kind": "OT", "sigma_max": 0.1}, "BrownianBridge"):
+        with pytest.raises(ParameterError, match="SdeParams"):
+            make_sde(params)
 
 
 def test_nonpositive_delta_rejected():
@@ -328,6 +330,21 @@ def test_mean_evolution_broadcasts_and_rejects_mismatch(fouve):
     assert out.shape == (4, 3)
     with pytest.raises(ShapeError):
         mean_evolution(fouve, np.zeros(3), np.ones(4), 0.5)
+
+
+@pytest.mark.parametrize("x0, y, t, name", [
+    ("0.5", 1.0, 0.5, "x0"), ("abc", 1.0, 0.5, "x0"), (0.5, True, 0.5, "y"),
+    (0.5, 1.0, "0.5", "t"),
+])
+@pytest.mark.parametrize("draw", [False, True])
+def test_kernel_states_must_be_numbers(fouve, x0, y, t, name, draw):
+    # mean_evolution reads x0, y and t by the library's number rule, and
+    # sample_forward inherits it
+    with pytest.raises(ParameterError, match=f"^{name} must"):
+        if draw:
+            sample_forward(fouve, x0, y, t, np.random.default_rng(0))
+        else:
+            mean_evolution(fouve, x0, y, t)
 
 
 def test_perturbation_kernel_and_validation(fouve):

@@ -45,6 +45,25 @@ def zero_model():
     return ScoreModel(lambda x, y, t: np.zeros(np.shape(x)), name="zero")
 
 
+def recording(model):
+    """``model`` with a log, ``.calls``, of every call's state (a copy) and time."""
+    calls = []
+
+    def fn(x, y, t):
+        calls.append((np.array(x, copy=True), t))
+        return model(x, y, t)
+
+    out = ScoreModel(fn, model.parameterization, name=f"recorded-{model.name}")
+    out.calls = calls
+    return out
+
+
+def same_calls(a, b):
+    """Whether two call logs hold the same states, bit for bit, at the same times."""
+    return len(a) == len(b) and all(np.array_equal(xa, xb) and ta == tb
+                                    for (xa, ta), (xb, tb) in zip(a, b))
+
+
 def ensemble_error(sde, prior, y, run, n=256, seed=1234):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     x0 = reverse_init(sde, y, rng, shape=(n,))
@@ -129,6 +148,14 @@ def test_reverse_init_moments(fouve):
     assert reverse_init(fouve, np.ones(3), rng).shape == (3,)
     with pytest.raises(ShapeError):
         reverse_init(fouve, np.ones(3), rng, shape=(4,))
+
+
+def test_reverse_init_y_must_broadcast_to_the_shape(fouve):
+    # a (3,) y under shape (1,) would make three starts from one draw
+    rng = np.random.default_rng(0)
+    with pytest.raises(ShapeError):
+        reverse_init(fouve, [1.0, 2.0, 3.0], rng, shape=(1,))
+    assert reverse_init(fouve, [1.0, 2.0, 3.0], rng, shape=(2, 3)).shape == (2, 3)
 
 
 def transport(sde, x, y, t_from, t_to):
@@ -529,7 +556,6 @@ def test_eps_first_order_step_is_the_dpm_update(fouve, gaussian_prior):
     lambda sde: omega_weight(sde, 0, "1.0", 0.5),
     lambda sde: ito_increment(sde, 1.0, "0.5"),
     lambda sde: rk45_adaptive(sde, zero_model(), 1.0, "1.0", 0.01),
-    lambda sde: reference_solution(sde, isde.DeltaPrior(0.5), 1.0, 0.9, t_start="0.9"),
 ])
 def test_times_must_be_numbers(fouve, call):
     with pytest.raises(ParameterError, match="t_"):
@@ -609,14 +635,16 @@ def test_isde_kappa_zero_ignores_seed(fouve, gaussian_prior):
 
 
 def test_isde_stochastic_determinism(fouve, gaussian_prior):
+    # every node state is a model input (node i at call 2 i), and the last is the final state
     model = analytic_score_model(gaussian_prior, fouve)
     grid = TimeGrid.for_sde(fouve, 11)
-    a = isde_solve(fouve, model, 1.0, grid, p=2, kappa=0.8, seed=5,
-                   keep_trajectory=True)
-    b = isde_solve(fouve, model, 1.0, grid, p=2, kappa=0.8, seed=5,
-                   keep_trajectory=True)
+    ma, mb = recording(model), recording(model)
+    a = isde_solve(fouve, ma, 1.0, grid, p=2, kappa=0.8, seed=5)
+    b = isde_solve(fouve, mb, 1.0, grid, p=2, kappa=0.8, seed=5)
     c = isde_solve(fouve, model, 1.0, grid, p=2, kappa=0.8, seed=6)
-    assert np.array_equal(a.trajectory, b.trajectory)
+    assert len(ma.calls) == 2 * grid.n_steps
+    assert same_calls(ma.calls, mb.calls)
+    assert np.array_equal(a.final_state, b.final_state)
     assert float(a.final_state) != float(c.final_state)
     assert a.seed == 5
 
@@ -625,23 +653,12 @@ def test_kappa_shares_the_deterministic_start(fouve, gaussian_prior):
     # same seed => same initial draw whether or not diffusion noise is used
     model = analytic_score_model(gaussian_prior, fouve)
     grid = TimeGrid.for_sde(fouve, 6)
-    a = isde_solve(fouve, model, 1.0, grid, kappa=0.0, seed=3, keep_trajectory=True)
-    b = isde_solve(fouve, model, 1.0, grid, kappa=1.0, seed=3, keep_trajectory=True)
-    assert np.array_equal(a.trajectory[0], b.trajectory[0])
-    assert not np.array_equal(a.trajectory[-1], b.trajectory[-1])
-
-
-def test_trajectory_bookkeeping(fouve, gaussian_prior):
-    model = analytic_score_model(gaussian_prior, fouve)
-    grid = TimeGrid.for_sde(fouve, 7)
-    out = isde_solve(fouve, model, 1.0, grid, p=2, kappa=0.3, seed=2, x_init=0.4,
-                     keep_trajectory=True)
-    assert out.trajectory.shape[0] == 7
-    assert float(out.trajectory[0]) == 0.4
-    assert float(out.trajectory[-1]) == float(out.final_state)
-    plain = isde_solve(fouve, model, 1.0, grid, p=2, kappa=0.3, seed=2, x_init=0.4)
-    assert plain.trajectory is None
-    assert float(plain.final_state) == float(out.final_state)
+    ma, mb = recording(model), recording(model)
+    a = isde_solve(fouve, ma, 1.0, grid, kappa=0.0, seed=3)
+    b = isde_solve(fouve, mb, 1.0, grid, kappa=1.0, seed=3)
+    assert len(ma.calls) == len(mb.calls) == grid.n_steps
+    assert same_calls(ma.calls[:1], mb.calls[:1])
+    assert not np.array_equal(a.final_state, b.final_state)
 
 
 def test_batch_matches_scalar_runs(fouve, gaussian_prior):
@@ -755,13 +772,15 @@ def test_euler_kappa1_delta_marginal(fouve, delta_prior):
 
 
 def test_pc_r0_is_bitwise_euler(fouve, gaussian_prior):
+    # every node state is a model input: at each predictor call of pc, at every EM call
     model = analytic_score_model(gaussian_prior, fouve)
     grid = TimeGrid.for_sde(fouve, 31)
-    a = pc_sampler(fouve, model, 1.0, grid, corrector_stepsize=0.0, seed=11,
-                   keep_trajectory=True)
-    b = euler_maruyama(fouve, model, 1.0, grid, kappa=1.0, seed=11,
-                       keep_trajectory=True)
-    assert np.array_equal(a.trajectory, b.trajectory)
+    ma, mb = recording(model), recording(model)
+    a = pc_sampler(fouve, ma, 1.0, grid, corrector_stepsize=0.0, seed=11)
+    b = euler_maruyama(fouve, mb, 1.0, grid, kappa=1.0, seed=11)
+    assert len(mb.calls) == grid.n_steps
+    assert same_calls(ma.calls[0::2], mb.calls)
+    assert np.array_equal(a.final_state, b.final_state)
     assert a.nfe == 2 * grid.n_steps
     assert b.nfe == grid.n_steps
 
@@ -821,7 +840,7 @@ def test_rk45_zero_score_matches_exact_flow(fouve):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"rtol": True, "atol": True}, {"rtol": "1e-5"}, {"atol": "1e-5"}, {"max_steps": 2.5},
+    {"rtol": True, "atol": True}, {"rtol": "1e-5"}, {"atol": "1e-5"},
 ])
 def test_rk45_rejects_malformed_settings(fouve, kwargs):
     # float(True) would run at tolerance 1.0, as SolverSpec already forbids
@@ -857,19 +876,20 @@ def test_rk45_tightening_tolerance_reduces_error(fouve, gaussian_prior):
 def test_rk45_rejects_and_shrinks_steps(gaussian_prior):
     # 6 of 27 attempts are rejected: 4 at t_rev, next to gamma's pole at t = 1, and 2 below t = 0.21
     bb = make_sde(SdeParams(kind="BrownianBridge"))
-    model = analytic_score_model(gaussian_prior, bb)
+    model = recording(analytic_score_model(gaussian_prior, bb))
     x0 = reverse_init(bb, 1.0, np.random.default_rng(7), shape=(256,))
-    out = rk45_adaptive(bb, model, 1.0, bb.t_rev, bb.delta, x_init=x0, keep_trajectory=True)
-    assert out.nfe == 7 * 27
-    assert out.trajectory.shape == (22, 256)
+    out = rk45_adaptive(bb, model, 1.0, bb.t_rev, bb.delta, x_init=x0)
+    assert out.nfe == len(model.calls) == 7 * 27
+    # stage 0 of an attempt runs at its start time: a rejected attempt repeats it
+    assert len({t for _, t in model.calls[0::7]}) == 21
     assert np.mean(np.abs(out.final_state - reference_solution(bb, gaussian_prior, 1.0, x0))) < 1e-3
 
 
-def test_rk45_step_budget(fouve, gaussian_prior):
+def test_rk45_step_budget(fouve, gaussian_prior, monkeypatch):
     model = analytic_score_model(gaussian_prior, fouve)
-    with pytest.raises(StiffnessError):
-        rk45_adaptive(fouve, model, 1.0, fouve.t_rev, fouve.delta, max_steps=3,
-                      x_init=0.5)
+    monkeypatch.setattr(solvers, "_RK45_MAX_ATTEMPTS", 3)
+    with pytest.raises(StiffnessError, match="step budget 3"):
+        rk45_adaptive(fouve, model, 1.0, fouve.t_rev, fouve.delta, x_init=0.5)
 
 
 def test_rk45_divergence(fouve):
@@ -886,17 +906,6 @@ def test_rk45_validation(fouve, gaussian_prior):
         rk45_adaptive(fouve, model, 1.0, 1.5, 0.01)
     with pytest.raises(ParameterError):
         rk45_adaptive(fouve, model, 1.0, 1.0, 0.01, rtol=-1.0)
-    with pytest.raises(ParameterError):
-        rk45_adaptive(fouve, model, 1.0, 1.0, 0.01, max_steps=0)
-
-
-def test_rk45_trajectory(fouve, gaussian_prior):
-    model = analytic_score_model(gaussian_prior, fouve)
-    out = rk45_adaptive(fouve, model, 1.0, fouve.t_rev, fouve.delta, x_init=0.5,
-                        keep_trajectory=True)
-    assert out.trajectory.ndim >= 1
-    assert float(out.trajectory[0]) == 0.5
-    assert float(out.trajectory[-1]) == float(out.final_state)
 
 
 # ------------------------------------------------------- dispatch + counting
