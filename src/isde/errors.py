@@ -94,8 +94,9 @@ def real_parameter(name: str, value) -> float:
 
 
 def real_array(name: str, value) -> np.ndarray:
-    """``value`` as a new float array, raising ParameterError naming ``name`` when
-    an entry is not a real number; a bool or a string is not one."""
+    """``value`` as a float array, raising ParameterError naming ``name`` when an
+    entry is not a real number; a bool, a string or bytes is not one. A float64
+    array comes back as it is, with no copy."""
     try:
         a = np.asarray(value)
     except (TypeError, ValueError) as e:
@@ -104,7 +105,7 @@ def real_array(name: str, value) -> np.ndarray:
         return np.array([real_parameter(name, v) for v in a.flat]).reshape(a.shape)
     if a.dtype.kind not in "iuf":
         raise ParameterError(f"{name} must hold real numbers, got {a.dtype} values")
-    return a.astype(float)
+    return a.astype(float, copy=False)
 
 
 def integer_parameter(name: str, value, minimum: int) -> int:

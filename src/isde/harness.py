@@ -74,6 +74,8 @@ class SolverEntry:
     m_nodes: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.spec, SolverSpec):
+            raise ParameterError(f"spec must be a SolverSpec, got {self.spec!r}")
         if not (isinstance(self.label, str) and self.label
                 and not any(c in self.label for c in ',"\r\n')):
             raise ParameterError(f"label must be a nonempty string with no comma, double "
@@ -84,9 +86,11 @@ class SolverEntry:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, ready-to-run study inputs. Construction reads the fields of
-    ``_READERS``, checks the 1e150 scale of y and the prior and that no two solver
-    labels repeat, and raises ParameterError naming the key."""
+    """Validated, ready-to-run study inputs. Construction checks that sde is a
+    schedule bundle, prior one of the three prior classes and solvers a tuple of
+    SolverEntry, reads the fields of ``_READERS``, checks the 1e150 scale of y and
+    the prior and that no two solver labels repeat, and raises ParameterError
+    naming the key."""
 
     sde: InterpolatingSde
     prior: object
@@ -101,6 +105,16 @@ class ExperimentConfig:
     n_times: int = 11
 
     def __post_init__(self):
+        if not isinstance(self.sde, InterpolatingSde):
+            raise ParameterError(f"config key 'sde' must be a schedule bundle made by "
+                                 f"make_sde, got {self.sde!r}")
+        if not isinstance(self.prior, tuple(_PRIORS.values())):
+            raise ParameterError(f"config key 'prior' must be a DeltaPrior, GaussianPrior or "
+                                 f"MixturePrior, got {self.prior!r}")
+        if not (isinstance(self.solvers, tuple)
+                and all(isinstance(e, SolverEntry) for e in self.solvers)):
+            raise ParameterError(f"config key 'solvers' must be a tuple of SolverEntry, "
+                                 f"got {self.solvers!r}")
         for name, read in _READERS.items():
             object.__setattr__(self, name, read(f"config key {name!r}", getattr(self, name)))
         _check_scale(self.y, self.prior)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, SingularityError, integer_parameter, real_parameter
+from .errors import (ParameterError, ShapeError, SingularityError, integer_parameter,
+                     real_array, real_parameter)
 from .sde_core import InterpolatingSde, mean_evolution
 
 __all__ = [
@@ -144,6 +145,12 @@ class MixturePrior:
         return m + s * rng.standard_normal(self.dimension)
 
 
+def _affine_marginal(pm, pv, kv: float, var_t: float, ya):
+    """Mean and variance of x_t given y from the prior's mean pm and variance pv and
+    the schedule's k and var at t."""
+    return (1.0 - kv) * pm + kv * ya, (1.0 - kv) ** 2 * pv + var_t
+
+
 def marginal_moments(prior, sde: InterpolatingSde, y, t):
     """Exact mean and variance of the marginal of x_t given y.
 
@@ -154,12 +161,74 @@ def marginal_moments(prior, sde: InterpolatingSde, y, t):
     t = real_parameter("t", t)
     if t < 0.0 or t > sde.t_rev:
         raise ParameterError(f"time {t!r} outside [0, t_rev={sde.t_rev!r}]")
-    pm, pv = prior.moments()
-    kv = float(sde.k(t))
-    mean = (1.0 - kv) * pm + kv * np.asarray(y, dtype=float)
-    var = (1.0 - kv) ** 2 * pv + float(sde.var(t))
-    mean = mean if mean.ndim else float(mean)
-    return mean, var
+    ya = real_array("y", y)
+    mean, var = _affine_marginal(*prior.moments(), float(sde.k(t)), float(sde.var(t)), ya)
+    return (mean if mean.ndim else float(mean)), var
+
+
+def _score_time(sde: InterpolatingSde, t) -> float:
+    t = real_parameter("t", t)
+    if not (0.0 < t <= sde.t_rev):
+        raise ParameterError(f"score is defined for 0 < t <= t_rev, got t={t!r}")
+    return t
+
+
+def _shape_error(xa, ya) -> ShapeError:
+    return ShapeError(f"x shape {xa.shape} and y shape {ya.shape} do not broadcast")
+
+
+def _score_rule(prior):
+    """The score of ``prior``'s marginal as ``rule(kv, var_t, xa, ya, t)``, where kv
+    and var_t are k(t) and var(t): the prior is checked and its constants read once."""
+    if isinstance(prior, (DeltaPrior, GaussianPrior)):  # a delta prior has variance 0
+        pm, pv = prior.moments()
+
+        def linear(kv, var_t, xa, ya, t):
+            mu, v = _affine_marginal(pm, pv, kv, var_t, ya)
+            try:
+                d = mu - xa
+            except ValueError:
+                raise _shape_error(xa, ya) from None
+            if v <= 0.0:
+                raise SingularityError(f"zero marginal variance at t={t!r}")
+            d /= v  # in place: a new array here costs page faults at 1e5 paths
+            return d if np.ndim(d) else float(d)
+
+        return linear
+
+    if isinstance(prior, MixturePrior):
+        log_w, means, variances = (np.log(np.array(prior.weights)), np.array(prior.means),
+                                   np.array(prior.variances))
+
+        def mixture(kv, var_t, xa, ya, t):
+            # Per-component constants are vectors over the components; only
+            # d = mu - x and the log densities span (components, *shape), and
+            # they are updated in place.
+            ndim = max(xa.ndim, ya.ndim)
+            ext = (means.size,) + (1,) * ndim
+            mu, v = _affine_marginal(means.reshape(ext), variances, kv, var_t, ya)
+            try:
+                d = mu - xa
+            except ValueError:
+                raise _shape_error(xa, ya) from None
+            if np.any(v <= 0.0):
+                raise SingularityError(f"zero marginal variance at t={t!r}")
+            logc = (log_w - 0.5 * np.log(2.0 * np.pi * v)).reshape(ext)
+            v = v.reshape(ext)
+            logp = d * d
+            logp /= 2.0 * v
+            np.subtract(logc, logp, out=logp)
+            # responsibilities with the max over components shifted out
+            logp -= logp.max(axis=0)
+            e = np.exp(logp, out=logp)
+            d /= v
+            d *= e
+            out = d.sum(axis=0) / e.sum(axis=0)
+            return out if ndim else float(out)
+
+        return mixture
+
+    raise ParameterError(f"unsupported prior type {type(prior).__name__!r}")
 
 
 def analytic_score(prior, sde: InterpolatingSde, x, y, t):
@@ -168,49 +237,9 @@ def analytic_score(prior, sde: InterpolatingSde, x, y, t):
     Delta and Gaussian priors give the linear score (mu - x) / v; mixtures use
     posterior responsibilities computed in log space for far-tail stability.
     """
-    t = real_parameter("t", t)
-    if not (0.0 < t <= sde.t_rev):
-        raise ParameterError(f"score is defined for 0 < t <= t_rev, got t={t!r}")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    try:
-        shape = np.broadcast_shapes(xa.shape, ya.shape)
-    except ValueError:
-        raise ShapeError(f"x shape {xa.shape} and y shape {ya.shape} do not broadcast")
-
-    if isinstance(prior, (DeltaPrior, GaussianPrior)):  # a delta prior has variance 0
-        mu, v = marginal_moments(prior, sde, ya, t)
-        if v <= 0.0:
-            raise SingularityError(f"zero marginal variance at t={t!r}")
-        out = (mu - xa) / v
-        return out if np.ndim(out) else float(out)
-
-    if isinstance(prior, MixturePrior):
-        kv = float(sde.k(t))
-        omk = 1.0 - kv
-        sig2 = float(sde.var(t))
-        # Per-component constants are vectors over the components; only
-        # d = mu - x and the log densities span (components, *shape), and
-        # they are updated in place.
-        v = omk ** 2 * np.array(prior.variances) + sig2
-        if np.any(v <= 0.0):
-            raise SingularityError(f"zero marginal variance at t={t!r}")
-        ext = (len(v),) + (1,) * len(shape)
-        logc = (np.log(np.array(prior.weights)) - 0.5 * np.log(2.0 * np.pi * v)).reshape(ext)
-        v = v.reshape(ext)
-        d = ((omk * np.array(prior.means)).reshape(ext) + kv * ya) - xa
-        logp = d * d
-        logp /= 2.0 * v
-        np.subtract(logc, logp, out=logp)
-        # responsibilities with the max over components shifted out
-        logp -= logp.max(axis=0)
-        e = np.exp(logp, out=logp)
-        d /= v
-        d *= e
-        out = d.sum(axis=0) / e.sum(axis=0)
-        return out if len(shape) else float(out)
-
-    raise ParameterError(f"unsupported prior type {type(prior).__name__!r}")
+    t = _score_time(sde, t)
+    xa, ya = real_array("x", x), real_array("y", y)
+    return _score_rule(prior)(float(sde.k(t)), float(sde.var(t)), xa, ya, t)
 
 
 class ScoreModel:
@@ -241,10 +270,28 @@ class ScoreModel:
                 f"parameterization={self.parameterization!r}, nfe={self.nfe})")
 
 
+_MEMO_TIMES = 4096  # times whose k and var an analytic model keeps
+
+
 def analytic_score_model(prior, sde: InterpolatingSde) -> ScoreModel:
-    """Exact score of the tractable marginal, wrapped with NFE counting."""
+    """Exact score of the tractable marginal, wrapped with NFE counting.
+
+    The prior is checked once, here. The model keeps k(t) and var(t) of the last
+    ``_MEMO_TIMES`` times it was called at, so solves on one grid read the
+    schedule once per time; every call still checks t, x and y.
+    """
+    rule = _score_rule(prior)
+    memo = {}
+
     def fn(x, y, t):
-        return analytic_score(prior, sde, x, y, t)
+        t = _score_time(sde, t)
+        xa, ya = real_array("x", x), real_array("y", y)
+        at = memo.get(t)
+        if at is None:
+            if len(memo) >= _MEMO_TIMES:
+                del memo[next(iter(memo))]  # the oldest time
+            at = memo[t] = (float(sde.k(t)), float(sde.var(t)))
+        return rule(*at, xa, ya, t)
 
     return ScoreModel(fn, parameterization="score",
                       name=f"analytic-{type(prior).__name__}")

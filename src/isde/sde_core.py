@@ -125,7 +125,8 @@ class InterpolatingSde:
 
 
 def _t(value):
-    return np.asarray(value, dtype=float)
+    """Times as a float array, by the number rule of :func:`real_array`."""
+    return real_array("t", value)
 
 
 # BBED variance var(t) = (1 - t)^2 int_0^t (c r^u / (1 - u))^2 du. In s = 1 / (1 - u)

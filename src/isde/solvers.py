@@ -21,6 +21,7 @@ initial state and runs are reproducible bitwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -275,8 +276,8 @@ def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float) -> float:
 
 
 def _prepare_state(sde, y, seed, x_init):
-    """The start state and y as float arrays: a copy of x_init, or a draw from
-    the seed's channel 0 stream."""
+    """The start state and y as float arrays: x_init, or a draw from the seed's
+    channel 0 stream."""
     ya = real_array("y", y)
     if x_init is None:
         return np.asarray(reverse_init(sde, ya, _channel_rng(seed, 0)), dtype=float), ya
@@ -392,6 +393,19 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
     return _StepPlan(**plan)
 
 
+@functools.lru_cache(maxsize=32)
+def _plan_for(sde: InterpolatingSde, times_key: bytes, p: int, ito: bool,
+              eps_mode: bool) -> _StepPlan:
+    """:func:`_step_plan` on the grid whose float64 bytes are ``times_key``, kept for
+    later solves with the same key and with its arrays read-only. The plan reads
+    kappa only through kappa > 0 (``ito``), so the key holds that and not kappa."""
+    plan = _step_plan(sde, np.frombuffer(times_key), p, float(ito), eps_mode)
+    for a in vars(plan).values():
+        if a is not None:
+            a.setflags(write=False)
+    return plan
+
+
 @contextmanager
 def _overflow_as_divergence(kind: str):
     """Run a solve with NumPy float warnings off (a state that overflows ends in
@@ -421,14 +435,14 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
         raise ParameterError(
             f"grid starts at {grid.times[0]!r}, above the reverse start t_rev={sde.t_rev!r}")
     seed = integer_parameter("seed", seed, 0)
-    times = grid.times
+    times = grid.times.tolist()
     with _overflow_as_divergence(kind):
         x, ya = _prepare_state(sde, y, seed, x_init)
         step = make_step(ya, lambda channel: _channel_rng(seed, channel))
         for i in range(grid.n_steps):
-            tl = float(times[i + 1])
-            x = step(i, x, float(times[i]), tl)
-            if not np.all(np.isfinite(x)):
+            tl = times[i + 1]
+            x = step(i, x, times[i], tl)
+            if not np.isfinite(x).all():
                 raise DivergenceError(f"state became non-finite at t={tl!r}",
                                       step_index=i, time=tl)
     return SolveOutput(final_state=x, nfe=_SOLVERS[kind][0](p) * grid.n_steps, seed=seed)
@@ -444,15 +458,18 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     are expanded in t, eps-parameterized ones in the half-log-SNR variable
     lambda = ln((1 - k)/sigma). Both take the same step rule and differ only in
     its coefficients, which are computed for the whole grid before the first
-    step (:func:`_step_plan`).
+    step (:func:`_step_plan`) and reused by later solves with the same bundle,
+    grid, p, kappa > 0 and parameterization (:func:`_plan_for`).
     """
     p = _check_order(p)
     kappa = _nonnegative_real("kappa", kappa)
     eps_mode = getattr(model, "parameterization", "score") == "eps"
 
     def make_step(ya, rng):
-        plan = _step_plan(sde, grid.times, p, kappa, eps_mode)
-        phi, c, w0 = plan.phi, plan.c, plan.w0
+        plan = _plan_for(sde, grid.times.tobytes(), p, kappa > 0.0, eps_mode)
+        # the rows, in field order, as Python floats: a step reads them one number at a time
+        phi, c, w0, t_mid, phi_mid, a_mid, d_mid, w1, ito_std = (
+            None if a is None else a.tolist() for a in vars(plan).values())
         rng_ito = rng(1) if kappa > 0.0 else None
 
         def step(i, x, th, tl):
@@ -460,13 +477,12 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
             if p == 1:
                 corr = f * w0[i]
             else:
-                phi_m = plan.phi_mid[i]
-                x_mid = phi_m * x + (1.0 - phi_m) * ya + plan.a_mid[i] * f
-                f_mid = np.asarray(model(x_mid, ya, float(plan.t_mid[i])), dtype=float)
-                corr = f * w0[i] + (f - f_mid) / plan.d_mid[i] * plan.w1[i]
+                x_mid = phi_mid[i] * x + (1.0 - phi_mid[i]) * ya + a_mid[i] * f
+                f_mid = np.asarray(model(x_mid, ya, t_mid[i]), dtype=float)
+                corr = f * w0[i] + (f - f_mid) / d_mid[i] * w1[i]
             x = phi[i] * x + (1.0 - phi[i]) * ya + (1.0 + kappa ** 2) * c[i] * corr
             if kappa > 0.0:
-                x = x + kappa * plan.ito_std[i] * rng_ito.standard_normal(np.shape(x))
+                x = x + kappa * ito_std[i] * rng_ito.standard_normal(np.shape(x))
             return x
 
         return step
@@ -537,9 +553,10 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 
         def step(i, x, th, tl):
             x = predict(i, x, th, tl)
-            s_corr = score(x, ya, tl)
             eta = 2.0 * (r * float(sde.sigma(tl))) ** 2
-            return x + eta * s_corr + math.sqrt(2.0 * eta) * rng_corr.standard_normal(np.shape(x))
+            # the score as a temporary, so NumPy reuses its buffer for eta * score
+            return (x + eta * score(x, ya, tl)
+                    + math.sqrt(2.0 * eta) * rng_corr.standard_normal(np.shape(x)))
         return step
 
     return _solve_on_grid("pc", sde, y, grid, seed, x_init, make_step)
@@ -625,7 +642,7 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
                         xi = xi + h * a * stages[j]
                 ki = rhs(xi, t + _DP_C[idx] * h)
                 calls += 1
-                if not np.all(np.isfinite(ki)):
+                if not np.isfinite(ki).all():
                     raise DivergenceError(f"stage derivative non-finite at t={t!r}",
                                           step_index=attempts, time=t)
                 stages.append(ki)

@@ -436,6 +436,12 @@ _RK2 = isde.SolverSpec("rk2")
      "duplicate solver labels: a"),
     (lambda c: hz.SolverEntry(_RK2, "isde,one"), "label must"),
     (lambda c: hz.SolverEntry(_RK2, "rk2", m_nodes=1), "m_nodes must"),
+    # the blocks are checked for their types, so no raw AttributeError comes later
+    (lambda c: dataclasses.replace(c, solvers=({"kind": "rk2"},)),
+     "'solvers' must be a tuple of SolverEntry"),
+    (lambda c: dataclasses.replace(c, prior="gaussian"), "'prior' must be a DeltaPrior"),
+    (lambda c: dataclasses.replace(c, sde="BrownianBridge"), "'sde' must be a schedule"),
+    (lambda c: hz.SolverEntry("rk2", "a"), "spec must be a SolverSpec"),
 ])
 def test_study_inputs_built_directly_check_themselves(canonical_config_dict, build, match):
     # ExperimentConfig and SolverEntry check at construction what config_from_dict

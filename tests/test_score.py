@@ -252,6 +252,64 @@ def test_score_domain_errors(fouve, gaussian_prior):
         analytic_score(object(), fouve, 0.0, 1.0, 0.5)
 
 
+_G = GaussianPrior(0.5, 0.2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda sde: analytic_score(_G, sde, "0.5", 1.0, 0.5), "x"),
+    (lambda sde: analytic_score(_G, sde, 0.5, True, 0.5), "y"),
+    (lambda sde: analytic_score(_G, sde, np.array([True]), 1.0, 0.5), "x"),
+    (lambda sde: analytic_score(_G, sde, b"0.5", 1.0, 0.5), "x"),
+    (lambda sde: analytic_score_model(_G, sde)(0.5, "1.0", 0.5), "y"),
+    (lambda sde: analytic_score_model(MIX, sde)(np.array([True]), 1.0, 0.5), "x"),
+    (lambda sde: marginal_moments(_G, sde, "1.0", 0.5), "y"),
+    (lambda sde: sde.var("0.5"), "t"),
+    (lambda sde: sde.k(True), "t"),
+    (lambda sde: sde.k(np.array([0.5, None], dtype=object)), "t"),
+])
+def test_model_and_schedule_inputs_must_be_numbers(fouve, call, name):
+    # a bool, a string or bytes is not a number, as in real_array
+    with pytest.raises(ParameterError, match=f"^{name} must"):
+        call(fouve)
+
+
+def test_model_and_schedule_read_numbers_of_every_real_kind(fouve):
+    x = np.linspace(-1.0, 2.0, 5)
+    want = analytic_score(_G, fouve, x, 1.0, 0.5)
+    for xs in (x.astype(np.float32).astype(float), x.astype(object), list(x)):
+        assert np.array_equal(analytic_score(_G, fouve, xs, 1, 0.5), want)
+    assert analytic_score(_G, fouve, 2, np.uint8(1), 0.5) == analytic_score(_G, fouve, 2.0, 1.0, 0.5)
+    assert fouve.k(np.array([1], dtype=np.int64)) == fouve.k(1.0)
+    # a float64 array is read as it is, with no copy
+    assert isde.errors.real_array("x", x) is x
+
+
+def test_model_checks_its_prior_once_and_every_call(fouve):
+    with pytest.raises(ParameterError, match="unsupported prior type"):
+        analytic_score_model(object(), fouve)
+    model = analytic_score_model(_G, fouve)
+    with pytest.raises(ParameterError):
+        model(0.0, 1.0, 0.0)
+    with pytest.raises(ShapeError):
+        model(np.zeros(3), np.ones(4), 0.5)
+    with pytest.raises(ShapeError):
+        analytic_score_model(MIX, fouve)(np.zeros(3), np.ones(4), 0.5)
+    frozen = dataclasses.replace(fouve, var=lambda t: 0.0 * np.asarray(t, dtype=float))
+    with pytest.raises(SingularityError):
+        analytic_score_model(DeltaPrior(0.5), frozen)(0.3, 1.0, 0.5)
+
+
+def test_model_memo_is_bounded(fouve, monkeypatch):
+    # the model keeps k and var of its last _MEMO_TIMES times and drops the oldest first
+    monkeypatch.setattr(isde.score, "_MEMO_TIMES", 3)
+    calls = []
+    counted = dataclasses.replace(fouve, k=lambda t: calls.append(t) or fouve.k(t))
+    model = analytic_score_model(_G, counted)
+    for t in (0.1, 0.2, 0.3, 0.4, 0.4, 0.2, 0.1):
+        assert model(0.3, 1.0, t) == analytic_score(_G, fouve, 0.3, 1.0, t)
+    assert calls == [0.1, 0.2, 0.3, 0.4, 0.1]
+
+
 def test_zero_variance_marginal_raises(fouve):
     frozen = dataclasses.replace(fouve, var=lambda t: 0.0 * np.asarray(t, dtype=float))
     for prior in (DeltaPrior(0.5), MixturePrior((0.3, 0.7), (-0.5, 1.0), (0.0, 0.04))):

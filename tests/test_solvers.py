@@ -397,6 +397,133 @@ def test_eps_p2_solves_where_lambda_is_flat():
         assert np.max(np.abs(out.final_state - want)) <= 1e-5, nodes
 
 
+# ------------------------------------------------------------- plan reuse
+# A plan depends only on (bundle, grid, p, kappa > 0, parameterization); solves with
+# the same key reuse one, and an analytic model reads k and var once per time.
+
+def _counted_plans(monkeypatch):
+    """Clear the plan cache and log the key of every plan built from now on."""
+    built, plan = [], solvers._step_plan
+    monkeypatch.setattr(solvers, "_step_plan", lambda sde, times, p, kappa, eps_mode: (
+        built.append((p, kappa, eps_mode)) or plan(sde, times, p, kappa, eps_mode)))
+    solvers._plan_for.cache_clear()
+    return built
+
+
+def test_solves_with_one_key_share_one_plan(all_sdes, gaussian_prior, monkeypatch):
+    built = _counted_plans(monkeypatch)
+    sde = all_sdes["OT"]
+    model = analytic_score_model(gaussian_prior, sde)
+    grid = TimeGrid.for_sde(sde, 11)
+    runs = [isde_solve(sde, model, 1.0, grid, p=2, seed=1) for _ in range(2)]
+    assert len(built) == 1
+    # the plan reads kappa only through kappa > 0: 0.5 and 1.0 share one
+    for kappa in (0.5, 1.0):
+        isde_solve(sde, model, 1.0, grid, p=2, kappa=kappa, seed=1)
+    assert built == [(2, 0.0, False), (2, 1.0, False)]
+    isde_solve(sde, eps_adapter(model, sde), 1.0, grid, p=2, seed=1)
+    isde_solve(sde, model, 1.0, grid, p=1, seed=1)
+    isde_solve(sde, model, 1.0, TimeGrid.for_sde(sde, 12), p=2, seed=1)
+    assert len(built) == 5
+    assert np.array_equal(runs[0].final_state, runs[1].final_state)
+
+
+def test_bundles_on_one_grid_keep_their_own_plans(gaussian_prior):
+    # OT with sigma_max 0.1 and 0.5 have the same times; each must get its own weights
+    sdes = [make_sde(SdeParams(kind="OT", sigma_max=s)) for s in (0.1, 0.5)]
+    grid = TimeGrid.for_sde(sdes[0], 11)
+    assert np.array_equal(grid.times, TimeGrid.for_sde(sdes[1], 11).times)
+    x0 = np.linspace(0.0, 1.5, 8)
+
+    def finals():
+        return [isde_solve(sde, analytic_score_model(gaussian_prior, sde), 1.0, grid, p=2,
+                           kappa=kappa, seed=2, x_init=x0).final_state
+                for sde in sdes for kappa in (0.0, 0.5)]
+
+    warm = finals()
+    cold = []
+    for sde in sdes:
+        for kappa in (0.0, 0.5):
+            solvers._plan_for.cache_clear()
+            cold.append(isde_solve(sde, analytic_score_model(gaussian_prior, sde), 1.0, grid,
+                                   p=2, kappa=kappa, seed=2, x_init=x0).final_state)
+    assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+    assert not np.array_equal(warm[0], warm[2])
+
+
+def test_cached_plan_is_read_only(all_sdes):
+    sde = all_sdes["BBED"]
+    plan = solvers._plan_for(sde, TimeGrid.for_sde(sde, 11).times.tobytes(), 2, True, False)
+    arrays = [a for a in vars(plan).values() if a is not None]
+    assert len(arrays) == 9
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("eps_mode", [False, True])
+def test_model_reads_the_schedule_once_per_time(all_sdes, gaussian_prior, eps_mode):
+    # over two p = 2 solves on one grid the model calls k and var once per distinct time
+    for name, sde in all_sdes.items():
+        seen = {"k": [], "var": []}
+
+        def counting(field):
+            fn = getattr(sde, field)
+            return lambda t: (np.ndim(t) == 0 and seen[field].append(float(t))) or fn(t)
+
+        counted = dataclasses.replace(sde, k=counting("k"), var=counting("var"))
+        model = analytic_score_model(gaussian_prior, counted)
+        if eps_mode:
+            model = eps_adapter(model, counted)
+        grid = TimeGrid.for_sde(counted, 11)
+        for kappa in (0.0, 0.5):
+            isde_solve(counted, model, 1.0, grid, p=2, kappa=kappa,
+                       x_init=np.linspace(0.0, 1.5, 8))
+        for field, times in seen.items():
+            assert len(times) == len(set(times)) == 20, (name, field)
+
+
+@pytest.mark.parametrize("spec", [
+    SolverSpec("isde", p=1), SolverSpec("isde", p=2, kappa=0.5), SolverSpec("euler_maruyama"),
+    SolverSpec("pc"), SolverSpec("rk2"), SolverSpec("rk45")], ids=lambda s: f"{s.kind}-{s.p}")
+def test_warm_and_cold_solves_are_bitwise_equal(all_sdes, gaussian_prior, spec):
+    # warm: the plan cache and the model's memo filled by an earlier solve
+    x0 = np.linspace(0.0, 1.5, 8)
+    for name, sde in all_sdes.items():
+        grid = TimeGrid.for_sde(sde, 11)
+        for mode in ("score", "eps"):
+            def run(model):
+                model = eps_adapter(model, sde) if mode == "eps" else model
+                rec = recording(model)
+                out = run_solver(sde, rec, 1.0, grid, spec, seed=5, x_init=x0)
+                return out, rec.calls
+
+            solvers._plan_for.cache_clear()
+            cold, cold_calls = run(analytic_score_model(gaussian_prior, sde))
+            warm_model = analytic_score_model(gaussian_prior, sde)
+            run(warm_model)
+            warm, warm_calls = run(warm_model)
+            assert np.array_equal(cold.final_state, warm.final_state), (name, mode)
+            assert cold.nfe == warm.nfe and same_calls(cold_calls, warm_calls), (name, mode)
+
+
+@pytest.mark.parametrize("prior", [isde.DeltaPrior(0.5), isde.GaussianPrior(0.5, 0.2),
+                                   isde.MixturePrior((0.4, 0.6), (-0.5, 1.0), (0.04, 0.09))],
+                         ids=lambda p: type(p).__name__)
+def test_model_is_bitwise_the_analytic_score(all_sdes, prior):
+    # at grid times and at the p = 2 stage times of both parameterizations, twice
+    x = np.linspace(-1.0, 2.0, 7)
+    for name, sde in all_sdes.items():
+        times = TimeGrid.for_sde(sde, 41).times
+        stages = [_step_plan(sde, times, 2, 0.0, eps_mode).t_mid for eps_mode in (False, True)]
+        model = analytic_score_model(prior, sde)
+        for t in np.concatenate([times] + stages * 2).tolist():
+            want = isde.analytic_score(prior, sde, x, 1.0, t)
+            assert np.array_equal(model(x, 1.0, t), want), (name, t)
+            assert model(0.25, 1.0, t) == isde.analytic_score(prior, sde, 0.25, 1.0, t)
+
+
 def _step_by_mode(sde, model, x, y, th, tl, p, kappa, z):
     """One isde_solve step from th to tl by its four score/eps x p formulas,
     each written out, with the noise draw z."""
