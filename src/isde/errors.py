@@ -5,12 +5,14 @@ catch the whole family with one clause. Subclasses also inherit from the
 closest builtin (ValueError, ArithmeticError, ...) where one applies.
 :func:`real_parameter`, :func:`real_array` and :func:`integer_parameter` turn
 a malformed numeric argument into a ParameterError. One rule serves the
-library and the config loader: a bool or a string is never a number, and an
-integer takes only an ``int`` or a NumPy integer.
+library and the config loader: a bool or a string is never a number, an
+integer takes only an ``int`` or a NumPy integer, and a scalar real is a
+finite one inside the interval its argument allows, checked only here.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -81,16 +83,24 @@ class ConfigError(IsdeError, ValueError):
     """Invalid or incomplete experiment configuration; message names the offender."""
 
 
-def real_parameter(name: str, value) -> float:
-    """``float(value)``, raising ParameterError naming ``name`` when value is not a
-    number; a bool or a string is not one, so a YAML ``true`` cannot stand for
-    1.0 and ``"1.5"`` not for 1.5."""
+def real_parameter(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+                   lo_open: bool = False, hi_open: bool = False) -> float:
+    """``float(value)`` for a finite real ``lo <= value <= hi`` (``<`` at an open
+    end), raising ParameterError naming ``name`` and the interval otherwise. A bool
+    or a string is not a number, so a YAML ``true`` cannot stand for 1.0 and
+    ``"1.5"`` not for 1.5; NaN and +-inf lie in no interval."""
     if isinstance(value, (bool, str, bytes)):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
+        v = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(v) and (lo < v if lo_open else lo <= v)
+            and (v < hi if hi_open else v <= hi)):
+        raise ParameterError(
+            f"{name} must be a finite real in {'(' if lo_open or lo == -math.inf else '['}"
+            f"{lo!r}, {hi!r}{')' if hi_open or hi == math.inf else ']'}, got {v!r}")
+    return v
 
 
 def real_array(name: str, value) -> np.ndarray:

@@ -15,6 +15,7 @@ ensemble of reverse-start draws.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -38,8 +39,8 @@ from .sde_core import InterpolatingSde, SdeParams, make_sde, sample_forward
 from .solvers import (
     SolverSpec,
     TimeGrid,
+    _SOLVERS,
     _channel_rng,
-    _nonnegative_real,
     ito_increment,
     nfe_per_step,
     omega_weight,
@@ -88,9 +89,9 @@ class SolverEntry:
 class ExperimentConfig:
     """Validated, ready-to-run study inputs. Construction checks that sde is a
     schedule bundle, prior one of the three prior classes and solvers a tuple of
-    SolverEntry, reads the fields of ``_READERS``, checks the 1e150 scale of y and
-    the prior and that no two solver labels repeat, and raises ParameterError
-    naming the key."""
+    SolverEntry, reads the fields of ``_READERS`` (y of magnitude at most 1e150
+    among them), checks the 1e150 scale of the prior and that no two solver
+    labels repeat, and raises ParameterError naming the key."""
 
     sde: InterpolatingSde
     prior: object
@@ -117,7 +118,7 @@ class ExperimentConfig:
                                  f"got {self.solvers!r}")
         for name, read in _READERS.items():
             object.__setattr__(self, name, read(f"config key {name!r}", getattr(self, name)))
-        _check_scale(self.y, self.prior)
+        _check_scale(self.prior)
         labels = [e.label for e in self.solvers]
         dupes = sorted({l for l in labels if labels.count(l) > 1})
         if dupes:
@@ -190,11 +191,8 @@ def _prior_from_dict(block) -> object:
     return prior
 
 
-def _check_scale(y, prior) -> None:
-    """Reject |y|, |prior mean| or prior std above _SCALE (or NaN), naming the key."""
-    if not abs(real_parameter("config key 'y'", y)) <= _SCALE:
-        raise ParameterError(f"config key 'y' must be a real of magnitude at most {_SCALE:g}, "
-                             f"got {y!r}")
+def _check_scale(prior) -> None:
+    """Reject |prior mean| or prior std above _SCALE, naming the key."""
     mean, var = prior.moments()
     if not (abs(mean) <= _SCALE and var <= _SCALE ** 2):
         raise ParameterError(f"config key 'prior' must have |mean| and sqrt(variance) at most "
@@ -216,10 +214,11 @@ def _entry_from_dict(block, index: int) -> SolverEntry:
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError(f"solver entry {index} must be a mapping with a 'kind'")
     spec_keys = _names(SolverSpec)
-    _check_keys(block, spec_keys | _names(SolverEntry) - {"spec"},
-                f"keys in solver entry {index}")
     try:
         spec = SolverSpec(**{k: v for k, v in block.items() if k in spec_keys})
+        # a spec field the kind does not read is as unknown as a misspelt key
+        _check_keys(block, {"kind", *_SOLVERS[spec.kind][1]} | _names(SolverEntry) - {"spec"},
+                    f"keys for solver kind {spec.kind!r} in solver entry {index}")
         label = block.get("label")
         return SolverEntry(spec=spec, label=_default_label(spec) if label is None else label,
                            m_nodes=block.get("m_nodes"))
@@ -242,12 +241,12 @@ def _list_of(read):
 # How ExperimentConfig reads each field with a plain value; config_from_dict reads
 # the solver entries and the sde and prior blocks on their own.
 _READERS = {
-    "y": real_parameter,
+    "y": functools.partial(real_parameter, lo=-_SCALE, hi=_SCALE),
     "seed": _integers(0),
     "n_trajectories": _integers(2),  # a sample standard deviation needs two paths
     "m_values": _list_of(_integers(2)),
     "budgets": _list_of(_integers(1)),
-    "kappas": _list_of(_nonnegative_real),
+    "kappas": _list_of(functools.partial(real_parameter, lo=0)),
     "nfe_budget": _integers(1),
     "n_times": _integers(2),
 }

@@ -15,12 +15,12 @@ solver truncation error.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureDomainError, QuadratureToleranceError
+from .errors import (ParameterError, QuadratureDomainError, QuadratureToleranceError,
+                     real_parameter)
 
 __all__ = ["QuadResult", "integrate", "integrate_batch"]
 
@@ -84,20 +84,16 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-12, rel_tol: float = 1e
               max_subdivisions: int = 2000) -> QuadResult:
     """Integrate ``f`` over [a, b] to the requested tolerance.
 
-    Requires a <= b (positive orientation). The returned error estimate is the
-    sum of per-panel Kronrod-vs-Gauss discrepancies. Raises
-    QuadratureDomainError on a nonfinite integrand sample and
-    QuadratureToleranceError (carrying the best estimate) when the subdivision
-    budget is exhausted before the tolerance is met.
+    Requires finite a <= b (positive orientation) and finite tolerances >= 0.
+    The returned error estimate is the sum of per-panel Kronrod-vs-Gauss
+    discrepancies. Raises QuadratureDomainError on a nonfinite integrand sample
+    and QuadratureToleranceError (carrying the best estimate) when the
+    subdivision budget is exhausted before the tolerance is met.
     """
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ParameterError("integration bounds must be finite")
-    if a > b:
-        raise ParameterError(f"integrate requires a <= b, got a={a!r} > b={b!r}")
-    if abs_tol < 0 or rel_tol < 0:
-        raise ParameterError("tolerances must be nonnegative")
+    a = real_parameter("a", a)
+    b = real_parameter("b", b, a)
+    abs_tol = real_parameter("abs_tol", abs_tol, 0)
+    rel_tol = real_parameter("rel_tol", rel_tol, 0)
 
     def panels(lo, hi):  # GK7-15 on the panels [lo[j], hi[j]], one integrand call per node
         return (v.tolist() for v in _gk_panels(
@@ -193,8 +189,8 @@ def integrate_batch(f, a, b, abs_tol: float = 1e-12, rel_tol: float = 1e-10,
         raise ParameterError(
             f"integrate_batch requires a <= b, got a={float(a[i])!r} > b={float(b[i])!r} "
             f"at index {i}")
-    if abs_tol < 0 or rel_tol < 0:
-        raise ParameterError("tolerances must be nonnegative")
+    abs_tol = real_parameter("abs_tol", abs_tol, 0)
+    rel_tol = real_parameter("rel_tol", rel_tol, 0)
 
     n = a.size
     rows = np.arange(n)

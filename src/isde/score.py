@@ -59,8 +59,6 @@ class DeltaPrior:
     def __post_init__(self):
         object.__setattr__(self, "x0", real_parameter("x0", self.x0))
         object.__setattr__(self, "dimension", integer_parameter("dimension", self.dimension, 1))
-        if not math.isfinite(self.x0):
-            raise ParameterError(f"x0 must be finite, got {self.x0!r}")
 
     def moments(self):
         return self.x0, 0.0
@@ -79,12 +77,8 @@ class GaussianPrior:
 
     def __post_init__(self):
         object.__setattr__(self, "m0", real_parameter("m0", self.m0))
-        object.__setattr__(self, "s0", real_parameter("s0", self.s0))
+        object.__setattr__(self, "s0", real_parameter("s0", self.s0, 0))
         object.__setattr__(self, "dimension", integer_parameter("dimension", self.dimension, 1))
-        if not math.isfinite(self.m0):
-            raise ParameterError(f"m0 must be finite, got {self.m0!r}")
-        if not (math.isfinite(self.s0) and self.s0 >= 0.0):
-            raise ParameterError(f"s0 must be a nonnegative finite real, got {self.s0!r}")
         _check_moments(self)
 
     def moments(self):
@@ -107,19 +101,13 @@ class MixturePrior:
     dimension: int = 1
 
     def __post_init__(self):
-        w = tuple(real_parameter("mixture weights", v) for v in self.weights)
+        w = tuple(real_parameter("mixture weights", v, 0, lo_open=True) for v in self.weights)
         m = tuple(real_parameter("mixture means", v) for v in self.means)
-        v = tuple(real_parameter("mixture variances", s) for s in self.variances)
+        v = tuple(real_parameter("mixture variances", s, 0) for s in self.variances)
         if not (len(w) == len(m) == len(v)) or len(w) == 0:
             raise ParameterError(
                 f"weights/means/variances must be equal nonzero lengths, got "
                 f"{len(w)}/{len(m)}/{len(v)}")
-        if any(not math.isfinite(x) or x <= 0.0 for x in w):
-            raise ParameterError(f"mixture weights must be positive, got {w!r}")
-        if any(not math.isfinite(x) for x in m):
-            raise ParameterError(f"mixture means must be finite, got {m!r}")
-        if any(not math.isfinite(x) or x < 0.0 for x in v):
-            raise ParameterError(f"mixture variances must be nonnegative, got {v!r}")
         total = sum(w)
         if abs(total - 1.0) > 1e-9:
             raise ParameterError(f"mixture weights must sum to 1, got {total!r}")
@@ -158,19 +146,10 @@ def marginal_moments(prior, sde: InterpolatingSde, y, t):
     every prior; the marginal law itself is Gaussian only for delta and
     Gaussian priors.
     """
-    t = real_parameter("t", t)
-    if t < 0.0 or t > sde.t_rev:
-        raise ParameterError(f"time {t!r} outside [0, t_rev={sde.t_rev!r}]")
+    t = real_parameter("t", t, 0, sde.t_rev)
     ya = real_array("y", y)
     mean, var = _affine_marginal(*prior.moments(), float(sde.k(t)), float(sde.var(t)), ya)
     return (mean if mean.ndim else float(mean)), var
-
-
-def _score_time(sde: InterpolatingSde, t) -> float:
-    t = real_parameter("t", t)
-    if not (0.0 < t <= sde.t_rev):
-        raise ParameterError(f"score is defined for 0 < t <= t_rev, got t={t!r}")
-    return t
 
 
 def _shape_error(xa, ya) -> ShapeError:
@@ -237,7 +216,7 @@ def analytic_score(prior, sde: InterpolatingSde, x, y, t):
     Delta and Gaussian priors give the linear score (mu - x) / v; mixtures use
     posterior responsibilities computed in log space for far-tail stability.
     """
-    t = _score_time(sde, t)
+    t = real_parameter("t", t, 0, sde.t_rev, lo_open=True)
     xa, ya = real_array("x", x), real_array("y", y)
     return _score_rule(prior)(float(sde.k(t)), float(sde.var(t)), xa, ya, t)
 
@@ -270,40 +249,52 @@ class ScoreModel:
                 f"parameterization={self.parameterization!r}, nfe={self.nfe})")
 
 
-_MEMO_TIMES = 4096  # times whose k and var an analytic model keeps
+_MEMO_TIMES = 4096  # times whose schedule values a model or a view keeps
+
+
+def _per_time(read):
+    """``read`` of a float time, kept for the last ``_MEMO_TIMES`` times it was
+    called at, so solves on one grid read the schedule once per time."""
+    memo = {}
+
+    def at(t: float):
+        value = memo.get(t)
+        if value is None:
+            if len(memo) >= _MEMO_TIMES:
+                del memo[next(iter(memo))]  # the oldest time
+            value = memo[t] = read(t)
+        return value
+
+    return at
 
 
 def analytic_score_model(prior, sde: InterpolatingSde) -> ScoreModel:
     """Exact score of the tractable marginal, wrapped with NFE counting.
 
-    The prior is checked once, here. The model keeps k(t) and var(t) of the last
-    ``_MEMO_TIMES`` times it was called at, so solves on one grid read the
-    schedule once per time; every call still checks t, x and y.
+    The prior is checked once, here. The model reads k(t) and var(t) once per
+    time (:func:`_per_time`); every call still checks t, x and y.
     """
     rule = _score_rule(prior)
-    memo = {}
+    schedule = _per_time(lambda t: (float(sde.k(t)), float(sde.var(t))))
 
     def fn(x, y, t):
-        t = _score_time(sde, t)
+        t = real_parameter("t", t, 0, sde.t_rev, lo_open=True)
         xa, ya = real_array("x", x), real_array("y", y)
-        at = memo.get(t)
-        if at is None:
-            if len(memo) >= _MEMO_TIMES:
-                del memo[next(iter(memo))]  # the oldest time
-            at = memo[t] = (float(sde.k(t)), float(sde.var(t)))
-        return rule(*at, xa, ya, t)
+        return rule(*schedule(t), xa, ya, t)
 
     return ScoreModel(fn, parameterization="score",
                       name=f"analytic-{type(prior).__name__}")
 
 
 def eps_adapter(score_model: ScoreModel, sde: InterpolatingSde) -> ScoreModel:
-    """View a score model in the eps parameterization: eps_hat = -sigma_t * score."""
+    """View a score model in the eps parameterization: eps_hat = -sigma_t * score,
+    with sigma read once per time (:func:`_per_time`)."""
     if score_model.parameterization != "score":
         raise ParameterError("eps_adapter expects a model with parameterization 'score'")
+    sigma = _per_time(lambda t: float(sde.sigma(t)))
 
     def fn(x, y, t):
-        sig = float(sde.sigma(t))
+        sig = sigma(real_parameter("t", t))
         if sig == 0.0:
             raise SingularityError(f"sigma(t) = 0 at t={t!r}; eps view undefined")
         return -sig * score_model(x, y, t)
@@ -312,12 +303,13 @@ def eps_adapter(score_model: ScoreModel, sde: InterpolatingSde) -> ScoreModel:
 
 
 def score_from_eps(eps_model: ScoreModel, sde: InterpolatingSde) -> ScoreModel:
-    """Inverse view: score = -eps_hat / sigma_t."""
+    """Inverse view: score = -eps_hat / sigma_t, with sigma read once per time."""
     if eps_model.parameterization != "eps":
         raise ParameterError("score_from_eps expects a model with parameterization 'eps'")
+    sigma = _per_time(lambda t: float(sde.sigma(t)))
 
     def fn(x, y, t):
-        sig = float(sde.sigma(t))
+        sig = sigma(real_parameter("t", t))
         if sig == 0.0:
             raise SingularityError(f"sigma(t) = 0 at t={t!r}; score view undefined")
         return -np.asarray(eps_model(x, y, t), dtype=float) / sig
@@ -333,7 +325,7 @@ def _mc_loss(model: ScoreModel, prior, sde: InterpolatingSde, y, n_samples: int,
     eps standard normal, and forms x_t = mu_t + sigma_t eps.
     """
     n = integer_parameter("n_samples", n_samples, 1)
-    y = float(y)
+    y = real_parameter("y", y)
     total = 0.0
     for _ in range(n):
         t = rng.uniform(sde.delta, sde.t_rev)

@@ -61,21 +61,13 @@ class SdeKind(str, Enum):
     BROWNIAN_BRIDGE = "BrownianBridge"
 
 
-def _require_positive(name: str, value) -> float:
-    if value is None:
-        raise ParameterError(f"parameter {name!r} is required for this SDE kind")
-    value = real_parameter(f"parameter {name!r}", value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"parameter {name!r} must be a positive finite real, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class SdeParams:
     """Parameters selecting and shaping one schedule family.
 
-    Only the fields read by ``kind`` are validated: sigma_min/sigma_max/gamma0
-    for fOUVE and OUVE, c/r for BBED, sigma_max for OT, none for BrownianBridge.
+    Only the fields read by ``kind`` are validated, each a positive finite real:
+    sigma_min < sigma_max and gamma0 for fOUVE and OUVE, c and r for BBED,
+    sigma_max for OT, none for BrownianBridge.
     """
 
     kind: SdeKind
@@ -93,17 +85,14 @@ class SdeParams:
             raise ParameterError(f"unknown SDE kind {self.kind!r}; expected one of: {valid}")
         object.__setattr__(self, "kind", kind)
         if kind in (SdeKind.FOUVE, SdeKind.OUVE):
-            smin = _require_positive("sigma_min", self.sigma_min)
-            smax = _require_positive("sigma_max", self.sigma_max)
-            _require_positive("gamma0", self.gamma0)
-            if smin >= smax:
-                raise ParameterError(
-                    f"sigma_min must be < sigma_max, got {smin!r} >= {smax!r}")
+            smin = real_parameter("parameter 'sigma_min'", self.sigma_min, 0, lo_open=True)
+            real_parameter("parameter 'sigma_max'", self.sigma_max, smin, lo_open=True)
+            real_parameter("parameter 'gamma0'", self.gamma0, 0, lo_open=True)
         elif kind is SdeKind.BBED:
-            _require_positive("c", self.c)
-            _require_positive("r", self.r)
+            real_parameter("parameter 'c'", self.c, 0, lo_open=True)
+            real_parameter("parameter 'r'", self.r, 0, lo_open=True)
         elif kind is SdeKind.OT:
-            _require_positive("sigma_max", self.sigma_max)
+            real_parameter("parameter 'sigma_max'", self.sigma_max, 0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -162,11 +151,9 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
     """
     if not isinstance(params, SdeParams):
         raise ParameterError(f"make_sde needs an SdeParams, got {type(params).__name__}")
-    delta = _require_positive("delta", delta)
     kind = params.kind
     t_rev = 1.0 if kind in (SdeKind.FOUVE, SdeKind.OUVE) else 0.999
-    if delta >= t_rev:
-        raise ParameterError(f"parameter 'delta' must be below t_rev={t_rev!r}, got {delta!r}")
+    delta = real_parameter("parameter 'delta'", delta, 0, t_rev, lo_open=True, hi_open=True)
 
     if kind in (SdeKind.FOUVE, SdeKind.OUVE):
         smin = float(params.sigma_min)
@@ -247,9 +234,7 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         def var(t):
             tt = _t(t)
             if tt.ndim == 0:  # in Python floats: most calls ask for one time
-                t = float(tt)
-                if not 0.0 <= t < 1.0:
-                    raise ParameterError(f"BBED variance is defined for 0 <= t < 1, got {t!r}")
+                t = real_parameter("t", tt, 0, 1, hi_open=True)
                 i = bisect.bisect_right(node_list, t) - 1
                 lo = node_list[i]
                 half = 0.5 * (t - lo) / ((1.0 - t) * (1.0 - lo))
@@ -306,9 +291,7 @@ def mean_evolution(sde: InterpolatingSde, x0, y, t):
 
 def sample_forward(sde: InterpolatingSde, x0, y, t, rng: np.random.Generator):
     """One draw of x_t given (x0, y): mu_t + sigma_t z, z standard normal per coordinate."""
-    t = real_parameter("t", t)
-    if t < 0.0 or t > sde.t_rev:
-        raise ParameterError(f"time {t!r} outside [0, t_rev={sde.t_rev!r}]")
+    t = real_parameter("t", t, 0, sde.t_rev)
     mean = np.asarray(mean_evolution(sde, x0, y, t), dtype=float)
     if not np.all(np.isfinite(mean)):
         raise ParameterError("the kernel mean of x0 and y must be finite")

@@ -103,30 +103,18 @@ def _check_order(value, name: str = "p", orders=(1, 2)) -> int:
     return int(value)
 
 
-def _nonnegative_real(name: str, value) -> float:
-    value = real_parameter(name, value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ParameterError(f"{name} must be a nonnegative finite real, got {value!r}")
-    return value
-
-
-def _tolerances(rtol, atol) -> tuple:
-    """rtol and atol of an rk45 solve as floats, both positive."""
-    rtol, atol = real_parameter("rtol", rtol), real_parameter("atol", atol)
-    if not (rtol > 0.0 and atol > 0.0):
-        raise ParameterError(f"rtol and atol must be positive, got {rtol!r}, {atol!r}")
-    return rtol, atol
-
-
 @dataclass(frozen=True)
 class SolverSpec:
     """Which sampler to run and its tuning knobs.
 
-    kind is one of "isde", "euler_maruyama", "pc", "rk2", "rk45". Fields not
-    read by the chosen kind are ignored (p and kappa drive "isde", kappa
-    drives "euler_maruyama", corrector_stepsize drives "pc", rtol/atol drive
-    "rk45"). kappa defaults to 1 for "euler_maruyama", as in
-    :func:`euler_maruyama`, and to 0 for the other kinds.
+    kind is one of "isde", "euler_maruyama", "pc", "rk2", "rk45"; the fields
+    each kind reads are listed in :data:`_SOLVERS` (p and kappa drive "isde",
+    kappa drives "euler_maruyama", corrector_stepsize drives "pc", rtol/atol
+    drive "rk45"). A spec built directly keeps a field its kind does not read,
+    at its default unless given, and ignores it; a config's solver entry may not
+    set one. kappa defaults to 1 for "euler_maruyama", as in
+    :func:`euler_maruyama`, and to 0 for the other kinds; kappa and
+    corrector_stepsize are finite and >= 0, rtol and atol finite and > 0.
     """
 
     kind: str
@@ -144,9 +132,10 @@ class SolverSpec:
         if self.kappa is None:
             object.__setattr__(self, "kappa", 1.0 if self.kind == "euler_maruyama" else 0.0)
         for name in ("kappa", "corrector_stepsize"):
-            object.__setattr__(self, name, _nonnegative_real(name, getattr(self, name)))
-        for name, value in zip(("rtol", "atol"), _tolerances(self.rtol, self.atol)):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, real_parameter(name, getattr(self, name), 0))
+        for name in ("rtol", "atol"):
+            object.__setattr__(self, name,
+                               real_parameter(name, getattr(self, name), 0, lo_open=True))
 
 
 @dataclass(frozen=True)
@@ -162,10 +151,19 @@ def _channel_rng(seed: int, channel: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(channel,)))
 
 
+def _finite_array(name: str, value) -> np.ndarray:
+    """``value`` by the number rule of :func:`real_array`, with every entry finite: a
+    non-finite start is an input error, not a divergence."""
+    a = real_array(name, value)
+    if not np.isfinite(a).all():
+        raise ParameterError(f"{name} must hold finite reals only")
+    return a
+
+
 def reverse_init(sde: InterpolatingSde, y, rng: np.random.Generator, shape=None):
     """Draw the reverse-time start x_T = y + sigma(t_rev) z, z standard normal, of
-    ``shape`` (default: y's shape), to which y must broadcast."""
-    ya = real_array("y", y)
+    ``shape`` (default: y's shape), to which y, finite, must broadcast."""
+    ya = _finite_array("y", y)
     target = ya.shape if shape is None else tuple(shape)
     try:
         np.broadcast_to(ya, target)
@@ -227,17 +225,11 @@ def _ito_std(sde: InterpolatingSde, t_from, t_to):
     return top * np.sqrt(np.maximum((1.0 - q) * (1.0 + q), 0.0))
 
 
-def _one_step(name: str, sde: InterpolatingSde, t_from, t_to, integral) -> float:
-    """``integral`` of the step from t_from down to t_to, as one-element arrays, for the
-    public function ``name``; the step is checked against 0 <= t_to <= t_from < t_max."""
-    t_from = real_parameter("t_from", t_from)
-    t_to = real_parameter("t_to", t_to)
-    if t_to > t_from:
-        raise ParameterError(
-            f"{name} integrates downward, need t_to <= t_from, "
-            f"got t_to={t_to!r} > t_from={t_from!r}")
-    if t_to < 0.0 or t_from >= sde.t_max:
-        raise ParameterError(f"times must satisfy 0 <= t_to <= t_from < t_max={sde.t_max!r}")
+def _one_step(sde: InterpolatingSde, t_from, t_to, integral) -> float:
+    """``integral`` of the step from t_from down to t_to, as one-element arrays; the
+    step is checked against 0 <= t_to <= t_from < t_max."""
+    t_from = real_parameter("t_from", t_from, 0, sde.t_max, hi_open=True)
+    t_to = real_parameter("t_to", t_to, 0, t_from)
     if t_to == t_from:
         return 0.0
     return float(integral(np.array([t_from]), np.array([t_to]))[0])
@@ -257,8 +249,7 @@ def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float) -> f
     computes per grid.
     """
     n = _check_order(n, "weight order n", (0, 1))
-    return _one_step("omega_weight", sde, t_from, t_to,
-                     lambda hi, lo: _step_integrals(sde, n, hi, lo))
+    return _one_step(sde, t_from, t_to, lambda hi, lo: _step_integrals(sde, n, hi, lo))
 
 
 def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float) -> float:
@@ -271,17 +262,16 @@ def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float) -> float:
     below 0), with Phi = (1 - k(t_to)) / (1 - k(t_from)) and no quadrature. This is
     the one-step case of the standard deviations :func:`isde_solve` computes per grid.
     """
-    return _one_step("ito_increment", sde, t_from, t_to,
-                     lambda hi, lo: _ito_std(sde, hi, lo))
+    return _one_step(sde, t_from, t_to, lambda hi, lo: _ito_std(sde, hi, lo))
 
 
 def _prepare_state(sde, y, seed, x_init):
-    """The start state and y as float arrays: x_init, or a draw from the seed's
-    channel 0 stream."""
-    ya = real_array("y", y)
+    """The start state and y as finite float arrays: x_init, or a draw from the
+    seed's channel 0 stream."""
+    ya = _finite_array("y", y)
     if x_init is None:
         return np.asarray(reverse_init(sde, ya, _channel_rng(seed, 0)), dtype=float), ya
-    x = real_array("x_init", x_init)
+    x = _finite_array("x_init", x_init)
     try:
         np.broadcast_shapes(x.shape, ya.shape)
     except ValueError:
@@ -462,7 +452,7 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     grid, p, kappa > 0 and parameterization (:func:`_plan_for`).
     """
     p = _check_order(p)
-    kappa = _nonnegative_real("kappa", kappa)
+    kappa = real_parameter("kappa", kappa, 0)
     eps_mode = getattr(model, "parameterization", "score") == "eps"
 
     def make_step(ya, rng):
@@ -530,7 +520,7 @@ def euler_maruyama(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 
     One model call per step, evaluated at the left (larger-time) node.
     """
-    kappa = _nonnegative_real("kappa", kappa)
+    kappa = real_parameter("kappa", kappa, 0)
     return _solve_on_grid("euler_maruyama", sde, y, grid, seed, x_init,
                           lambda ya, rng: _em_step(sde, model, ya, kappa, rng))
 
@@ -545,7 +535,7 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     corrector model call still happens, so NFE is 2 per step). Corrector noise
     comes from its own stream, leaving the predictor's draws unchanged.
     """
-    r = _nonnegative_real("corrector_stepsize", corrector_stepsize)
+    r = real_parameter("corrector_stepsize", corrector_stepsize, 0)
     score = _score_eval(model, sde)
 
     def make_step(ya, rng):
@@ -604,14 +594,10 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     underflows, DivergenceError when a stage derivative becomes non-finite; a
     non-finite state does that, as gamma > 0 carries it into the drift.
     """
-    t_start = real_parameter("t_start", t_start)
-    t_end = real_parameter("t_end", t_end)
-    if not (t_start > t_end > 0.0):
-        raise ParameterError(f"need t_start > t_end > 0, got {t_start!r}, {t_end!r}")
-    if t_start > sde.t_rev + 1e-12:
-        raise ParameterError(
-            f"t_start={t_start!r} is above the reverse start t_rev={sde.t_rev!r}")
-    rtol, atol = _tolerances(rtol, atol)
+    t_start = real_parameter("t_start", t_start, 0, sde.t_rev + 1e-12, lo_open=True)
+    t_end = real_parameter("t_end", t_end, 0, t_start, lo_open=True, hi_open=True)
+    rtol = real_parameter("rtol", rtol, 0, lo_open=True)
+    atol = real_parameter("atol", atol, 0, lo_open=True)
     seed = integer_parameter("seed", seed, 0)
     calls = 0
     t = t_start
@@ -672,18 +658,19 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
 
 
 # Every solver kind: (model calls per grid step as a function of the order p,
-# None for the adaptive rk45; runner). The runners look the public solvers up
-# by name when called, so a rebound module-level solver also serves run_solver.
+# None for the adaptive rk45; the SolverSpec fields it reads besides kind; runner).
+# The runners look the public solvers up by name when called, so a rebound
+# module-level solver also serves run_solver.
 _SOLVERS = {
-    "isde": (lambda p: p, lambda sde, model, y, grid, spec, **kw: isde_solve(
+    "isde": (lambda p: p, ("p", "kappa"), lambda sde, model, y, grid, spec, **kw: isde_solve(
         sde, model, y, grid, p=spec.p, kappa=spec.kappa, **kw)),
-    "euler_maruyama": (lambda p: 1, lambda sde, model, y, grid, spec, **kw: euler_maruyama(
-        sde, model, y, grid, kappa=spec.kappa, **kw)),
-    "pc": (lambda p: 2, lambda sde, model, y, grid, spec, **kw: pc_sampler(
-        sde, model, y, grid, corrector_stepsize=spec.corrector_stepsize, **kw)),
-    "rk2": (lambda p: 2, lambda sde, model, y, grid, spec, **kw: rk2_midpoint(
+    "euler_maruyama": (lambda p: 1, ("kappa",), lambda sde, model, y, grid, spec, **kw:
+                       euler_maruyama(sde, model, y, grid, kappa=spec.kappa, **kw)),
+    "pc": (lambda p: 2, ("corrector_stepsize",), lambda sde, model, y, grid, spec, **kw:
+           pc_sampler(sde, model, y, grid, corrector_stepsize=spec.corrector_stepsize, **kw)),
+    "rk2": (lambda p: 2, (), lambda sde, model, y, grid, spec, **kw: rk2_midpoint(
         sde, model, y, grid, **kw)),
-    "rk45": (None, lambda sde, model, y, grid, spec, **kw: rk45_adaptive(
+    "rk45": (None, ("rtol", "atol"), lambda sde, model, y, grid, spec, **kw: rk45_adaptive(
         sde, model, y, float(grid.times[0]), float(grid.times[-1]),
         rtol=spec.rtol, atol=spec.atol, **kw)),
 }
@@ -696,7 +683,7 @@ def run_solver(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     For "rk45" only the grid endpoints are used (the step sequence is chosen
     adaptively).
     """
-    return _SOLVERS[spec.kind][1](sde, model, y, grid, spec, seed=seed, x_init=x_init)
+    return _SOLVERS[spec.kind][2](sde, model, y, grid, spec, seed=seed, x_init=x_init)
 
 
 def nfe_per_step(spec: SolverSpec):

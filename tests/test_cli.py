@@ -247,7 +247,7 @@ def test_config_error_exits_2(tmp_path, canonical_config_dict, capsys):
     (("y",), "1.5"),
     (("kappas",), ["0.5"]),
     (("solvers", 0, "kappa"), "0.25"),
-    (("solvers", 0, "rtol"), "1e-5"),  # YAML reads an unquoted 1e-5 as a string
+    (("solvers", 0, "kappa"), "1e-5"),  # YAML reads an unquoted 1e-5 as a string
     (("sde", "delta"), 1.0),  # at fOUVE's reverse start t_rev = 1: no step left
     (("solvers", 0, "label"), "isde,one"),  # not a number: a comma would split its CSV cell
 ])
@@ -357,6 +357,18 @@ def test_installed_console_script_matches_pyproject():
     assert matches and matches[0].value == "isde.cli:main"
 
 
+def test_solver_entry_key_its_kind_ignores_exits_2(tmp_path, capsys):
+    # an rk2 entry that sets kappa and rtol would run the kappa = 0 ODE and record
+    # both in its manifest; it is rejected, naming the keys
+    data = yaml.safe_load((CONFIG_DIR / "solve.yaml").read_text(encoding="utf-8"))
+    data["solvers"] = [{"kind": "rk2", "kappa": 0.5, "rtol": 3.0, "m_nodes": 21}]
+    rc = cli.main(["solve", "--config", str(write_cfg(tmp_path, data)),
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "kappa, rtol" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 # ------------------------------------------------- spoiled configs end in an exit status
 
 @pytest.mark.parametrize("study, path, value, status", [
@@ -399,13 +411,15 @@ _SIZE_FIELDS = {"n_trajectories", "n_times", "m_nodes", "nfe_budget", "m_values"
 _NAMES = st.sampled_from(["fOUVE", "OUVE", "BBED", "OT", "BrownianBridge", "delta",
                           "gaussian", "mixture", "isde", "euler_maruyama", "pc", "rk2", "rk45"])
 _JUNK = st.one_of(st.none(), st.booleans(), st.text("ab1e.-", max_size=4))
-_NUMBER = st.one_of(st.floats(0.0, 4.0), st.floats(1e-300, 1e300), st.floats(), st.integers())
+_NUMBER = st.one_of(st.floats(0.0, 4.0), st.floats(1e-300, 1e300), st.floats(), st.integers(),
+                    st.sampled_from([math.nan, math.inf, -math.inf]))
 _SIZE = st.integers(-1, 64)
 _SPOIL = st.tuples(
     st.integers(0, 199),                                  # the place, modulo their count
     st.sampled_from(["number", "number", "set", "drop"]),
-    st.sampled_from(sorted(_SIZE_FIELDS | {"delta", "p", "kappa", "rtol", "label", "c", "r",
-                                           "x0", "weights", "bogus"})),  # a key to add
+    st.sampled_from(sorted(_SIZE_FIELDS | {"delta", "p", "kappa", "rtol", "atol",
+                                           "corrector_stepsize", "label", "c", "r", "x0",
+                                           "weights", "bogus"})),  # a key to add
     st.one_of(_NUMBER, _NAMES, _JUNK, st.lists(_NUMBER, min_size=1, max_size=3)),
     _NUMBER,
     st.one_of(_SIZE, _JUNK, st.lists(_SIZE, min_size=1, max_size=3)))  # for a size field
@@ -465,6 +479,9 @@ def _spoil(config, place, how, new_key, value, number, size):
 @example(study="convergence", spoils=[(("m_values",), "set", "", 0, 0, [10, 10])])
 @example(study="kappa-sweep", spoils=[(("kappas",), "set", "", [0.1, 1.0e300], 0, 0)])
 @example(study="simulate-forward", spoils=[(("y",), "set", "", 1.0e300, 0, 0)])
+@example(study="solve", spoils=[(("y",), "set", "", math.nan, 0, 0)])
+@example(study="kappa-sweep", spoils=[(("kappas",), "set", "", [0.1, -math.inf], 0, 0)])
+@example(study="solve", spoils=[(("solvers", 5, "rtol"), "set", "", 3.0, 0, 0)])  # rk2 ignores it
 def test_property_spoiled_shipped_config_exits_0_1_or_2(study, spoils):
     # whatever a shipped config is spoiled to, the command line ends in an exit
     # status: no traceback, and no RuntimeWarning (an error under this suite)

@@ -172,11 +172,15 @@ _PRIOR = st.one_of(
                            "means": st.lists(_REAL, min_size=2, max_size=2),
                            "variances": st.lists(_NONNEGATIVE, min_size=2, max_size=2)},
                           optional=_DIMENSION))
-_SOLVER = st.fixed_dictionaries(
-    {"kind": st.sampled_from(["isde", "euler_maruyama", "pc", "rk2", "rk45"])},
-    optional={"p": st.integers(1, 2), "kappa": _NONNEGATIVE, "corrector_stepsize": _NONNEGATIVE,
-              "rtol": st.floats(1e-8, 1.0), "atol": st.floats(1e-8, 1.0),
-              "m_nodes": st.integers(2, 50)})
+_SOLVER_FIELDS = {"p": st.integers(1, 2), "kappa": _NONNEGATIVE,
+                  "corrector_stepsize": _NONNEGATIVE, "rtol": st.floats(1e-8, 1.0),
+                  "atol": st.floats(1e-8, 1.0)}
+_SOLVER = st.one_of(*(  # each kind with only the fields it reads
+    st.fixed_dictionaries({"kind": st.just(kind)},
+                          optional={**{k: _SOLVER_FIELDS[k] for k in reads},
+                                    "m_nodes": st.integers(2, 50)})
+    for kind, reads in (("isde", ("p", "kappa")), ("euler_maruyama", ("kappa",)),
+                        ("pc", ("corrector_stepsize",)), ("rk2", ()), ("rk45", ("rtol", "atol")))))
 _CONFIG = st.fixed_dictionaries(
     {"sde": _SDE, "prior": _PRIOR, "y": _REAL, "seed": st.integers(0, 2 ** 64),
      "solvers": st.lists(_SOLVER, max_size=3, unique_by=lambda entry: entry["kind"])},
@@ -417,9 +421,11 @@ def test_studies_check_the_seed_of_a_config_built_directly(canonical_config_dict
 ])
 def test_studies_check_the_scale_of_a_config_built_directly(canonical_config_dict, study,
                                                             extra, change, key):
-    # the check of config_from_dict, made before any draw can overflow
+    # the check of config_from_dict, made before any draw can overflow: y by the
+    # interval of the number rule, the prior by its moments
     config = config_from_dict(cfg_dict(canonical_config_dict, **extra))
-    with pytest.raises(isde.IsdeError, match=f"config key {key} .* at most 1e\\+150"):
+    bound = {"'y'": r"in \[-1e\+150, 1e\+150\]", "'prior'": r"at most 1e\+150"}[key]
+    with pytest.raises(isde.IsdeError, match=f"config key {key} .* {bound}"):
         study(dataclasses.replace(config, **change))
 
 

@@ -310,6 +310,24 @@ def test_model_memo_is_bounded(fouve, monkeypatch):
     assert calls == [0.1, 0.2, 0.3, 0.4, 0.1]
 
 
+def test_eps_view_reads_sigma_once_per_time(fouve):
+    # two p = 2 solves of one eps view read each of their times' sigma once; the
+    # plan's reads of whole grids are not counted
+    seen = []
+
+    def sigma(t):
+        if np.ndim(t) == 0:
+            seen.append(float(t))
+        return fouve.sigma(t)
+
+    counted = dataclasses.replace(fouve, sigma=sigma)
+    eps = eps_adapter(analytic_score_model(_G, counted), counted)
+    grid = isde.TimeGrid.for_sde(counted, 11)
+    for _ in range(2):
+        isde.isde_solve(counted, eps, 1.0, grid, p=2, x_init=np.zeros(4))
+    assert len(seen) == len(set(seen)) == 20
+
+
 def test_zero_variance_marginal_raises(fouve):
     frozen = dataclasses.replace(fouve, var=lambda t: 0.0 * np.asarray(t, dtype=float))
     for prior in (DeltaPrior(0.5), MixturePrior((0.3, 0.7), (-0.5, 1.0), (0.0, 0.04))):
