@@ -11,6 +11,9 @@ written alongside with the suffix .manifest.json. --seed overrides the seed
 in the config file. Exit status: 0 on success, 1 on runtime failures
 (divergence, stiffness, a float overflow), 2 on config or usage errors and
 when the output cannot be written.
+
+The config is read by libyaml when PyYAML was built with it, and by PyYAML's
+pure-Python loader otherwise; both read the shipped configs to the same values.
 """
 
 from __future__ import annotations
@@ -55,9 +58,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as e:
         print(f"error: cannot read config {args.config!r}: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"error: config {args.config!r} is not UTF-8 text: {e}", file=sys.stderr)
         return 2
     except yaml.YAMLError as e:
         print(f"error: config {args.config!r} is not valid YAML: {e}", file=sys.stderr)

@@ -289,12 +289,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def _describe_config(config: ExperimentConfig, study: str, **extra) -> dict:
-    """The manifest: the resolved config, with every default filled in."""
+    """The manifest: the resolved config, with every default filled in; a solver
+    entry lists its kind, the spec fields that kind reads, its label and grid size."""
     sde = {k: v for k, v in asdict(config.sde.params).items() if v is not None}
     sde.update(kind=config.sde.params.kind.value, delta=config.sde.delta)
     prior = asdict(config.prior)
     prior["kind"] = next(k for k, cls in _PRIORS.items() if isinstance(config.prior, cls))
-    solvers = [dict(asdict(e.spec), label=e.label, m_nodes=e.m_nodes) for e in config.solvers]
+    solvers = [{"kind": e.spec.kind, **{f: getattr(e.spec, f) for f in _SOLVERS[e.spec.kind][1]},
+                "label": e.label, "m_nodes": e.m_nodes} for e in config.solvers]
     return {"study": study, "sde": sde, "prior": prior, "y": config.y, "seed": config.seed,
             "n_trajectories": config.n_trajectories, "solvers": solvers, **extra}
 

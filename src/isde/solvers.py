@@ -481,7 +481,8 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 
 
 def _score_eval(model: ScoreModel, sde: InterpolatingSde):
-    """Evaluate a model as a score regardless of its parameterization."""
+    """Evaluate a model as a score regardless of its parameterization; a solve
+    builds this view once, so an eps model's view reads each time's sigma once."""
     if getattr(model, "parameterization", "score") == "eps":
         return score_from_eps(model, sde)
 
@@ -490,9 +491,9 @@ def _score_eval(model: ScoreModel, sde: InterpolatingSde):
     return fn
 
 
-def _reverse_drift(sde: InterpolatingSde, model: ScoreModel, ya, kappa: float):
-    """Drift gamma (y - x) - ((1 + kappa^2)/2) g^2 s of the reverse family, as f(x, t)."""
-    score = _score_eval(model, sde)
+def _reverse_drift(sde: InterpolatingSde, score, ya, kappa: float):
+    """Drift gamma (y - x) - ((1 + kappa^2)/2) g^2 s of the reverse family, as f(x, t),
+    with s the score function of :func:`_score_eval`."""
     half = 0.5 * (1.0 + kappa ** 2)
 
     def drift(x, t):
@@ -500,9 +501,9 @@ def _reverse_drift(sde: InterpolatingSde, model: ScoreModel, ya, kappa: float):
     return drift
 
 
-def _em_step(sde: InterpolatingSde, model: ScoreModel, ya, kappa: float, rng):
+def _em_step(sde: InterpolatingSde, score, ya, kappa: float, rng):
     """Euler-Maruyama step of the reverse family; kappa > 0 draws from channel 1."""
-    drift = _reverse_drift(sde, model, ya, kappa)
+    drift = _reverse_drift(sde, score, ya, kappa)
     rng_ito = rng(1) if kappa > 0.0 else None
 
     def step(i, x, th, tl):
@@ -521,8 +522,9 @@ def euler_maruyama(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     One model call per step, evaluated at the left (larger-time) node.
     """
     kappa = real_parameter("kappa", kappa, 0)
+    score = _score_eval(model, sde)
     return _solve_on_grid("euler_maruyama", sde, y, grid, seed, x_init,
-                          lambda ya, rng: _em_step(sde, model, ya, kappa, rng))
+                          lambda ya, rng: _em_step(sde, score, ya, kappa, rng))
 
 
 def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -533,13 +535,14 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     The corrector step size is eta = 2 (r sigma(t))^2 with r the
     corrector_stepsize ratio; r = 0 reproduces the predictor exactly (the
     corrector model call still happens, so NFE is 2 per step). Corrector noise
-    comes from its own stream, leaving the predictor's draws unchanged.
+    comes from its own stream, leaving the predictor's draws unchanged. The
+    predictor and the corrector share one score view.
     """
     r = real_parameter("corrector_stepsize", corrector_stepsize, 0)
     score = _score_eval(model, sde)
 
     def make_step(ya, rng):
-        predict, rng_corr = _em_step(sde, model, ya, 1.0, rng), rng(2)
+        predict, rng_corr = _em_step(sde, score, ya, 1.0, rng), rng(2)
 
         def step(i, x, th, tl):
             x = predict(i, x, th, tl)
@@ -556,7 +559,7 @@ def rk2_midpoint(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
                  seed: int = 0, x_init=None) -> SolveOutput:
     """Explicit midpoint rule on the probability-flow ODE (two model calls per step)."""
     def make_step(ya, rng):
-        rhs = _reverse_drift(sde, model, ya, 0.0)
+        rhs = _reverse_drift(sde, _score_eval(model, sde), ya, 0.0)
 
         def step(i, x, th, tl):
             dt = tl - th
@@ -609,7 +612,7 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     done_gap = 1e-13 * max(abs(t_start), abs(t_end), 1.0)
     with _overflow_as_divergence("rk45"):
         x, ya = _prepare_state(sde, y, seed, x_init)
-        rhs = _reverse_drift(sde, model, ya, 0.0)
+        rhs = _reverse_drift(sde, _score_eval(model, sde), ya, 0.0)
         while t - t_end > done_gap:
             if attempts >= _RK45_MAX_ATTEMPTS:
                 raise StiffnessError(

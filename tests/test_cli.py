@@ -204,6 +204,62 @@ def test_invalid_yaml_exits_2(tmp_path, capsys):
     assert "not valid YAML" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    # a UTF-16 file starts with the bytes ff fe, which no UTF-8 text does
+    bad = tmp_path / "utf16.yaml"
+    bad.write_bytes("seed: 1\n".encode("utf-16"))
+    rc = cli.main(["solve", "--config", str(bad), "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_shipped_configs_parse_alike_with_libyaml_and_pure_python():
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        fast, pure = (yaml.load(text, Loader=loader)
+                      for loader in (yaml.CSafeLoader, yaml.SafeLoader))
+        # repr tells 1 from 1.0 and True, and a string '1e-5' from a float
+        assert fast == pure and repr(fast) == repr(pure), path.name
+    assert yaml.load("rtol: 1e-5", Loader=yaml.CSafeLoader) == {"rtol": "1e-5"}
+
+
+@pytest.mark.parametrize("content", [
+    b"sde:\n\tkind: fOUVE\n",  # tab indentation
+    b"sde: \"unclosed\n",
+    b"seed: 1\x07\n",  # a control character
+    b"seed: *nowhere\n",  # an undefined alias
+    b"- 1\n- 2\n",  # a list at the root
+    b"",
+    b"label: caf\xe9\n",  # Latin-1, not UTF-8
+    b"seed: 1\n\xef\xbb\xbfy: 2\n",  # a byte-order mark inside: libyaml rejects it, the
+    # pure-Python loader reads a key "\ufeffy", which the config check rejects
+], ids=["tab", "unclosed-quote", "control-char", "undefined-alias", "list-root", "empty",
+        "latin1", "inner-bom"])
+def test_pure_python_loader_gives_the_same_exit_status(tmp_path, monkeypatch, capsys, content):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(content)
+    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+    with_libyaml = cli.main(argv)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert cli.main(argv) == with_libyaml == 2
+    assert not (tmp_path / "o.csv").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_studies_back_to_back_write_their_goldens(tmp_path, capsys):
+    # one process with warm plan caches and memos: every study, run twice in a
+    # row, still writes its recorded bytes
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["csv"][str(GOLDEN_SEED)]
+    for _ in range(2):
+        for study in sorted(STUDIES):
+            out = tmp_path / f"{study}.csv"
+            assert cli.main([study, "--config", str(CONFIG_DIR / f"{study}.yaml"),
+                             "--out", str(out), "--seed", str(GOLDEN_SEED)]) == 0, study
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == golden[study]["sha256"], study
+
+
 def test_config_error_exits_2(tmp_path, canonical_config_dict, capsys):
     data = dict(canonical_config_dict, typo_key=1)
     cfg = write_cfg(tmp_path, data)
@@ -277,7 +333,8 @@ def test_negative_seed_option_exits_2(tmp_path, capsys):
 
 def test_solve_manifest_echoes_the_resolved_config(tmp_path):
     # the manifest holds the defaults the YAML leaves out: delta, the prior
-    # dimension, and every solver's full spec with its label and grid size
+    # dimension, and each solver's kind, the spec fields that kind reads, its
+    # label and its grid size
     out = tmp_path / "solve.csv"
     assert cli.main(["solve", "--config", str(CONFIG_DIR / "solve.yaml"),
                      "--out", str(out)]) == 0
@@ -285,18 +342,17 @@ def test_solve_manifest_echoes_the_resolved_config(tmp_path):
     assert manifest["sde"] == {"kind": "fOUVE", "sigma_min": 0.001, "sigma_max": 0.1,
                                "gamma0": 2.0, "delta": 0.01}
     assert manifest["prior"] == {"kind": "gaussian", "m0": 0.5, "s0": 0.2, "dimension": 1}
-    defaults = {"p": 1, "kappa": 0.0, "corrector_stepsize": 0.5, "rtol": 1e-5, "atol": 1e-5}
     want = [
-        ("isde", "isde1", {"m_nodes": 41}),
-        ("isde", "isde2", {"p": 2, "m_nodes": 21}),
-        ("isde", "isde2-k0.1", {"p": 2, "kappa": 0.1, "m_nodes": 21}),
-        ("euler_maruyama", "eum0", {"m_nodes": 41}),
-        ("pc", "pc-r0.1", {"corrector_stepsize": 0.1, "m_nodes": 21}),
-        ("rk2", "rk2", {"m_nodes": 21}),
-        ("rk45", "rk45", {"rtol": 1e-6, "atol": 1e-9, "m_nodes": None}),
+        ("isde", {"p": 1, "kappa": 0.0}, "isde1", 41),
+        ("isde", {"p": 2, "kappa": 0.0}, "isde2", 21),
+        ("isde", {"p": 2, "kappa": 0.1}, "isde2-k0.1", 21),
+        ("euler_maruyama", {"kappa": 0.0}, "eum0", 41),
+        ("pc", {"corrector_stepsize": 0.1}, "pc-r0.1", 21),
+        ("rk2", {}, "rk2", 21),
+        ("rk45", {"rtol": 1e-6, "atol": 1e-9}, "rk45", None),
     ]
-    assert manifest["solvers"] == [dict(defaults, kind=kind, label=label, **over)
-                                   for kind, label, over in want]
+    assert manifest["solvers"] == [{"kind": kind, **spec, "label": label, "m_nodes": m_nodes}
+                                   for kind, spec, label, m_nodes in want]
     assert (manifest["study"], manifest["y"], manifest["seed"],
             manifest["n_trajectories"]) == ("solve", 1.0, 1234, 256)
 

@@ -484,6 +484,36 @@ def test_model_reads_the_schedule_once_per_time(all_sdes, gaussian_prior, eps_mo
             assert len(times) == len(set(times)) == 20, (name, field)
 
 
+@pytest.mark.parametrize("eps_mode", [False, True])
+@pytest.mark.parametrize("spec", [SolverSpec("euler_maruyama"), SolverSpec("pc"),
+                                  SolverSpec("rk2"), SolverSpec("rk45")], ids=lambda s: s.kind)
+def test_classical_solve_reads_sigma_once_per_time(all_sdes, gaussian_prior, spec, eps_mode):
+    # one score view per solve, shared by PC's predictor and corrector, so an eps
+    # model's view reads each time's sigma once; PC's eta reads sigma(tl) once per
+    # step besides. The model reads an uncounted bundle, so only the solver's reads
+    # are counted, and x_init skips the start draw's sigma(t_rev)
+    x0 = np.linspace(0.0, 1.5, 8)
+    for name, sde in all_sdes.items():
+        seen = []
+
+        def sigma(t, fn=sde.sigma):
+            if np.ndim(t) == 0:
+                seen.append(float(t))
+            return fn(t)
+
+        counted = dataclasses.replace(sde, sigma=sigma)
+        model = analytic_score_model(gaussian_prior, sde)
+        if eps_mode:
+            model = eps_adapter(model, sde)
+        grid = TimeGrid.for_sde(sde, 11)
+        out = run_solver(counted, model, 1.0, grid, spec, seed=5, x_init=x0)
+        eta_reads = 10 if spec.kind == "pc" else 0
+        assert len(seen) - eta_reads == (len(set(seen)) if eps_mode else 0), name
+        assert np.array_equal(out.final_state,
+                              run_solver(sde, model, 1.0, grid, spec, seed=5, x_init=x0)
+                              .final_state), name
+
+
 @pytest.mark.parametrize("spec", [
     SolverSpec("isde", p=1), SolverSpec("isde", p=2, kappa=0.5), SolverSpec("euler_maruyama"),
     SolverSpec("pc"), SolverSpec("rk2"), SolverSpec("rk45")], ids=lambda s: f"{s.kind}-{s.p}")
