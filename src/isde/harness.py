@@ -39,7 +39,6 @@ from .sde_core import InterpolatingSde, SdeParams, make_sde, sample_forward
 from .solvers import (
     SolverSpec,
     TimeGrid,
-    _SOLVERS,
     _channel_rng,
     ito_increment,
     nfe_per_step,
@@ -214,11 +213,11 @@ def _entry_from_dict(block, index: int) -> SolverEntry:
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError(f"solver entry {index} must be a mapping with a 'kind'")
     spec_keys = _names(SolverSpec)
+    _check_keys(block, spec_keys | _names(SolverEntry) - {"spec"},
+                f"keys in solver entry {index}")
     try:
+        # SolverSpec rejects a field the kind does not read, naming it
         spec = SolverSpec(**{k: v for k, v in block.items() if k in spec_keys})
-        # a spec field the kind does not read is as unknown as a misspelt key
-        _check_keys(block, {"kind", *_SOLVERS[spec.kind][1]} | _names(SolverEntry) - {"spec"},
-                    f"keys for solver kind {spec.kind!r} in solver entry {index}")
         label = block.get("label")
         return SolverEntry(spec=spec, label=_default_label(spec) if label is None else label,
                            m_nodes=block.get("m_nodes"))
@@ -271,7 +270,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _check_keys(sde_block, _names(SdeParams) | {"delta"}, "sde keys")
     try:
         sde = make_sde(SdeParams(**{k: v for k, v in sde_block.items() if k != "delta"}),
-                       delta=sde_block.get("delta", 1e-2))
+                       **{k: v for k, v in sde_block.items() if k == "delta"})
     except ParameterError as e:
         raise ConfigError(f"invalid sde block: {e}")
 
@@ -290,12 +289,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def _describe_config(config: ExperimentConfig, study: str, **extra) -> dict:
     """The manifest: the resolved config, with every default filled in; a solver
-    entry lists its kind, the spec fields that kind reads, its label and grid size."""
+    entry lists its kind, the spec fields that kind reads (the others are None), its
+    label and grid size."""
     sde = {k: v for k, v in asdict(config.sde.params).items() if v is not None}
     sde.update(kind=config.sde.params.kind.value, delta=config.sde.delta)
     prior = asdict(config.prior)
     prior["kind"] = next(k for k, cls in _PRIORS.items() if isinstance(config.prior, cls))
-    solvers = [{"kind": e.spec.kind, **{f: getattr(e.spec, f) for f in _SOLVERS[e.spec.kind][1]},
+    solvers = [{**{f: v for f, v in vars(e.spec).items() if v is not None},
                 "label": e.label, "m_nodes": e.m_nodes} for e in config.solvers]
     return {"study": study, "sde": sde, "prior": prior, "y": config.y, "seed": config.seed,
             "n_trajectories": config.n_trajectories, "solvers": solvers, **extra}

@@ -14,6 +14,7 @@ counts its evaluations (the NFE bookkeeping used by the solvers) and carries a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -252,30 +253,15 @@ class ScoreModel:
 _MEMO_TIMES = 4096  # times whose schedule values a model or a view keeps
 
 
-def _per_time(read):
-    """``read`` of a float time, kept for the last ``_MEMO_TIMES`` times it was
-    called at, so solves on one grid read the schedule once per time."""
-    memo = {}
-
-    def at(t: float):
-        value = memo.get(t)
-        if value is None:
-            if len(memo) >= _MEMO_TIMES:
-                del memo[next(iter(memo))]  # the oldest time
-            value = memo[t] = read(t)
-        return value
-
-    return at
-
-
 def analytic_score_model(prior, sde: InterpolatingSde) -> ScoreModel:
     """Exact score of the tractable marginal, wrapped with NFE counting.
 
-    The prior is checked once, here. The model reads k(t) and var(t) once per
-    time (:func:`_per_time`); every call still checks t, x and y.
+    The prior is checked once, here. The model keeps k(t) and var(t) of the last
+    ``_MEMO_TIMES`` times it was called at, so solves on one grid read the schedule
+    once per time; every call still checks t, x and y.
     """
     rule = _score_rule(prior)
-    schedule = _per_time(lambda t: (float(sde.k(t)), float(sde.var(t))))
+    schedule = functools.lru_cache(_MEMO_TIMES)(lambda t: (float(sde.k(t)), float(sde.var(t))))
 
     def fn(x, y, t):
         t = real_parameter("t", t, 0, sde.t_rev, lo_open=True)
@@ -288,10 +274,10 @@ def analytic_score_model(prior, sde: InterpolatingSde) -> ScoreModel:
 
 def eps_adapter(score_model: ScoreModel, sde: InterpolatingSde) -> ScoreModel:
     """View a score model in the eps parameterization: eps_hat = -sigma_t * score,
-    with sigma read once per time (:func:`_per_time`)."""
+    with sigma kept per time as by :func:`analytic_score_model`."""
     if score_model.parameterization != "score":
         raise ParameterError("eps_adapter expects a model with parameterization 'score'")
-    sigma = _per_time(lambda t: float(sde.sigma(t)))
+    sigma = functools.lru_cache(_MEMO_TIMES)(lambda t: float(sde.sigma(t)))
 
     def fn(x, y, t):
         sig = sigma(real_parameter("t", t))
@@ -303,10 +289,11 @@ def eps_adapter(score_model: ScoreModel, sde: InterpolatingSde) -> ScoreModel:
 
 
 def score_from_eps(eps_model: ScoreModel, sde: InterpolatingSde) -> ScoreModel:
-    """Inverse view: score = -eps_hat / sigma_t, with sigma read once per time."""
+    """Inverse view: score = -eps_hat / sigma_t, with sigma kept per time as by
+    :func:`analytic_score_model`."""
     if eps_model.parameterization != "eps":
         raise ParameterError("score_from_eps expects a model with parameterization 'eps'")
-    sigma = _per_time(lambda t: float(sde.sigma(t)))
+    sigma = functools.lru_cache(_MEMO_TIMES)(lambda t: float(sde.sigma(t)))
 
     def fn(x, y, t):
         sig = sigma(real_parameter("t", t))

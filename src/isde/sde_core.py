@@ -105,9 +105,9 @@ class InterpolatingSde:
     g: callable = field(repr=False)
     sigma: callable = field(repr=False)
     var: callable = field(repr=False)
-    t_max: float = math.inf
-    t_rev: float = 1.0
-    delta: float = 1e-2
+    t_max: float
+    t_rev: float
+    delta: float
     # fOUVE and OUVE: (c, zeta) with g^2 / (2 (1 - k)) = c e^{zeta t}; None for the
     # bridges (k = t), whose omega weights take quadrature in the log-distance to t = 1
     exp_weights: tuple | None = None

@@ -22,6 +22,7 @@ initial state and runs are reproducible bitwise.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -105,37 +106,32 @@ def _check_order(value, name: str = "p", orders=(1, 2)) -> int:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """Which sampler to run and its tuning knobs.
-
-    kind is one of "isde", "euler_maruyama", "pc", "rk2", "rk45"; the fields
-    each kind reads are listed in :data:`_SOLVERS` (p and kappa drive "isde",
-    kappa drives "euler_maruyama", corrector_stepsize drives "pc", rtol/atol
-    drive "rk45"). A spec built directly keeps a field its kind does not read,
-    at its default unless given, and ignores it; a config's solver entry may not
-    set one. kappa defaults to 1 for "euler_maruyama", as in
-    :func:`euler_maruyama`, and to 0 for the other kinds; kappa and
-    corrector_stepsize are finite and >= 0, rtol and atol finite and > 0.
-    """
+    """Which sampler to run (a kind of :data:`_SOLVERS`) and the keyword arguments of
+    its solver besides seed and x_init: a field the kind reads defaults to the
+    solver's default and is checked as the solver checks it; one it does not read
+    stays None, and setting it raises ParameterError naming every such field."""
 
     kind: str
-    p: int = 1
+    p: int | None = None
     kappa: float | None = None
-    corrector_stepsize: float = 0.5
-    rtol: float = 1e-5
-    atol: float = 1e-5
+    corrector_stepsize: float | None = None
+    rtol: float | None = None
+    atol: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _SOLVERS:
             raise ParameterError(
                 f"unknown solver kind {self.kind!r}; expected one of {tuple(_SOLVERS)}")
-        _check_order(self.p)
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", 1.0 if self.kind == "euler_maruyama" else 0.0)
-        for name in ("kappa", "corrector_stepsize"):
-            object.__setattr__(self, name, real_parameter(name, getattr(self, name), 0))
-        for name in ("rtol", "atol"):
-            object.__setattr__(self, name,
-                               real_parameter(name, getattr(self, name), 0, lo_open=True))
+        reads = _KIND_FIELDS[self.kind]
+        unread = [name for name, value in vars(self).items()
+                  if value is not None and name not in reads and name != "kind"]
+        if unread:
+            raise ParameterError(f"solver kind {self.kind!r} does not read: {', '.join(unread)}")
+        for name, default in reads.items():
+            value = default if getattr(self, name) is None else getattr(self, name)
+            # p is an order; kappa and corrector_stepsize are reals >= 0, rtol and atol > 0
+            object.__setattr__(self, name, _check_order(value) if name == "p" else
+                               real_parameter(name, value, 0, lo_open=name in ("rtol", "atol")))
 
 
 @dataclass(frozen=True)
@@ -435,7 +431,7 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
             if not np.isfinite(x).all():
                 raise DivergenceError(f"state became non-finite at t={tl!r}",
                                       step_index=i, time=tl)
-    return SolveOutput(final_state=x, nfe=_SOLVERS[kind][0](p) * grid.n_steps, seed=seed)
+    return SolveOutput(final_state=x, nfe=_SOLVERS[kind][1](p) * grid.n_steps, seed=seed)
 
 
 def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -602,7 +598,6 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     rtol = real_parameter("rtol", rtol, 0, lo_open=True)
     atol = real_parameter("atol", atol, 0, lo_open=True)
     seed = integer_parameter("seed", seed, 0)
-    calls = 0
     t = t_start
     h = (t_end - t_start) / 100.0  # negative
     err_prev = 1.0
@@ -630,7 +625,6 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
                     if a != 0.0:
                         xi = xi + h * a * stages[j]
                 ki = rhs(xi, t + _DP_C[idx] * h)
-                calls += 1
                 if not np.isfinite(ki).all():
                     raise DivergenceError(f"stage derivative non-finite at t={t!r}",
                                           step_index=attempts, time=t)
@@ -657,39 +651,43 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
             else:
                 fac = max(0.2, 0.9 * err ** -0.2)
                 h = h * fac
-    return SolveOutput(final_state=x, nfe=calls, seed=seed)
+    return SolveOutput(final_state=x, nfe=len(_DP_C) * attempts, seed=seed)
 
 
-# Every solver kind: (model calls per grid step as a function of the order p,
-# None for the adaptive rk45; the SolverSpec fields it reads besides kind; runner).
-# The runners look the public solvers up by name when called, so a rebound
-# module-level solver also serves run_solver.
+# Every solver kind: (the name of its solver, its model calls per grid step as a
+# function of the order p, None for the adaptive rk45).
 _SOLVERS = {
-    "isde": (lambda p: p, ("p", "kappa"), lambda sde, model, y, grid, spec, **kw: isde_solve(
-        sde, model, y, grid, p=spec.p, kappa=spec.kappa, **kw)),
-    "euler_maruyama": (lambda p: 1, ("kappa",), lambda sde, model, y, grid, spec, **kw:
-                       euler_maruyama(sde, model, y, grid, kappa=spec.kappa, **kw)),
-    "pc": (lambda p: 2, ("corrector_stepsize",), lambda sde, model, y, grid, spec, **kw:
-           pc_sampler(sde, model, y, grid, corrector_stepsize=spec.corrector_stepsize, **kw)),
-    "rk2": (lambda p: 2, (), lambda sde, model, y, grid, spec, **kw: rk2_midpoint(
-        sde, model, y, grid, **kw)),
-    "rk45": (None, ("rtol", "atol"), lambda sde, model, y, grid, spec, **kw: rk45_adaptive(
-        sde, model, y, float(grid.times[0]), float(grid.times[-1]),
-        rtol=spec.rtol, atol=spec.atol, **kw)),
+    "isde": ("isde_solve", lambda p: p),
+    "euler_maruyama": ("euler_maruyama", lambda p: 1),
+    "pc": ("pc_sampler", lambda p: 2),
+    "rk2": ("rk2_midpoint", lambda p: 2),
+    "rk45": ("rk45_adaptive", None),
+}
+# The SolverSpec fields each kind reads, with their defaults: its solver's keyword
+# arguments besides seed and x_init, read here, before a tracer can rebind a solver
+# to a wrapper whose signature is (*args, **kwargs).
+_KIND_FIELDS = {
+    kind: {q.name: q.default for q in inspect.signature(globals()[name]).parameters.values()
+           if q.default is not q.empty and q.name not in ("seed", "x_init")}
+    for kind, (name, _) in _SOLVERS.items()
 }
 
 
 def run_solver(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
                spec: SolverSpec, seed: int = 0, x_init=None) -> SolveOutput:
-    """Dispatch one reverse run according to ``spec``.
+    """One reverse run by the solver of ``spec.kind``, given the spec fields it reads.
 
-    For "rk45" only the grid endpoints are used (the step sequence is chosen
-    adaptively).
+    "rk45" is given only the grid's two ends (it chooses its steps adaptively).
+    The solver is looked up by name at each call, so a rebound module-level
+    solver also serves run_solver.
     """
-    return _SOLVERS[spec.kind][2](sde, model, y, grid, spec, seed=seed, x_init=x_init)
+    name, calls = _SOLVERS[spec.kind]
+    span = (grid,) if calls is not None else (float(grid.times[0]), float(grid.times[-1]))
+    return globals()[name](sde, model, y, *span, seed=seed, x_init=x_init,
+                           **{f: getattr(spec, f) for f in _KIND_FIELDS[spec.kind]})
 
 
 def nfe_per_step(spec: SolverSpec):
     """Model calls per grid step for fixed-grid solvers; None for adaptive ones."""
-    calls = _SOLVERS[spec.kind][0]
+    calls = _SOLVERS[spec.kind][1]
     return None if calls is None else calls(spec.p)

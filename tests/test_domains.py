@@ -151,8 +151,10 @@ def test_solver_entries_set_only_the_fields_their_kind_reads(canonical_config_di
                                       solvers=[dict(base, **{k: fields[k] for k in reads})]))
     assert [getattr(config.solvers[0].spec, k) for k in reads] == [fields[k] for k in reads]
     for key in set(fields) - set(reads):
-        with pytest.raises(ConfigError, match=f"solver entry 0: {key}$"):
+        with pytest.raises(ConfigError, match=f"does not read: {key}$"):
             hz.config_from_dict(dict(canonical_config_dict,
                                      solvers=[dict(base, **{key: fields[key]})]))
-    # a spec built directly keeps every field, read or not
-    assert isde.SolverSpec(kind, kappa=0.5, rtol=3.0).rtol == 3.0
+    # a spec built directly rejects every field its kind does not read, naming them all
+    unread = {k: v for k, v in fields.items() if k not in reads}
+    with pytest.raises(ParameterError, match=f"does not read: {', '.join(unread)}$"):
+        isde.SolverSpec(kind, **unread)

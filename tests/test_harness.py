@@ -106,6 +106,16 @@ def test_config_solver_labels(canonical_config_dict):
     assert cfg.solvers[3].spec.kappa == 0.0
 
 
+def test_null_solver_field_is_an_absent_key(canonical_config_dict):
+    # null means "the default" for a field the kind reads, and sets nothing for one it
+    # does not read
+    for entry in ({"kind": "rk2"}, {"kind": "isde"}, {"kind": "rk45", "rtol": 1e-3}):
+        nulls = dict(entry, **{k: None for k in ("p", "kappa", "corrector_stepsize", "rtol",
+                                                 "atol") if k not in entry})
+        assert (config_from_dict(cfg_dict(canonical_config_dict, solvers=[nulls])).solvers
+                == config_from_dict(cfg_dict(canonical_config_dict, solvers=[entry])).solvers)
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.update(extra_key=1),
     lambda d: d.pop("seed"),

@@ -136,6 +136,47 @@ def test_nfe_per_step():
     assert nfe_per_step(SolverSpec(kind="rk45")) is None
 
 
+# the fields each kind's solver reads and their defaults, from the solvers' signatures
+KIND_FIELDS = {"isde": {"p": 1, "kappa": 0.0}, "euler_maruyama": {"kappa": 1.0},
+               "pc": {"corrector_stepsize": 0.5}, "rk2": {},
+               "rk45": {"rtol": 1e-5, "atol": 1e-5}}
+UNREAD = [(kind, name) for kind, reads in KIND_FIELDS.items()
+          for name in ("p", "kappa", "corrector_stepsize", "rtol", "atol") if name not in reads]
+
+
+def test_kind_fields_come_from_the_solver_signatures():
+    assert solvers._KIND_FIELDS == KIND_FIELDS
+    assert len(UNREAD) == 19
+    assert set().union(*KIND_FIELDS.values()) == (
+        {f.name for f in dataclasses.fields(SolverSpec)} - {"kind"})
+    for kind, reads in KIND_FIELDS.items():
+        spec = SolverSpec(kind)
+        assert {name: getattr(spec, name) for name in reads} == reads, kind
+
+
+@pytest.mark.parametrize("kind, name", UNREAD, ids=[f"{k}-{n}" for k, n in UNREAD])
+def test_spec_rejects_a_field_its_kind_does_not_read(kind, name):
+    with pytest.raises(ParameterError, match=f"^solver kind '{kind}' does not read: {name}$"):
+        SolverSpec(kind, **{name: 1})
+    assert getattr(SolverSpec(kind, **{name: None}), name) is None
+
+
+def test_run_solver_looks_the_solver_up_at_each_call(fouve, gaussian_prior, monkeypatch):
+    # a module-level solver rebound after import (as a span tracer does) serves run_solver
+    seen = []
+
+    def traced(*args, **kwargs):
+        seen.append(kwargs)
+        return rk2_midpoint(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "rk2_midpoint", traced)
+    grid = TimeGrid.for_sde(fouve, 5)
+    out = run_solver(fouve, analytic_score_model(gaussian_prior, fouve), 1.0, grid,
+                     SolverSpec("rk2"), seed=3)
+    assert seen == [{"seed": 3, "x_init": None}]
+    assert out.nfe == 8
+
+
 # ------------------------------------------------------------------ building
 
 def test_reverse_init_moments(fouve):
@@ -516,7 +557,8 @@ def test_classical_solve_reads_sigma_once_per_time(all_sdes, gaussian_prior, spe
 
 @pytest.mark.parametrize("spec", [
     SolverSpec("isde", p=1), SolverSpec("isde", p=2, kappa=0.5), SolverSpec("euler_maruyama"),
-    SolverSpec("pc"), SolverSpec("rk2"), SolverSpec("rk45")], ids=lambda s: f"{s.kind}-{s.p}")
+    SolverSpec("pc"), SolverSpec("rk2"), SolverSpec("rk45")],
+    ids=lambda s: f"{s.kind}-{s.p or 1}")
 def test_warm_and_cold_solves_are_bitwise_equal(all_sdes, gaussian_prior, spec):
     # warm: the plan cache and the model's memo filled by an earlier solve
     x0 = np.linspace(0.0, 1.5, 8)
@@ -1115,7 +1157,8 @@ def test_nfe_matches_model_counter(fouve, gaussian_prior):
 def test_eps_model_runs_match_score_model(fouve, gaussian_prior, kind):
     # the baselines read an eps model through score = -eps / sigma; the call
     # count they report comes from the solver table, not from a counter
-    spec = SolverSpec(kind=kind, kappa=1.0, rtol=1e-6, atol=1e-6)
+    spec = SolverSpec(kind=kind, **{"euler_maruyama": {"kappa": 1.0},
+                                    "rk45": {"rtol": 1e-6, "atol": 1e-6}}.get(kind, {}))
     grid = TimeGrid.for_sde(fouve, 9)
     x0 = np.linspace(0.5, 1.5, 16)
     ref = run_solver(fouve, analytic_score_model(gaussian_prior, fouve), 1.0, grid, spec,
