@@ -118,11 +118,12 @@ def real_array(name: str, value) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-def integer_parameter(name: str, value, minimum: int) -> int:
-    """``int(value)`` for an integer ``value >= minimum``, raising ParameterError
-    naming ``name`` otherwise; a bool, a float such as 2.0 and a string are not
-    integers."""
+def integer_parameter(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """``int(value)`` for an integer ``minimum <= value`` (``<= maximum`` where one
+    is given), raising ParameterError naming ``name`` and the range otherwise; a
+    bool, a float such as 2.0 and a string are not integers."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < minimum):
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+            or value < minimum or (maximum is not None and value > maximum)):
+        allowed = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ParameterError(f"{name} must be an integer {allowed}, got {value!r}")
     return int(value)

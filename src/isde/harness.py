@@ -429,7 +429,7 @@ def convergence_study(config: ExperimentConfig) -> StudyResult:
     for e in entries:
         if nfe_per_step(e.spec) is None:
             raise ConfigError(
-                f"convergence study needs fixed-grid solvers, got {e.label!r} (rk45)")
+                f"convergence study needs fixed-grid solvers, got {e.label!r} ({e.spec.kind})")
     x_start, ref = _shared_start(config)
     span = config.sde.t_rev - config.sde.delta
     h_values = [span / (m - 1) for m in config.m_values]
@@ -563,7 +563,7 @@ def marginal_check(config: ExperimentConfig) -> StudyResult:
     rows = [row("forward", sample_forward(sde, replace(prior, dimension=n).sample(rng), y,
                                           sde.t_rev, rng), sde.t_rev)]
     for index, e in enumerate(entries, 1):
-        if e.spec.kind != "rk45" and e.m_nodes is None:
+        if nfe_per_step(e.spec) is not None and e.m_nodes is None:
             raise ConfigError(f"solver {e.label!r} needs m_nodes for the marginal check")
         out = _solve(config, model, e.spec, e.m_nodes or 2, index,
                      _matched_start(config, index))
@@ -605,7 +605,7 @@ def solve_study(config: ExperimentConfig) -> StudyResult:
         m = e.m_nodes or 20
         out = _solve(config, model, e.spec, m, index, x_start)
         final = out.final_state
-        rows.append((e.label, "" if e.spec.kind == "rk45" else float(m), float(out.nfe),
+        rows.append((e.label, "" if nfe_per_step(e.spec) is None else float(m), float(out.nfe),
                      float(np.mean(final)), float(np.std(final, ddof=1)),
                      "" if ref is None else _endpoint_error(final, ref)))
     columns = ("label", "m_nodes", "nfe", "mean_final", "std_final", "err_vs_ref")

@@ -272,36 +272,34 @@ def analytic_score_model(prior, sde: InterpolatingSde) -> ScoreModel:
                       name=f"analytic-{type(prior).__name__}")
 
 
-def eps_adapter(score_model: ScoreModel, sde: InterpolatingSde) -> ScoreModel:
-    """View a score model in the eps parameterization: eps_hat = -sigma_t * score,
-    with sigma kept per time as by :func:`analytic_score_model`."""
-    if score_model.parameterization != "score":
-        raise ParameterError("eps_adapter expects a model with parameterization 'score'")
+def _sigma_view(model: ScoreModel, sde: InterpolatingSde, name: str, given: str, want: str,
+                convert) -> ScoreModel:
+    """``model``, of parameterization ``given``, as a ``want`` model ``convert(output,
+    sigma_t)``, with sigma kept per time as by :func:`analytic_score_model`; every
+    call checks t and raises SingularityError where sigma is 0."""
+    if model.parameterization != given:
+        raise ParameterError(f"{name} expects a model with parameterization '{given}'")
     sigma = functools.lru_cache(_MEMO_TIMES)(lambda t: float(sde.sigma(t)))
 
     def fn(x, y, t):
         sig = sigma(real_parameter("t", t))
         if sig == 0.0:
-            raise SingularityError(f"sigma(t) = 0 at t={t!r}; eps view undefined")
-        return -sig * score_model(x, y, t)
+            raise SingularityError(f"sigma(t) = 0 at t={t!r}; {want} view undefined")
+        return convert(model(x, y, t), sig)
 
-    return ScoreModel(fn, parameterization="eps", name=f"eps({score_model.name})")
+    return ScoreModel(fn, parameterization=want, name=f"{want}({model.name})")
+
+
+def eps_adapter(score_model: ScoreModel, sde: InterpolatingSde) -> ScoreModel:
+    """View a score model in the eps parameterization: eps_hat = -sigma_t * score."""
+    return _sigma_view(score_model, sde, "eps_adapter", "score", "eps",
+                       lambda score, sig: -sig * score)
 
 
 def score_from_eps(eps_model: ScoreModel, sde: InterpolatingSde) -> ScoreModel:
-    """Inverse view: score = -eps_hat / sigma_t, with sigma kept per time as by
-    :func:`analytic_score_model`."""
-    if eps_model.parameterization != "eps":
-        raise ParameterError("score_from_eps expects a model with parameterization 'eps'")
-    sigma = functools.lru_cache(_MEMO_TIMES)(lambda t: float(sde.sigma(t)))
-
-    def fn(x, y, t):
-        sig = sigma(real_parameter("t", t))
-        if sig == 0.0:
-            raise SingularityError(f"sigma(t) = 0 at t={t!r}; score view undefined")
-        return -np.asarray(eps_model(x, y, t), dtype=float) / sig
-
-    return ScoreModel(fn, parameterization="score", name=f"score({eps_model.name})")
+    """Inverse view: score = -eps_hat / sigma_t."""
+    return _sigma_view(eps_model, sde, "score_from_eps", "eps", "score",
+                       lambda eps, sig: -np.asarray(eps, dtype=float) / sig)
 
 
 def _mc_loss(model: ScoreModel, prior, sde: InterpolatingSde, y, n_samples: int,

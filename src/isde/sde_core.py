@@ -61,13 +61,19 @@ class SdeKind(str, Enum):
     BROWNIAN_BRIDGE = "BrownianBridge"
 
 
+# The SdeParams fields each kind reads, each a positive finite real
+_SDE_FIELDS = {SdeKind.FOUVE: ("sigma_min", "sigma_max", "gamma0"),
+               SdeKind.OUVE: ("sigma_min", "sigma_max", "gamma0"),
+               SdeKind.BBED: ("c", "r"), SdeKind.OT: ("sigma_max",), SdeKind.BROWNIAN_BRIDGE: ()}
+
+
 @dataclass(frozen=True)
 class SdeParams:
     """Parameters selecting and shaping one schedule family.
 
-    Only the fields read by ``kind`` are validated, each a positive finite real:
+    A kind reads its fields of :data:`_SDE_FIELDS`, each a positive finite real:
     sigma_min < sigma_max and gamma0 for fOUVE and OUVE, c and r for BBED,
-    sigma_max for OT, none for BrownianBridge.
+    sigma_max for OT, none for BrownianBridge; setting another raises ParameterError.
     """
 
     kind: SdeKind
@@ -84,15 +90,15 @@ class SdeParams:
             valid = ", ".join(k.value for k in SdeKind)
             raise ParameterError(f"unknown SDE kind {self.kind!r}; expected one of: {valid}")
         object.__setattr__(self, "kind", kind)
-        if kind in (SdeKind.FOUVE, SdeKind.OUVE):
-            smin = real_parameter("parameter 'sigma_min'", self.sigma_min, 0, lo_open=True)
-            real_parameter("parameter 'sigma_max'", self.sigma_max, smin, lo_open=True)
-            real_parameter("parameter 'gamma0'", self.gamma0, 0, lo_open=True)
-        elif kind is SdeKind.BBED:
-            real_parameter("parameter 'c'", self.c, 0, lo_open=True)
-            real_parameter("parameter 'r'", self.r, 0, lo_open=True)
-        elif kind is SdeKind.OT:
-            real_parameter("parameter 'sigma_max'", self.sigma_max, 0, lo_open=True)
+        reads = _SDE_FIELDS[kind]
+        unread = [name for name, value in vars(self).items()
+                  if value is not None and name not in reads and name != "kind"]
+        if unread:
+            raise ParameterError(f"SDE kind {kind.value!r} does not read: {', '.join(unread)}")
+        lo = 0  # sigma_min, read before sigma_max, is its lower end
+        for name in reads:
+            value = real_parameter(f"parameter {name!r}", getattr(self, name), lo, lo_open=True)
+            lo = value if name == "sigma_min" else 0
 
 
 @dataclass(frozen=True)

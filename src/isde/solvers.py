@@ -94,21 +94,12 @@ class TimeGrid:
         return cls.uniform(sde.t_rev, sde.delta, n_nodes)
 
 
-def _check_order(value, name: str = "p", orders=(1, 2)) -> int:
-    """An order, one of two integers (not a bool or a float): p of :func:`isde_solve`
-    is 1 or 2, n of :func:`omega_weight` 0 or 1."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value not in orders):
-        raise ParameterError(
-            f"{name} must be the integer {orders[0]} or {orders[1]}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class SolverSpec:
     """Which sampler to run (a kind of :data:`_SOLVERS`) and the keyword arguments of
     its solver besides seed and x_init: a field the kind reads defaults to the
-    solver's default and is checked as the solver checks it; one it does not read
+    solver's default and is checked here, the one place that states its interval
+    (each solver checks its arguments by building its spec); one it does not read
     stays None, and setting it raises ParameterError naming every such field."""
 
     kind: str
@@ -129,8 +120,8 @@ class SolverSpec:
             raise ParameterError(f"solver kind {self.kind!r} does not read: {', '.join(unread)}")
         for name, default in reads.items():
             value = default if getattr(self, name) is None else getattr(self, name)
-            # p is an order; kappa and corrector_stepsize are reals >= 0, rtol and atol > 0
-            object.__setattr__(self, name, _check_order(value) if name == "p" else
+            # p is an order in [1, 2]; kappa and corrector_stepsize are >= 0, rtol and atol > 0
+            object.__setattr__(self, name, integer_parameter(name, value, 1, 2) if name == "p" else
                                real_parameter(name, value, 0, lo_open=name in ("rtol", "atol")))
 
 
@@ -244,7 +235,7 @@ def omega_weight(sde: InterpolatingSde, n: int, t_from: float, t_to: float) -> f
     orders :func:`isde_solve` uses; this is the one-step case of the weights it
     computes per grid.
     """
-    n = _check_order(n, "weight order n", (0, 1))
+    n = integer_parameter("weight order n", n, 0, 1)
     return _one_step(sde, t_from, t_to, lambda hi, lo: _step_integrals(sde, n, hi, lo))
 
 
@@ -404,16 +395,16 @@ def _overflow_as_divergence(kind: str):
         raise DivergenceError(f"{kind} solve overflowed: {e}") from e
 
 
-def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_init,
-                   make_step, p: int = 1) -> SolveOutput:
-    """Run a fixed-grid solver of the given kind: everything except its step rule.
+def _solve_on_grid(spec: SolverSpec, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_init,
+                   make_step) -> SolveOutput:
+    """Run a fixed-grid solver of the spec's kind: everything except its step rule.
 
     After the grid check and the start draw, ``make_step(ya, rng)`` builds the
     step from y as an array; ``rng(channel)`` makes the seed's stream for a
     channel (1 diffusion increments, 2 corrector noise), so a step makes only
     the streams it draws from. ``make_step`` runs before the first model call,
     so state-independent set-up belongs there. ``step(i, x, t_hi, t_lo)`` returns the state at node
-    i + 1. The call count is the kind's calls per step (:data:`_SOLVERS`)
+    i + 1. The call count is the spec's calls per step (:func:`nfe_per_step`)
     times the number of steps. A run whose arithmetic overflows raises
     DivergenceError, with no float warnings on the way.
     """
@@ -422,7 +413,7 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
             f"grid starts at {grid.times[0]!r}, above the reverse start t_rev={sde.t_rev!r}")
     seed = integer_parameter("seed", seed, 0)
     times = grid.times.tolist()
-    with _overflow_as_divergence(kind):
+    with _overflow_as_divergence(spec.kind):
         x, ya = _prepare_state(sde, y, seed, x_init)
         step = make_step(ya, lambda channel: _channel_rng(seed, channel))
         for i in range(grid.n_steps):
@@ -431,7 +422,7 @@ def _solve_on_grid(kind: str, sde: InterpolatingSde, y, grid: TimeGrid, seed, x_
             if not np.isfinite(x).all():
                 raise DivergenceError(f"state became non-finite at t={tl!r}",
                                       step_index=i, time=tl)
-    return SolveOutput(final_state=x, nfe=_SOLVERS[kind][1](p) * grid.n_steps, seed=seed)
+    return SolveOutput(final_state=x, nfe=nfe_per_step(spec) * grid.n_steps, seed=seed)
 
 
 def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -447,8 +438,8 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     step (:func:`_step_plan`) and reused by later solves with the same bundle,
     grid, p, kappa > 0 and parameterization (:func:`_plan_for`).
     """
-    p = _check_order(p)
-    kappa = real_parameter("kappa", kappa, 0)
+    spec = SolverSpec("isde", p=p, kappa=kappa)
+    p, kappa = spec.p, spec.kappa
     eps_mode = getattr(model, "parameterization", "score") == "eps"
 
     def make_step(ya, rng):
@@ -473,7 +464,7 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 
         return step
 
-    return _solve_on_grid("isde", sde, y, grid, seed, x_init, make_step, p=p)
+    return _solve_on_grid(spec, sde, y, grid, seed, x_init, make_step)
 
 
 def _score_eval(model: ScoreModel, sde: InterpolatingSde):
@@ -517,10 +508,10 @@ def euler_maruyama(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 
     One model call per step, evaluated at the left (larger-time) node.
     """
-    kappa = real_parameter("kappa", kappa, 0)
+    spec = SolverSpec("euler_maruyama", kappa=kappa)
     score = _score_eval(model, sde)
-    return _solve_on_grid("euler_maruyama", sde, y, grid, seed, x_init,
-                          lambda ya, rng: _em_step(sde, score, ya, kappa, rng))
+    return _solve_on_grid(spec, sde, y, grid, seed, x_init,
+                          lambda ya, rng: _em_step(sde, score, ya, spec.kappa, rng))
 
 
 def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -534,7 +525,8 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     comes from its own stream, leaving the predictor's draws unchanged. The
     predictor and the corrector share one score view.
     """
-    r = real_parameter("corrector_stepsize", corrector_stepsize, 0)
+    spec = SolverSpec("pc", corrector_stepsize=corrector_stepsize)
+    r = spec.corrector_stepsize
     score = _score_eval(model, sde)
 
     def make_step(ya, rng):
@@ -548,7 +540,7 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
                     + math.sqrt(2.0 * eta) * rng_corr.standard_normal(np.shape(x)))
         return step
 
-    return _solve_on_grid("pc", sde, y, grid, seed, x_init, make_step)
+    return _solve_on_grid(spec, sde, y, grid, seed, x_init, make_step)
 
 
 def rk2_midpoint(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -563,7 +555,7 @@ def rk2_midpoint(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
             return x + dt * rhs(x_mid, 0.5 * (th + tl))
         return step
 
-    return _solve_on_grid("rk2", sde, y, grid, seed, x_init, make_step)
+    return _solve_on_grid(SolverSpec("rk2"), sde, y, grid, seed, x_init, make_step)
 
 
 # Dormand-Prince 5(4) tableau; the last row of _DP_A holds the fifth-order weights
@@ -593,10 +585,10 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     underflows, DivergenceError when a stage derivative becomes non-finite; a
     non-finite state does that, as gamma > 0 carries it into the drift.
     """
+    spec = SolverSpec("rk45", rtol=rtol, atol=atol)
+    rtol, atol = spec.rtol, spec.atol
     t_start = real_parameter("t_start", t_start, 0, sde.t_rev + 1e-12, lo_open=True)
     t_end = real_parameter("t_end", t_end, 0, t_start, lo_open=True, hi_open=True)
-    rtol = real_parameter("rtol", rtol, 0, lo_open=True)
-    atol = real_parameter("atol", atol, 0, lo_open=True)
     seed = integer_parameter("seed", seed, 0)
     t = t_start
     h = (t_end - t_start) / 100.0  # negative
@@ -605,7 +597,7 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
     # an accepted step can land within one ulp of t_end; treat that as arrival
     # so the final clamped step cannot underflow
     done_gap = 1e-13 * max(abs(t_start), abs(t_end), 1.0)
-    with _overflow_as_divergence("rk45"):
+    with _overflow_as_divergence(spec.kind):
         x, ya = _prepare_state(sde, y, seed, x_init)
         rhs = _reverse_drift(sde, _score_eval(model, sde), ya, 0.0)
         while t - t_end > done_gap:

@@ -269,6 +269,17 @@ def test_config_error_exits_2(tmp_path, canonical_config_dict, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_sde_field_its_kind_does_not_read_exits_2(tmp_path, canonical_config_dict, capsys):
+    # OT reads sigma_max only: c and gamma0 would be echoed as if they shaped the schedule
+    data = dict(canonical_config_dict,
+                sde={"kind": "OT", "sigma_max": 0.1, "c": 5.0, "gamma0": 2.0})
+    rc = cli.main(["simulate-forward", "--config", str(write_cfg(tmp_path, data)),
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "invalid sde block: SDE kind 'OT' does not read: gamma0, c" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("path, value", [
     (("sde", "sigma_min"), "abc"),
     (("sde", "sigma_min"), math.nan),

@@ -3,14 +3,17 @@ string is not a number, and a number must be a finite real inside its argument's
 interval, so NaN and +-inf are rejected everywhere, with a ParameterError that
 names the argument."""
 
+import ast
+import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import isde
-from isde import SdeParams, make_sde
+from isde import SdeParams, make_sde, solvers
 from isde import harness as hz
 from isde.errors import ConfigError, ParameterError
 from isde.quadrature import integrate, integrate_batch
@@ -158,3 +161,71 @@ def test_solver_entries_set_only_the_fields_their_kind_reads(canonical_config_di
     unread = {k: v for k, v in fields.items() if k not in reads}
     with pytest.raises(ParameterError, match=f"does not read: {', '.join(unread)}$"):
         isde.SolverSpec(kind, **unread)
+
+
+def test_no_solver_field_is_checked_outside_its_spec():
+    # SolverSpec.__post_init__ states each field's interval, once: no call of the number
+    # rules in the package names a spec field literally
+    fields = {f.name for f in dataclasses.fields(isde.SolverSpec)} - {"kind"}
+    named = []
+    for path in sorted(Path(isde.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("real_parameter", "integer_parameter")
+                    and node.args and isinstance(node.args[0], ast.Constant)):
+                named.append((node.args[0].value, f"{path.name}:{node.lineno}"))
+    assert {"seed", "t", "n_nodes"} <= {name for name, _ in named}  # the scan sees the calls
+    assert [where for name, where in named if name in fields] == []
+
+
+# (kind, field, a value its interval rejects): every field takes the number rule's bad
+# values, p also 3 and 2.0 (not integers in [1, 2]), rtol and atol also 0
+FIELD_CASES = [(kind, name, bad) for kind, reads in solvers._KIND_FIELDS.items()
+               for name in reads
+               for bad in (True, "1", math.nan, -1) + {"p": (3, 2.0), "rtol": (0,),
+                                                      "atol": (0,)}.get(name, ())]
+
+
+@pytest.mark.parametrize("kind, name, bad", FIELD_CASES,
+                         ids=[f"{k}-{n}-{b!r}" for k, n, b in FIELD_CASES])
+def test_a_solver_rejects_a_bad_field_as_its_spec_does(kind, name, bad):
+    with pytest.raises(ParameterError, match=f"^{name} must") as spec_error:
+        isde.SolverSpec(kind, **{name: bad})
+    if name == "p":
+        assert str(spec_error.value) == f"p must be an integer in [1, 2], got {bad!r}"
+    solver_name, calls = solvers._SOLVERS[kind]
+    span = (_GRID,) if calls is not None else (1.0, 0.5)
+    model = _zero()
+    with pytest.raises(ParameterError) as solver_error:
+        getattr(isde, solver_name)(_FOUVE, model, 1.0, *span, **{name: bad})
+    assert str(solver_error.value) == str(spec_error.value)
+    assert model.nfe == 0
+
+
+# A schedule kind's fields, each with a valid value
+SDE_READS = {"fOUVE": {"sigma_min": 0.001, "sigma_max": 0.1, "gamma0": 2.0},
+             "OUVE": {"sigma_min": 0.001, "sigma_max": 0.1, "gamma0": 2.0},
+             "BBED": {"c": 0.3, "r": 4.0}, "OT": {"sigma_max": 0.1}, "BrownianBridge": {}}
+SDE_UNREAD = [(kind, name) for kind, reads in SDE_READS.items()
+              for name in ("sigma_min", "sigma_max", "gamma0", "c", "r") if name not in reads]
+
+
+def test_sde_fields_are_the_ones_each_kind_reads():
+    assert len(SDE_UNREAD) == 16
+    for kind, reads in SDE_READS.items():
+        params = SdeParams(kind=kind, **reads)
+        assert {k: v for k, v in vars(params).items() if v is not None and k != "kind"} == reads
+
+
+@pytest.mark.parametrize("kind, name", SDE_UNREAD, ids=[f"{k}-{n}" for k, n in SDE_UNREAD])
+def test_sde_blocks_set_only_the_fields_their_kind_reads(canonical_config_dict, kind, name):
+    block = dict(SDE_READS[kind], **{name: 5.0})
+    with pytest.raises(ParameterError, match=f"^SDE kind '{kind}' does not read: {name}$"):
+        SdeParams(kind=kind, **block)
+    with pytest.raises(ConfigError, match=f"^invalid sde block: .* does not read: {name}$"):
+        hz.config_from_dict(dict(canonical_config_dict, sde=dict(block, kind=kind)))
+
+
+def test_sde_params_name_every_unread_field():
+    with pytest.raises(ParameterError, match="^SDE kind 'OT' does not read: gamma0, c$"):
+        SdeParams(kind="OT", sigma_max=0.1, c=5.0, gamma0=2.0)

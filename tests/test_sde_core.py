@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ def test_number_rule():
     for bad in (2.7, 3.0, "3", True, np.bool_(True), None, 0):
         with pytest.raises(ParameterError, match="n must be an integer >= 1"):
             integer_parameter("n", bad, 1)
+
+
+def test_integer_parameter_takes_an_upper_end():
+    assert integer_parameter("p", np.int64(2), 1, 2) == 2
+    assert integer_parameter("n", 10 ** 6, 1) == 10 ** 6  # no upper end by default
+    with pytest.raises(ParameterError, match=r"^p must be an integer in \[1, 2\], got 3$"):
+        integer_parameter("p", 3, 1, 2)
+    for bad in (0, 2.0, True, "2", None):
+        with pytest.raises(ParameterError, match=re.escape("p must be an integer in [1, 2]")):
+            integer_parameter("p", bad, 1, 2)
 
 
 def test_brownian_bridge_needs_no_parameters():

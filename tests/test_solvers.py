@@ -249,6 +249,9 @@ def test_omega_weight_domain(fouve):
     for n in (-1, 1.5, True, 2):
         with pytest.raises(ParameterError, match="weight order n"):
             omega_weight(fouve, n, 1.0, 0.5)
+    with pytest.raises(ParameterError,
+                       match=r"^weight order n must be an integer in \[0, 1\], got 2$"):
+        omega_weight(fouve, 2, 1.0, 0.5)
     ot = make_sde(SdeParams(kind="OT", sigma_max=0.1))
     with pytest.raises(ParameterError):
         omega_weight(ot, 0, 1.0, 0.5)
