@@ -4,10 +4,11 @@ Every error raised by this package derives from IsdeError so callers can
 catch the whole family with one clause. Subclasses also inherit from the
 closest builtin (ValueError, ArithmeticError, ...) where one applies.
 :func:`real_parameter`, :func:`real_array` and :func:`integer_parameter` turn
-a malformed numeric argument into a ParameterError. One rule serves the
-library and the config loader: a bool or a string is never a number, an
-integer takes only an ``int`` or a NumPy integer, and a scalar real is a
-finite one inside the interval its argument allows, checked only here.
+a malformed numeric argument into a ParameterError, and :func:`reject_unread`
+a field that a kind does not read. One rule serves the library and the config
+loader: a bool or a string is never a number, an integer takes only an ``int``
+or a NumPy integer, and a scalar real is a finite one inside the interval its
+argument allows, checked only here.
 """
 
 from __future__ import annotations
@@ -81,6 +82,15 @@ class StiffnessError(IsdeError, ArithmeticError):
 
 class ConfigError(IsdeError, ValueError):
     """Invalid or incomplete experiment configuration; message names the offender."""
+
+
+def reject_unread(what: str, fields, reads) -> None:
+    """Raise ParameterError ``<what> does not read: a, b`` naming every set (not None)
+    entry of the ``fields`` mapping, besides ``kind``, that is not in ``reads``."""
+    unread = [name for name, value in fields.items()
+              if value is not None and name not in reads and name != "kind"]
+    if unread:
+        raise ParameterError(f"{what} does not read: {', '.join(unread)}")
 
 
 def real_parameter(name: str, value, lo: float = -math.inf, hi: float = math.inf,

@@ -1,15 +1,15 @@
 """Adaptive one-dimensional quadrature on a Gauss-Kronrod 7-15 pair.
 
 The 15-point Kronrod rule is evaluated per panel together with its embedded
-7-point Gauss rule, by one routine for both integrators; their difference
-drives the adaptive bisection. :func:`integrate` takes a scalar integrand,
-called one node at a time, and bisects the worst panel of one interval at a
-time; it is the oracle of the tests' schedule round trips and of the weight
-cross-checks. :func:`integrate_batch` takes a vectorized integrand and
-integrates many intervals at once, evaluating every open panel in one call;
-it computes the omega weights of score-model grids on the bridge schedules
-(in the log-distance to their pole at t = 1). Tolerances default far below
-solver truncation error.
+7-point Gauss rule; their difference drives one refinement rule for both
+integrators: an interval that misses its tolerance bisects its worst panel
+first, one at a time. :func:`integrate` calls a scalar integrand one node at
+a time; it is the oracle of the tests' schedule round trips and of the
+weight cross-checks. :func:`integrate_batch` evaluates a vectorized
+integrand on one panel of every interval in one call, then refines only the
+intervals that miss their tolerance; it computes the omega weights of
+score-model grids on the bridge schedules (in the log-distance to their pole
+at t = 1). Tolerances default far below solver truncation error.
 """
 
 from __future__ import annotations
@@ -27,32 +27,11 @@ __all__ = ["QuadResult", "integrate", "integrate_batch"]
 # Kronrod-15 abscissae (positive half, descending) and weights; embedded
 # Gauss-7 weights pair with every second abscissa. Values are the standard
 # published constants for the rule.
-_XGK = np.array([
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-])
-_WGK = np.array([
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-])
+_XGK = np.array([0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
+                 0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0])
+_WGK = np.array([0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+                 0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728])
+_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469])
 
 # full node set on [-1, 1], ordered low to high
 _NODES = np.concatenate([-_XGK[:7], _XGK[::-1]])
@@ -95,43 +74,41 @@ def integrate(f, a: float, b: float, abs_tol: float = 1e-12, rel_tol: float = 1e
     abs_tol = real_parameter("abs_tol", abs_tol, 0)
     rel_tol = real_parameter("rel_tol", rel_tol, 0)
 
-    def panels(lo, hi):  # GK7-15 on the panels [lo[j], hi[j]], one integrand call per node
-        return (v.tolist() for v in _gk_panels(
-            lambda xs, rows: [[float(f(x)) for x in row] for row in xs.tolist()],
-            np.array(lo), np.array(hi), None))
+    def nodes(xs, rows):  # one integrand call per node
+        return [[float(f(x)) for x in row] for row in xs.tolist()]
 
-    (value,), (err,) = panels([a], [b])
-    evals = 15
+    (value,), (err,) = (v.tolist() for v in _gk_panels(nodes, np.array([a]), np.array([b]), None))
     if a == b:
-        return QuadResult(0.0, 0.0, evals)
+        return QuadResult(0.0, 0.0, 15)
+    return _refine(nodes, None, a, b, value, err, abs_tol, rel_tol, max_subdivisions)
 
+
+def _refine(f, row, lo, hi, value, err, abs_tol, rel_tol, max_subdivisions) -> QuadResult:
+    """From one GK7-15 panel on [lo, hi], bisect the worst panel first until the summed
+    error estimate meets max(abs_tol, rel_tol |value|); each bisection is one call
+    ``f(xs, row)``. Raises QuadratureToleranceError, carrying the best estimate, after
+    ``max_subdivisions`` bisections or when the worst panel is at the rounding floor."""
     # max-heap on panel error; counter breaks ties deterministically
     counter = 0
-    heap = [(-err, counter, a, b, value, err)]
-    total = value
-    total_err = err
-    subdivisions = 0
-
+    heap = [(-err, counter, lo, hi, value, err)]
+    total, total_err, evals, subdivisions = value, err, 15, 0
     while True:
         tol = max(abs_tol, rel_tol * abs(total))
         if total_err <= tol:
             return QuadResult(total, total_err, evals)
         if subdivisions >= max_subdivisions:
             raise QuadratureToleranceError(
-                f"tolerance not met after {subdivisions} subdivisions: "
-                f"error estimate {total_err:.3e} > {tol:.3e}",
-                QuadResult(total, total_err, evals),
-            )
-        neg_err, _, pa, pb, pval, perr = heapq.heappop(heap)
+                f"tolerance not met after {subdivisions} subdivisions on [{lo!r}, {hi!r}]: "
+                f"error estimate {total_err:.3e} > {tol:.3e}", QuadResult(total, total_err, evals))
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
             # panel width at rounding floor; cannot refine the dominant panel
             raise QuadratureToleranceError(
                 f"panel [{pa!r}, {pb!r}] cannot be subdivided further; "
-                f"error estimate {total_err:.3e} > {tol:.3e}",
-                QuadResult(total, total_err, evals),
-            )
-        (lv, rv), (le, re_) = panels([pa, mid], [mid, pb])
+                f"error estimate {total_err:.3e} > {tol:.3e}", QuadResult(total, total_err, evals))
+        (lv, rv), (le, re_) = (v.tolist() for v in _gk_panels(
+            f, np.array([pa, mid]), np.array([mid, pb]), row))
         evals += 30
         subdivisions += 1
         total += (lv + rv) - pval
@@ -168,15 +145,11 @@ def integrate_batch(f, a, b, abs_tol: float = 1e-12, rel_tol: float = 1e-10,
 
     ``f(x, rows)`` is vectorized: ``x`` is an (m, 15) array whose row j holds
     the nodes of one panel inside interval ``rows[j]``, and ``f`` returns its
-    values at every node. Each round evaluates all new panels in one call.
-    An interval is final once its summed error estimate meets
-    max(abs_tol, rel_tol |value|); in each interval that misses it, every
-    panel whose error exceeds its even share of the tolerance, and the worst
-    panel, is bisected. Requires a <= b elementwise. Returns a QuadResult of
-    arrays. Raises QuadratureDomainError on a nonfinite integrand sample and
-    QuadratureToleranceError, carrying the best estimate of the first failing
-    interval, when an interval exhausts its subdivision budget or a panel
-    reaches the rounding floor.
+    values at every node. A first pass takes one panel per interval, all in
+    one call; each interval whose estimate misses max(abs_tol, rel_tol |value|)
+    is then refined alone, as :func:`integrate` refines, with ``rows`` its row.
+    Requires a <= b elementwise. Returns a QuadResult of arrays. Raises the
+    errors of :func:`integrate`, for the first interval that fails.
     """
     a = np.array(a, dtype=float, ndmin=1)
     b = np.array(b, dtype=float, ndmin=1)
@@ -192,48 +165,11 @@ def integrate_batch(f, a, b, abs_tol: float = 1e-12, rel_tol: float = 1e-10,
     abs_tol = real_parameter("abs_tol", abs_tol, 0)
     rel_tol = real_parameter("rel_tol", rel_tol, 0)
 
-    n = a.size
-    rows = np.arange(n)
-    value, err = _gk_panels(f, a, b, rows)
-    panels = np.stack([a, b, value, err], axis=1)  # lo, hi, value, error per panel
-    evals = np.full(n, 15)
-    subdivisions = np.zeros(n, dtype=int)
-
-    def failure(i, reason):
-        return QuadratureToleranceError(
-            f"{reason} on [{float(a[i])!r}, {float(b[i])!r}]: error estimate "
-            f"{total_err[i]:.3e} > {tol[i]:.3e}",
-            QuadResult(float(total[i]), float(total_err[i]), int(evals[i])))
-
-    while True:
-        lo, hi, value, err = panels.T
-        total = np.bincount(rows, weights=value, minlength=n)
-        total_err = np.bincount(rows, weights=err, minlength=n)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        open_ = ~(total_err <= tol)  # an overflowed (nan) estimate stays open
-        if not open_.any():
-            return QuadResult(total, total_err, evals)
-        spent = open_ & (subdivisions >= max_subdivisions)
-        if spent.any():
-            i = int(np.argmax(spent))
-            raise failure(i, f"tolerance not met after {int(subdivisions[i])} subdivisions")
-        worst = np.zeros(n)
-        np.maximum.at(worst, rows, err)
-        share = tol / np.bincount(rows, minlength=n)
-        split = open_[rows] & (~(err <= share[rows]) | (err == worst[rows]))
-        s_lo, s_hi, s_rows = lo[split], hi[split], rows[split]
-        mid = 0.5 * (s_lo + s_hi)
-        stuck = (mid <= s_lo) | (mid >= s_hi)
-        if stuck.any():
-            raise failure(int(s_rows[np.argmax(stuck)]), "a panel cannot be subdivided further")
-        new_lo = np.concatenate([s_lo, mid])
-        new_hi = np.concatenate([mid, s_hi])
-        new_rows = np.concatenate([s_rows, s_rows])
-        new_value, new_err = _gk_panels(f, new_lo, new_hi, new_rows)
-        counts = np.bincount(s_rows, minlength=n)
-        evals += 30 * counts
-        subdivisions += counts
-        panels = np.concatenate([panels[~split],
-                                 np.stack([new_lo, new_hi, new_value, new_err], axis=1)])
-        rows = np.concatenate([rows[~split], new_rows])
-
+    value, err = _gk_panels(f, a, b, np.arange(a.size))
+    evals = np.full(a.size, 15)
+    # an overflowed (nan) estimate is refined too
+    for i in np.flatnonzero(~(err <= np.maximum(abs_tol, rel_tol * np.abs(value)))).tolist():
+        res = _refine(f, np.array([i, i]), float(a[i]), float(b[i]), float(value[i]),
+                      float(err[i]), abs_tol, rel_tol, max_subdivisions)
+        value[i], err[i], evals[i] = res.value, res.error_estimate, res.evaluations
+    return QuadResult(value, err, evals)

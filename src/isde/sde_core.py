@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, real_array, real_parameter
+from .errors import ParameterError, ShapeError, real_array, real_parameter, reject_unread
 from .quadrature import _GAUSS_IDX, _NODES, _WEIGHTS_G
 
 __all__ = [
@@ -91,10 +91,7 @@ class SdeParams:
             raise ParameterError(f"unknown SDE kind {self.kind!r}; expected one of: {valid}")
         object.__setattr__(self, "kind", kind)
         reads = _SDE_FIELDS[kind]
-        unread = [name for name, value in vars(self).items()
-                  if value is not None and name not in reads and name != "kind"]
-        if unread:
-            raise ParameterError(f"SDE kind {kind.value!r} does not read: {', '.join(unread)}")
+        reject_unread(f"SDE kind {kind.value!r}", vars(self), reads)
         lo = 0  # sigma_min, read before sigma_max, is its lower end
         for name in reads:
             value = real_parameter(f"parameter {name!r}", getattr(self, name), lo, lo_open=True)

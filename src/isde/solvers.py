@@ -37,6 +37,7 @@ from .errors import (
     integer_parameter,
     real_array,
     real_parameter,
+    reject_unread,
 )
 from .quadrature import integrate_batch
 from .sde_core import InterpolatingSde
@@ -114,10 +115,7 @@ class SolverSpec:
             raise ParameterError(
                 f"unknown solver kind {self.kind!r}; expected one of {tuple(_SOLVERS)}")
         reads = _KIND_FIELDS[self.kind]
-        unread = [name for name, value in vars(self).items()
-                  if value is not None and name not in reads and name != "kind"]
-        if unread:
-            raise ParameterError(f"solver kind {self.kind!r} does not read: {', '.join(unread)}")
+        reject_unread(f"solver kind {self.kind!r}", vars(self), reads)
         for name, default in reads.items():
             value = default if getattr(self, name) is None else getattr(self, name)
             # p is an order in [1, 2]; kappa and corrector_stepsize are >= 0, rtol and atol > 0

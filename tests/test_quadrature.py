@@ -99,21 +99,19 @@ def test_random_smooth_integrands_match_library_quadrature():
 
 
 def test_scalar_oracle_keeps_worst_panel_first_bisection():
-    # integrate bisects one worst panel at a time, integrate_batch every panel
-    # over its share of the tolerance; on a sharp peak they take different
-    # evaluation counts to the same value, so the oracle keeps its own strategy
+    # a sharp peak: the oracle calls the integrand once per node, with a float, and
+    # bisects its worst panel first to the closed form 100 (atan 70 + atan 30)
     calls = []
 
     def f(t):
         calls.append(t)
         return 1.0 / (1e-4 + (t - 0.3) ** 2)
 
-    scalar = integrate(f, 0.0, 1.0)
-    batch = integrate_batch(lambda x, rows: 1.0 / (1e-4 + (x - 0.3) ** 2), [0.0], [1.0])
-    assert scalar.evaluations == len(calls) == 465
+    res = integrate(f, 0.0, 1.0)
+    assert res.evaluations == len(calls) == 465
     assert all(isinstance(t, float) for t in calls)
-    assert batch.evaluations[0] == 525
-    assert abs(scalar.value - batch.value[0]) <= 1e-12 * scalar.value
+    exact = 100.0 * (math.atan(70.0) + math.atan(30.0))
+    assert abs(res.value - exact) <= 1e-12 * exact
 
 
 # ------------------------------------------------------- batched quadrature
@@ -135,7 +133,50 @@ def test_batch_matches_scalar_integrate():
     for i in range(lo.size):
         want = integrate(lambda t: float(f(t)), lo[i], hi[i], abs_tol=1e-14, rel_tol=1e-12)
         assert abs(res.value[i] - want.value) <= 1e-11 * max(1.0, abs(want.value)), i
+        ref, _ = scipy.integrate.quad(f, lo[i], hi[i], epsabs=1e-14, epsrel=1e-13)
+        assert abs(res.value[i] - ref) <= 1e-11 * max(1.0, abs(ref)), i
         assert 0.0 <= res.error_estimate[i] <= max(1e-14, 1e-12 * abs(res.value[i]))
+
+
+def _peaks(x):
+    # +, -, * and / only, so a float and an array give bitwise the same values
+    d, e = x - 0.3, x - 0.71
+    return 1.0 / (1e-4 + d * d) + 0.5 / (1e-3 + e * e)
+
+
+@pytest.mark.parametrize("f, a, b, evals", [
+    (lambda x: 1.0 / (1e-4 + (x - 0.3) * (x - 0.3)), 0.0, 1.0, 465),
+    (_peaks, 0.0, 1.0, 645),
+    (lambda x: x * x * x / (1e-6 + x * x), -1.0, 2.0, 345),
+])
+def test_batch_refines_as_the_scalar_oracle(f, a, b, evals):
+    # an interval that misses its tolerance after the first pass is refined by the
+    # oracle's own worst-panel-first loop: same value, error estimate and evaluations
+    want = integrate(f, a, b)
+    got = integrate_batch(lambda x, rows: f(x), [a], [b])
+    assert want.evaluations == evals
+    assert (got.value[0], got.error_estimate[0], got.evaluations[0]) == (
+        want.value, want.error_estimate, want.evaluations)
+
+
+@pytest.mark.parametrize("r", [0.3, 4.0, 40.0])
+def test_batch_converges_on_a_long_interval(r):
+    # r^(2 - 2/s) over s in [2000, 3.28e9]: the oracle needs 19 bisections
+    want = integrate(lambda s: r ** (2.0 - 2.0 / s), 2000.0, 3.28e9, rel_tol=1e-13)
+    got = integrate_batch(lambda s, rows: r ** (2.0 - 2.0 / s), [2000.0], [3.28e9],
+                          rel_tol=1e-13)
+    assert want.evaluations == got.evaluations[0] == 585
+    assert abs(got.value[0] - want.value) <= 1e-13 * want.value
+
+
+def test_both_routes_stop_at_max_subdivisions():
+    # 16 bisections after the first panel: 15 + 16 * 30 evaluations, on either route
+    kw = dict(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=16)
+    for call in (lambda: integrate(lambda t: math.sin(200.0 * t), 0.0, 10.0, **kw),
+                 lambda: integrate_batch(lambda x, rows: np.sin(200.0 * x), [0.0], [10.0], **kw)):
+        with pytest.raises(QuadratureToleranceError, match="after 16 subdivisions") as err:
+            call()
+        assert err.value.result.evaluations == 495
 
 
 def test_batch_integrand_sees_interval_rows():
