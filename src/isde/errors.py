@@ -18,6 +18,8 @@ import numbers
 
 import numpy as np
 
+_FLOAT64 = np.dtype(np.float64)
+
 __all__ = [
     "IsdeError",
     "ParameterError",
@@ -115,8 +117,11 @@ def real_parameter(name: str, value, lo: float = -math.inf, hi: float = math.inf
 
 def real_array(name: str, value) -> np.ndarray:
     """``value`` as a float array, raising ParameterError naming ``name`` when an
-    entry is not a real number; a bool, a string or bytes is not one. A float64
-    array comes back as it is, with no copy."""
+    entry is not a real number; a bool, a string or bytes is not one. An exact
+    ``np.ndarray`` of dtype float64 comes back at once, as it is, with no copy and
+    no other check; a subclass or another dtype takes the full rule."""
+    if type(value) is np.ndarray and value.dtype == _FLOAT64:
+        return value
     try:
         a = np.asarray(value)
     except (TypeError, ValueError) as e:

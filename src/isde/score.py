@@ -164,7 +164,8 @@ def _score_rule(prior):
         pm, pv = prior.moments()
 
         def linear(kv, var_t, xa, ya, t):
-            mu, v = _affine_marginal(pm, pv, kv, var_t, ya)
+            # a 0-d y as a Python float: the same IEEE products, no 0-d NumPy arithmetic
+            mu, v = _affine_marginal(pm, pv, kv, var_t, float(ya) if ya.ndim == 0 else ya)
             try:
                 d = mu - xa
             except ValueError:
@@ -172,7 +173,7 @@ def _score_rule(prior):
             if v <= 0.0:
                 raise SingularityError(f"zero marginal variance at t={t!r}")
             d /= v  # in place: a new array here costs page faults at 1e5 paths
-            return d if np.ndim(d) else float(d)
+            return d if d.ndim else float(d)
 
         return linear
 
@@ -250,23 +251,45 @@ class ScoreModel:
                 f"parameterization={self.parameterization!r}, nfe={self.nfe})")
 
 
-_MEMO_TIMES = 4096  # times whose schedule values a model or a view keeps
+_MEMO_TIMES = 4096  # accepted times whose schedule values a model or a view keeps
+
+
+def _time_memo(read):
+    """``read(t)``, which checks the time t and reads the schedule there, kept for the
+    last ``_MEMO_TIMES`` times it accepted. A time it rejects raises and is not kept,
+    so it is checked again on every call (NaN never hits); ``typed=True`` keeps True,
+    1 and np.float64(1.0) apart from 1.0. An unhashable t, such as a 0-d array, is
+    read with no memo."""
+    kept = functools.lru_cache(_MEMO_TIMES, typed=True)(read)
+
+    def lookup(t):
+        try:
+            return kept(t)
+        except TypeError:  # unhashable: real_parameter turns any other TypeError into its own
+            return read(t)
+
+    return lookup
 
 
 def analytic_score_model(prior, sde: InterpolatingSde) -> ScoreModel:
     """Exact score of the tractable marginal, wrapped with NFE counting.
 
-    The prior is checked once, here. The model keeps k(t) and var(t) of the last
-    ``_MEMO_TIMES`` times it was called at, so solves on one grid read the schedule
-    once per time; every call still checks t, x and y.
+    The prior is checked once, here. The check of t and the reads of k(t) and
+    var(t) share one memo (:func:`_time_memo`): a time the model has already
+    accepted costs one cache hit, and a rejected time is checked on every call.
+    Every call checks x and y.
     """
     rule = _score_rule(prior)
-    schedule = functools.lru_cache(_MEMO_TIMES)(lambda t: (float(sde.k(t)), float(sde.var(t))))
+
+    def schedule(t):
+        t = real_parameter("t", t, 0, sde.t_rev, lo_open=True)
+        return float(sde.k(t)), float(sde.var(t)), t
+
+    schedule = _time_memo(schedule)
 
     def fn(x, y, t):
-        t = real_parameter("t", t, 0, sde.t_rev, lo_open=True)
-        xa, ya = real_array("x", x), real_array("y", y)
-        return rule(*schedule(t), xa, ya, t)
+        kv, var_t, t = schedule(t)
+        return rule(kv, var_t, real_array("x", x), real_array("y", y), t)
 
     return ScoreModel(fn, parameterization="score",
                       name=f"analytic-{type(prior).__name__}")
@@ -275,16 +298,22 @@ def analytic_score_model(prior, sde: InterpolatingSde) -> ScoreModel:
 def _sigma_view(model: ScoreModel, sde: InterpolatingSde, name: str, given: str, want: str,
                 convert) -> ScoreModel:
     """``model``, of parameterization ``given``, as a ``want`` model ``convert(output,
-    sigma_t)``, with sigma kept per time as by :func:`analytic_score_model`; every
-    call checks t and raises SingularityError where sigma is 0."""
+    sigma_t)``. The check of t, the read of sigma(t) and the rejection of sigma = 0
+    (SingularityError) share one memo, as in :func:`analytic_score_model`; both
+    checks run before the wrapped model is called."""
     if model.parameterization != given:
         raise ParameterError(f"{name} expects a model with parameterization '{given}'")
-    sigma = functools.lru_cache(_MEMO_TIMES)(lambda t: float(sde.sigma(t)))
 
-    def fn(x, y, t):
-        sig = sigma(real_parameter("t", t))
+    def sigma(t):
+        sig = float(sde.sigma(real_parameter("t", t)))
         if sig == 0.0:
             raise SingularityError(f"sigma(t) = 0 at t={t!r}; {want} view undefined")
+        return sig
+
+    sigma = _time_memo(sigma)
+
+    def fn(x, y, t):
+        sig = sigma(t)
         return convert(model(x, y, t), sig)
 
     return ScoreModel(fn, parameterization=want, name=f"{want}({model.name})")

@@ -381,6 +381,13 @@ def _plan_for(sde: InterpolatingSde, times_key: bytes, p: int, ito: bool,
     return plan
 
 
+def _all_finite(x) -> bool:
+    """Whether every entry of x is finite. A finite sum implies finite entries, so the
+    entrywise test runs only when the one reduction (``x.sum()`` without its Python
+    wrapper) is not finite, which finite entries whose sum overflows also give."""
+    return math.isfinite(np.add.reduce(x, None)) or bool(np.isfinite(x).all())
+
+
 @contextmanager
 def _overflow_as_divergence(kind: str):
     """Run a solve with NumPy float warnings off (a state that overflows ends in
@@ -417,10 +424,20 @@ def _solve_on_grid(spec: SolverSpec, sde: InterpolatingSde, y, grid: TimeGrid, s
         for i in range(grid.n_steps):
             tl = times[i + 1]
             x = step(i, x, times[i], tl)
-            if not np.isfinite(x).all():
-                raise DivergenceError(f"state became non-finite at t={tl!r}",
+            if not _all_finite(x):
+                raise DivergenceError(f"{spec.kind} state became non-finite at t={tl!r}",
                                       step_index=i, time=tl)
     return SolveOutput(final_state=x, nfe=nfe_per_step(spec) * grid.n_steps, seed=seed)
+
+
+def _accumulate(acc, term):
+    """acc + term, written into acc when acc is an array of the sum's shape; a term
+    that broadcasts acc up (a scalar x_init under a y array) gives a new array."""
+    try:
+        acc += term
+    except ValueError:
+        return acc + term
+    return acc
 
 
 def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
@@ -446,18 +463,35 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
         phi, c, w0, t_mid, phi_mid, a_mid, d_mid, w1, ito_std = (
             None if a is None else a.tolist() for a in vars(plan).values())
         rng_ito = rng(1) if kappa > 0.0 else None
+        yv = float(ya) if ya.ndim == 0 else ya  # the model still gets ya itself
 
+        def linear(phi_i, x):
+            """phi_i x + (1 - phi_i) y, in a new temporary."""
+            return _accumulate(phi_i * x, (1.0 - phi_i) * yv)
+
+        # Each update takes the operations of the step formula (_StepPlan) in their
+        # written order, accumulated in the step's own temporaries: x and the model's
+        # outputs are never written.
         def step(i, x, th, tl):
             f = np.asarray(model(x, ya, th), dtype=float)
             if p == 1:
                 corr = f * w0[i]
             else:
-                x_mid = phi_mid[i] * x + (1.0 - phi_mid[i]) * ya + a_mid[i] * f
+                x_mid = _accumulate(linear(phi_mid[i], x), a_mid[i] * f)
                 f_mid = np.asarray(model(x_mid, ya, t_mid[i]), dtype=float)
-                corr = f * w0[i] + (f - f_mid) / d_mid[i] * w1[i]
-            x = phi[i] * x + (1.0 - phi[i]) * ya + (1.0 + kappa ** 2) * c[i] * corr
+                # f w0 after the stage, as written: at 1e5 paths the order of the
+                # allocations, not their number, sets a solve's page faults
+                corr = f * w0[i]
+                slope = f - f_mid
+                slope /= d_mid[i]
+                slope *= w1[i]
+                corr = _accumulate(corr, slope)
+            corr *= (1.0 + kappa ** 2) * c[i]
+            x = _accumulate(linear(phi[i], x), corr)
             if kappa > 0.0:
-                x = x + kappa * ito_std[i] * rng_ito.standard_normal(np.shape(x))
+                z = rng_ito.standard_normal(np.shape(x))
+                z *= kappa * ito_std[i]
+                x += z
             return x
 
         return step
@@ -478,11 +512,17 @@ def _score_eval(model: ScoreModel, sde: InterpolatingSde):
 
 def _reverse_drift(sde: InterpolatingSde, score, ya, kappa: float):
     """Drift gamma (y - x) - ((1 + kappa^2)/2) g^2 s of the reverse family, as f(x, t),
-    with s the score function of :func:`_score_eval`."""
+    with s the score function of :func:`_score_eval`. One drift serves one solve and
+    reads gamma(t) and g(t)^2 once per distinct time t."""
     half = 0.5 * (1.0 + kappa ** 2)
+    coefficients = {}
 
     def drift(x, t):
-        return float(sde.gamma(t)) * (ya - x) - half * float(sde.g(t)) ** 2 * score(x, ya, t)
+        try:
+            gamma_t, half_g2 = coefficients[t]
+        except KeyError:
+            gamma_t, half_g2 = coefficients[t] = float(sde.gamma(t)), half * float(sde.g(t)) ** 2
+        return gamma_t * (ya - x) - half_g2 * score(x, ya, t)
     return drift
 
 
@@ -615,8 +655,8 @@ def rk45_adaptive(sde: InterpolatingSde, model: ScoreModel, y, t_start: float,
                     if a != 0.0:
                         xi = xi + h * a * stages[j]
                 ki = rhs(xi, t + _DP_C[idx] * h)
-                if not np.isfinite(ki).all():
-                    raise DivergenceError(f"stage derivative non-finite at t={t!r}",
+                if not _all_finite(ki):
+                    raise DivergenceError(f"{spec.kind} stage derivative non-finite at t={t!r}",
                                           step_index=attempts, time=t)
                 stages.append(ki)
             attempts += 1

@@ -328,6 +328,67 @@ def test_eps_view_reads_sigma_once_per_time(fouve):
     assert len(seen) == len(set(seen)) == 20
 
 
+_MEMO_VIEWS = {
+    "model": lambda sde: analytic_score_model(_G, sde),
+    "eps_adapter": lambda sde: eps_adapter(analytic_score_model(_G, sde), sde),
+    "score_from_eps": lambda sde: score_from_eps(
+        eps_adapter(analytic_score_model(_G, sde), sde), sde),
+}
+
+
+def _served(model):
+    """``model`` after it has served t = 0.5 and t = 1.0."""
+    for t in (0.5, 1.0):
+        model(0.3, 1.0, t)
+    return model
+
+
+@pytest.mark.parametrize("build", _MEMO_VIEWS.values(), ids=_MEMO_VIEWS.keys())
+def test_memo_checks_every_rejected_time_on_every_call(fouve, build):
+    # the memo keeps accepted times only: a bool, a string, NaN and times out of range
+    # raise after 0.5 and 1.0 were served, with a fresh model's message, every time
+    bad = (True, "0.5", float("nan"), 0.0, fouve.t_rev + 1e-9)
+
+    def messages(model):
+        out = []
+        for t in bad:
+            with pytest.raises(ParameterError) as err:
+                model(0.3, 1.0, t)
+            out.append(str(err.value))
+        return out
+
+    cold = messages(build(fouve))
+    warm = _served(build(fouve))
+    assert messages(warm) == messages(warm) == cold
+    assert cold[:2] == ["t must be a real number, got True", "t must be a real number, got '0.5'"]
+    assert cold[3:] == ["t must be a finite real in (0, 1.0], got 0.0",
+                        "t must be a finite real in (0, 1.0], got 1.000000001"]
+
+
+@pytest.mark.parametrize("build", _MEMO_VIEWS.values(), ids=_MEMO_VIEWS.keys())
+def test_memo_serves_other_time_types_bitwise(fouve, build):
+    # np.float64(0.5) and a 0-d array, which cannot be a memo key, give 0.5's output
+    x = np.linspace(-1.0, 2.0, 7)
+    model = _served(build(fouve))
+    want = model(x, 1.0, 0.5).tobytes()
+    for t in (np.float64(0.5), np.array(0.5), 0.5):
+        assert model(x, 1.0, t).tobytes() == want, repr(t)
+    assert build(fouve)(x, 1.0, np.float64(0.5)).tobytes() == want
+
+
+def test_zero_sigma_view_raises_before_the_wrapped_model(ouve):
+    # sigma(0) = 0 on OUVE: each view rejects t = 0 before it calls the wrapped model,
+    # also after it has served other times, and on every call
+    for view, given in ((eps_adapter, "score"), (score_from_eps, "eps")):
+        inner = ScoreModel(lambda x, y, t: np.asarray(x, dtype=float), parameterization=given)
+        model = _served(view(inner, ouve))
+        assert inner.nfe == 2
+        for _ in range(2):
+            with pytest.raises(SingularityError, match=r"^sigma\(t\) = 0 at t=0\.0;"):
+                model(0.3, 1.0, 0.0)
+        assert inner.nfe == 2
+
+
 def test_zero_variance_marginal_raises(fouve):
     frozen = dataclasses.replace(fouve, var=lambda t: 0.0 * np.asarray(t, dtype=float))
     for prior in (DeltaPrior(0.5), MixturePrior((0.3, 0.7), (-0.5, 1.0), (0.0, 0.04))):

@@ -889,22 +889,99 @@ def test_isde_validation(fouve, gaussian_prior):
         isde_solve(fouve, model, np.ones(4), grid, x_init=np.zeros(3))
 
 
+def _fixed_grid_runs(sde, model, grid, x0):
+    """A run of every fixed-grid solver on ``grid``, by the kind it reports."""
+    return {
+        "isde-p1": lambda: isde_solve(sde, model, 1.0, grid, p=1, x_init=x0),
+        "isde-p2": lambda: isde_solve(sde, model, 1.0, grid, p=2, x_init=x0),
+        "euler_maruyama": lambda: euler_maruyama(sde, model, 1.0, grid, kappa=0.0, x_init=x0),
+        "pc": lambda: pc_sampler(sde, model, 1.0, grid, x_init=x0),
+        "rk2": lambda: rk2_midpoint(sde, model, 1.0, grid, x_init=x0),
+    }
+
+
 def test_divergence_reports_location(fouve):
-    # every fixed-grid solver stops at the first step whose state is non-finite
+    # every fixed-grid solver stops at the first step whose state is non-finite, and
+    # its message names the solver kind
     bad = ScoreModel(lambda x, y, t: np.full(np.shape(x), np.nan), name="nan")
     grid = TimeGrid.for_sde(fouve, 5)
-    runs = {
-        "isde-p1": lambda: isde_solve(fouve, bad, 1.0, grid, p=1, x_init=0.5),
-        "isde-p2": lambda: isde_solve(fouve, bad, 1.0, grid, p=2, x_init=0.5),
-        "eum": lambda: euler_maruyama(fouve, bad, 1.0, grid, kappa=0.0, x_init=0.5),
-        "pc": lambda: pc_sampler(fouve, bad, 1.0, grid, x_init=0.5),
-        "rk2": lambda: rk2_midpoint(fouve, bad, 1.0, grid, x_init=0.5),
-    }
-    for label, run in runs.items():
+    for label, run in _fixed_grid_runs(fouve, bad, grid, 0.5).items():
         with pytest.raises(DivergenceError) as err:
             run()
         assert err.value.step_index == 0, label
         assert err.value.time == float(grid.times[1]), label
+        assert str(err.value) == (f"{label.split('-')[0]} state became non-finite at "
+                                  f"t={float(grid.times[1])!r}"), label
+
+
+def test_finite_check_reads_entries_not_their_sum(fouve):
+    # finite entries whose sum overflows pass; a non-finite entry fails, whatever the sum
+    big = 1.7e308
+    with np.errstate(all="ignore"):  # as inside a solve
+        for x in ([big, big], [-big, -big], [big, big, -big, -big]):
+            assert solvers._all_finite(np.array(x)), x
+        for x in ([np.inf, -np.inf], [np.nan], [big, big, np.nan], [1.0, np.inf]):
+            assert not solvers._all_finite(np.array(x)), x
+    # a zero score keeps a state at y, here two entries of 1e308 whose sum overflows
+    # (the grid's transition factor is 1.64, so no product does): every solver runs on
+    zero = ScoreModel(lambda x, y, t: np.zeros(np.shape(x)), name="zero")
+    grid = TimeGrid.for_sde(fouve, 5)
+    for y in (1e308, -1e308):
+        for kind in ("isde", "euler_maruyama", "pc", "rk2", "rk45"):
+            out = run_solver(fouve, zero, y, grid, SolverSpec(kind), x_init=np.full(2, y))
+            assert np.allclose(out.final_state, y, rtol=1e-12, atol=0.0), kind
+    # a score of [inf, -inf], whose sum is NaN, stops every solver at its first step
+    pair = ScoreModel(lambda x, y, t: np.resize([np.inf, -np.inf], np.shape(x)), name="pair")
+    for label, run in _fixed_grid_runs(fouve, pair, grid, np.full(2, 0.5)).items():
+        with pytest.raises(DivergenceError) as err:
+            run()
+        assert err.value.step_index == 0, label
+
+
+_EVERY_KIND = [SolverSpec("isde", p=1), SolverSpec("isde", p=2, kappa=0.5),
+               SolverSpec("euler_maruyama"), SolverSpec("pc"), SolverSpec("rk2"),
+               SolverSpec("rk45")]
+
+
+@pytest.mark.parametrize("spec", _EVERY_KIND, ids=lambda s: f"{s.kind}-{s.p or 1}")
+@pytest.mark.parametrize("mode", ["score", "eps"])
+def test_solvers_leave_their_inputs_alone(fouve, gaussian_prior, spec, mode):
+    # a float64 x_init reaches the first model call uncopied, and a solve writes
+    # neither into it nor into a model's output: a model whose outputs are read-only
+    # solves bitwise like one that returns writable copies
+    model = analytic_score_model(gaussian_prior, fouve)
+    if mode == "eps":
+        model = eps_adapter(model, fouve)
+
+    def returning(writable):
+        def fn(x, y, t):
+            out = np.array(model(x, y, t), dtype=float)
+            out.setflags(write=writable)
+            return out
+        return ScoreModel(fn, model.parameterization, name="flagged")
+
+    grid = TimeGrid.for_sde(fouve, 11)
+    x0 = np.linspace(0.0, 1.5, 8)
+    kept = x0.copy()
+    ends = [run_solver(fouve, returning(w), 1.0, grid, spec, seed=5, x_init=x0).final_state
+            for w in (False, True)]
+    assert x0.tobytes() == kept.tobytes()
+    assert ends[0].tobytes() == ends[1].tobytes()
+
+
+@pytest.mark.parametrize("spec", _EVERY_KIND, ids=lambda s: f"{s.kind}-{s.p or 1}")
+@pytest.mark.parametrize("x_init", [0.3, [0.3]], ids=["scalar", "one-entry"])
+def test_scalar_start_under_a_y_vector(fouve, gaussian_prior, spec, x_init):
+    # a start of shape () or (1,) under y of shape (4,) broadcasts in the first step:
+    # the endpoint is bitwise that of the start spelled out in full, and the first
+    # model call still sees the start's own shape
+    model = recording(analytic_score_model(gaussian_prior, fouve))
+    grid, y = TimeGrid.for_sde(fouve, 11), np.array([0.5, 1.0, 1.5, 2.0])
+    out = run_solver(fouve, model, y, grid, spec, seed=5, x_init=x_init)
+    assert model.calls[0][0].shape == np.shape(x_init)
+    full = run_solver(fouve, model, y, grid, spec, seed=5, x_init=np.full(4, 0.3))
+    assert out.final_state.shape == (4,)
+    assert out.final_state.tobytes() == full.final_state.tobytes()
 
 
 @pytest.mark.parametrize("spec", [
@@ -1096,7 +1173,7 @@ def test_rk45_step_budget(fouve, gaussian_prior, monkeypatch):
 
 def test_rk45_divergence(fouve):
     bad = ScoreModel(lambda x, y, t: np.full(np.shape(x), np.inf), name="inf")
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match="^rk45 stage derivative non-finite at t=1.0$"):
         rk45_adaptive(fouve, bad, 1.0, fouve.t_rev, fouve.delta, x_init=0.5)
 
 
