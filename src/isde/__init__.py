@@ -8,7 +8,7 @@ dx = [gamma(y - x) - ((1+kappa^2)/2) g^2 s] dt + kappa g dw_bar with either an
 exponential integrator (:func:`isde_solve`, order 1 or 2) or classical
 baselines, against analytic score models for delta, Gaussian, and mixture
 priors. The harness turns configs into CSV studies; the ``isde`` console
-script exposes them as subcommands.
+script runs one, named by its study argument.
 """
 
 from . import errors, harness, score, sde_core, solvers

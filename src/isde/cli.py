@@ -1,16 +1,16 @@
-"""Command line front end: one subcommand per study, driven by a YAML config.
+"""Command line front end: a study argument names the study, and a YAML config drives it.
 
 Usage:
 
     isde <study> --config cfg.yaml --out results.csv [--seed N]
 
-where <study> is one of simulate-forward, solve, convergence, nfe-sweep,
-kappa-sweep, marginal-check, verify-weights. The CSV table is written to
---out and a JSON manifest (config echo, seeds, slopes, stats, runtime) is
-written alongside with the suffix .manifest.json. --seed overrides the seed
-in the config file. Exit status: 0 on success, 1 on runtime failures
-(divergence, stiffness, a float overflow), 2 on config or usage errors and
-when the output cannot be written.
+where the study argument <study> is one of simulate-forward, solve, convergence,
+nfe-sweep, kappa-sweep, marginal-check, verify-weights (``isde --help`` says what
+each does), before or after the options. The CSV table is written to --out and a
+JSON manifest (config echo, seeds, slopes, stats, runtime) alongside with the
+suffix .manifest.json; --seed overrides the config's seed. Exit status: 0 on
+success, 1 on runtime failures (divergence, stiffness, a float overflow), 2 on
+config or usage errors and when the output cannot be written.
 
 The config is read by libyaml when PyYAML was built with it, and by PyYAML's
 pure-Python loader otherwise; both read the shipped configs to the same values.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 
 import numpy as np
 import yaml
@@ -27,30 +28,25 @@ import yaml
 from .errors import ConfigError, IsdeError, ParameterError
 from .harness import STUDIES, config_from_dict
 
-_STUDY_HELP = {
-    "simulate-forward": "tabulate the schedule and forward-kernel moments over time",
-    "solve": "run each configured solver once and report endpoint statistics",
-    "convergence": "endpoint error versus step size on uniform grids",
-    "nfe-sweep": "endpoint error at matched model-call budgets",
-    "kappa-sweep": "endpoint deviation versus the noise scale kappa",
-    "marginal-check": "distributional test of endpoints against the exact marginal",
-    "verify-weights": "cross-check step weights against direct quadrature",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the help lists each study with the first paragraph of its function's docstring
+    # (only its name where docstrings are stripped, as under python -OO)
+    epilog = ["studies:"]
+    for name, fn in STUDIES.items():
+        summary = " ".join((fn.__doc__ or "").split("\n\n")[0].split())
+        epilog += textwrap.wrap(f"{name:<18} {summary}", 78, initial_indent="  ",
+                                subsequent_indent=" " * 21, break_on_hyphens=False)
     parser = argparse.ArgumentParser(
-        prog="isde",
-        description="Numerical studies for interpolating-SDE samplers.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="study")
-    for name in STUDIES:
-        p = sub.add_parser(name, help=_STUDY_HELP[name], description=_STUDY_HELP[name])
-        p.add_argument("--config", required=True, metavar="YAML",
-                       help="study config file")
-        p.add_argument("--out", required=True, metavar="CSV",
-                       help="output table path; a .manifest.json is written alongside")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed from the config file")
+        prog="isde", description="Numerical studies for interpolating-SDE samplers.",
+        epilog="\n".join(epilog), formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("study", choices=STUDIES, metavar="study",
+                        help="the study to run, one of those listed below")
+    parser.add_argument("--config", required=True, metavar="YAML", help="study config file")
+    parser.add_argument("--out", required=True, metavar="CSV",
+                        help="output table path; a .manifest.json is written alongside")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the seed from the config file")
     return parser
 
 
@@ -76,7 +72,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_dict(data)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            result = STUDIES[args.command](config)
+            result = STUDIES[args.study](config)
     except (ConfigError, ParameterError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -257,8 +257,9 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         if not math.isfinite(2.0 * smax * smax * t_rev / (1.0 - t_rev)):  # g(t_rev)^2
             raise ParameterError(f"OT diffusion overflows for sigma_max={smax!r}")
 
-        def var(t):
-            return (smax * _t(t)) ** 2
+        def var(t):  # a product, not ** 2: NumPy sends a 0-d power to libm pow
+            v = smax * _t(t)
+            return v * v
 
         def g(t):
             tt = _t(t)

@@ -257,10 +257,11 @@ def _prepare_state(sde, y, seed, x_init):
     if x_init is None:
         return np.asarray(reverse_init(sde, ya, _channel_rng(seed, 0)), dtype=float), ya
     x = _finite_array("x_init", x_init)
-    try:
-        np.broadcast_shapes(x.shape, ya.shape)
-    except ValueError:
-        raise ShapeError(f"x_init shape {x.shape} does not broadcast with y shape {ya.shape}")
+    if x.shape != ya.shape:
+        try:
+            np.broadcast_shapes(x.shape, ya.shape)
+        except ValueError:
+            raise ShapeError(f"x_init shape {x.shape} does not broadcast with y shape {ya.shape}")
     return x, ya
 
 
@@ -370,15 +371,15 @@ def _step_plan(sde: InterpolatingSde, times: np.ndarray, p: int, kappa: float,
 
 @functools.lru_cache(maxsize=32)
 def _plan_for(sde: InterpolatingSde, times_key: bytes, p: int, ito: bool,
-              eps_mode: bool) -> _StepPlan:
+              eps_mode: bool) -> tuple:
     """:func:`_step_plan` on the grid whose float64 bytes are ``times_key``, kept for
-    later solves with the same key and with its arrays read-only. The plan reads
-    kappa only through kappa > 0 (``ito``), so the key holds that and not kappa."""
+    later solves with the same key as rows: per step, a tuple of the plan's fields in
+    :class:`_StepPlan` order, Python floats (a step reads them one number at a time)
+    or None where p or kappa leaves a field unused. The plan reads kappa only through
+    kappa > 0 (``ito``), so the key holds that and not kappa."""
     plan = _step_plan(sde, np.frombuffer(times_key), p, float(ito), eps_mode)
-    for a in vars(plan).values():
-        if a is not None:
-            a.setflags(write=False)
-    return plan
+    n = plan.phi.size
+    return tuple(zip(*([None] * n if a is None else a.tolist() for a in vars(plan).values())))
 
 
 def _all_finite(x) -> bool:
@@ -458,10 +459,7 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     eps_mode = getattr(model, "parameterization", "score") == "eps"
 
     def make_step(ya, rng):
-        plan = _plan_for(sde, grid.times.tobytes(), p, kappa > 0.0, eps_mode)
-        # the rows, in field order, as Python floats: a step reads them one number at a time
-        phi, c, w0, t_mid, phi_mid, a_mid, d_mid, w1, ito_std = (
-            None if a is None else a.tolist() for a in vars(plan).values())
+        rows = _plan_for(sde, grid.times.tobytes(), p, kappa > 0.0, eps_mode)
         rng_ito = rng(1) if kappa > 0.0 else None
         yv = float(ya) if ya.ndim == 0 else ya  # the model still gets ya itself
 
@@ -473,24 +471,25 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
         # written order, accumulated in the step's own temporaries: x and the model's
         # outputs are never written.
         def step(i, x, th, tl):
+            phi, c, w0, t_mid, phi_mid, a_mid, d_mid, w1, ito_std = rows[i]
             f = np.asarray(model(x, ya, th), dtype=float)
             if p == 1:
-                corr = f * w0[i]
+                corr = f * w0
             else:
-                x_mid = _accumulate(linear(phi_mid[i], x), a_mid[i] * f)
-                f_mid = np.asarray(model(x_mid, ya, t_mid[i]), dtype=float)
+                x_mid = _accumulate(linear(phi_mid, x), a_mid * f)
+                f_mid = np.asarray(model(x_mid, ya, t_mid), dtype=float)
                 # f w0 after the stage, as written: at 1e5 paths the order of the
                 # allocations, not their number, sets a solve's page faults
-                corr = f * w0[i]
+                corr = f * w0
                 slope = f - f_mid
-                slope /= d_mid[i]
-                slope *= w1[i]
+                slope /= d_mid
+                slope *= w1
                 corr = _accumulate(corr, slope)
-            corr *= (1.0 + kappa ** 2) * c[i]
-            x = _accumulate(linear(phi[i], x), corr)
+            corr *= (1.0 + kappa ** 2) * c
+            x = _accumulate(linear(phi, x), corr)
             if kappa > 0.0:
                 z = rng_ito.standard_normal(np.shape(x))
-                z *= kappa * ito_std[i]
+                z *= kappa * ito_std
                 x += z
             return x
 

@@ -400,6 +400,27 @@ def test_usage_errors_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_help_describes_every_study(capsys):
+    # each study is listed with the first paragraph of its function's docstring
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, fn in STUDIES.items():
+        summary = " ".join(inspect.getdoc(fn).split("\n\n")[0].split())
+        assert f"{name} {summary}" in text, name
+
+
+def test_options_may_precede_the_study(tmp_path):
+    cfg = str(CONFIG_DIR / "simulate-forward.yaml")
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert cli.main(["--config", cfg, "--out", str(before), "--seed", "7",
+                     "simulate-forward"]) == 0
+    assert cli.main(["simulate-forward", "--config", cfg, "--out", str(after),
+                     "--seed", "7"]) == 0
+    assert before.read_bytes() == after.read_bytes()
+
+
 def test_console_script_is_registered():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]

@@ -8,6 +8,7 @@ import isde
 from isde import SdeParams, make_sde, mean_evolution, sample_forward
 from isde.errors import ParameterError, ShapeError, integer_parameter, real_parameter
 from isde.quadrature import integrate
+from isde.solvers import TimeGrid, _step_plan
 from oracles import diffusion_from_variance, gamma_from_k, k_from_gamma, variance_from_diffusion
 
 
@@ -200,6 +201,36 @@ def test_bbed_array_shape_roundtrip():
     assert out.shape == ts.shape
     assert np.all(out > 0.0)
     assert isinstance(sde.var(0.4), float)
+
+
+def _schedule_times(sde):
+    """2e4 seeded times in [0.01, 0.999) and every node, midpoint in t and midpoint in
+    lambda of the uniform grids of 2 to 41 nodes and of 51, 101, 201 and 501 nodes."""
+    parts = [np.random.default_rng(11).uniform(0.01, 0.999, 20_000)]
+    for n in [*range(2, 42), 51, 101, 201, 501]:
+        times = TimeGrid.for_sde(sde, n).times
+        parts += [times, 0.5 * (times[:-1] + times[1:]),
+                  _step_plan(sde, times, 2, 0.0, eps_mode=True).t_mid]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("name", ["fOUVE", "OUVE", "OT", "BrownianBridge", "BBED"])
+def test_a_time_alone_reads_its_value_in_an_array(all_sdes, name):
+    # a model reads the schedule one time at a time and a step plan reads it over
+    # arrays: both must see one value per time. BBED's var (and sigma, its root) reads
+    # a time alone through a separate Python-float route by design, math.exp and its
+    # own summation order, so that a one-time read skips the array set-up; that route
+    # agrees within 3 ulp
+    sde = all_sdes[name]
+    times = _schedule_times(sde)
+    for field in ("k", "gamma", "g", "sigma", "var"):
+        fn = getattr(sde, field)
+        together = np.asarray(fn(times), dtype=float)
+        alone = np.array([float(fn(t)) for t in times.tolist()])
+        if name == "BBED" and field in ("sigma", "var"):
+            assert np.max(np.abs(alone - together) / np.spacing(together)) <= 3.0, field
+        else:
+            assert alone.tobytes() == together.tobytes(), field
 
 
 @pytest.mark.parametrize("c, r", [(0.3, 4.0), (0.08, 40.0), (0.5, 0.3), (1e150, 4.0),

@@ -496,14 +496,37 @@ def test_bundles_on_one_grid_keep_their_own_plans(gaussian_prior):
 
 
 def test_cached_plan_is_read_only(all_sdes):
+    # the cache keeps a plan as rows: per step, a tuple of its fields in _StepPlan order,
+    # Python floats bitwise the plan's arrays, or None where p or kappa leaves a field
+    # unused; a tuple cannot be written
     sde = all_sdes["BBED"]
-    plan = solvers._plan_for(sde, TimeGrid.for_sde(sde, 11).times.tobytes(), 2, True, False)
-    arrays = [a for a in vars(plan).values() if a is not None]
-    assert len(arrays) == 9
-    for a in arrays:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0.0
+    times = TimeGrid.for_sde(sde, 11).times
+    for p, ito, eps_mode in ((1, False, False), (2, True, False), (2, False, True)):
+        rows = solvers._plan_for(sde, times.tobytes(), p, ito, eps_mode)
+        plan = _step_plan(sde, times, p, float(ito), eps_mode)
+        assert type(rows) is tuple and len(rows) == 10
+        assert all(type(row) is tuple for row in rows)
+        for field, column in zip(vars(plan), zip(*rows), strict=True):
+            array = getattr(plan, field)
+            if array is None:
+                assert set(column) == {None}, field
+            else:
+                assert all(type(v) is float for v in column), field
+                assert np.array(column).tobytes() == array.tobytes(), field
+        with pytest.raises(TypeError):
+            rows[0][0] = 0.0
+
+
+def test_solves_with_one_key_read_one_rows_object(all_sdes, gaussian_prior, monkeypatch):
+    solvers._plan_for.cache_clear()
+    read, plan_for = [], solvers._plan_for
+    monkeypatch.setattr(solvers, "_plan_for", lambda *key: read.append(plan_for(*key)) or read[-1])
+    sde = all_sdes["OT"]
+    model = analytic_score_model(gaussian_prior, sde)
+    grid = TimeGrid.for_sde(sde, 11)
+    for seed in (1, 2):
+        isde_solve(sde, model, 1.0, grid, p=2, kappa=0.5, seed=seed)
+    assert len(read) == 2 and read[0] is read[1]
 
 
 @pytest.mark.parametrize("eps_mode", [False, True])
