@@ -33,7 +33,6 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -130,7 +129,9 @@ def _t(value):
 # e^{-a/s} is singular, so one panel reaches round-off. The table integrates
 # e^{a u - b}, at most e^650, so its sums stay finite out to s = 2^53, and at least
 # e^-600 where r < 1e271, so small variances near t = 0 keep their digits; var is
-# M (1 - t)^2 times it with M = c^2 e^b.
+# M (1 - t)^2 times it with M = c^2 e^b. A time alone takes the same route, as a 0-d
+# array, and reads the float it reads inside an array: the panel is a multiply and a
+# sum, since a BLAS dot and a gemv row round differently, and (1 - t)^2 is a product.
 _BBED_N, _BBED_GAP = 1024, 0.0005  # quadratic nodes up to 1 - _BBED_GAP = 0.9995 exactly
 _BBED_T = np.concatenate([(1.0 - _BBED_GAP) * (1.0 - (1.0 - np.linspace(0.0, 1.0, _BBED_N)) ** 2),
                           1.0 - _BBED_GAP * 2.0 ** (-np.arange(1, 157) / 4.0)])
@@ -141,7 +142,7 @@ def _bbed_panels(a: float, b: float, lo, hi):
     """One Gauss-7 panel of e^{a u - b} ds on every interval [lo, hi] of t."""
     half = 0.5 * (hi - lo) / ((1.0 - hi) * (1.0 - lo))  # in s
     d = (lo / (1.0 - lo))[..., None] + half[..., None] * _G7_NODES1  # s - 1 = u / (1 - u)
-    return half * (np.exp(a * (d / (1.0 + d)) - b) @ _G7_WEIGHTS)
+    return half * (np.exp(a * (d / (1.0 + d)) - b) * _G7_WEIGHTS).sum(axis=-1)
 
 
 def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
@@ -231,23 +232,15 @@ def make_sde(params: SdeParams, delta: float = 1e-2) -> InterpolatingSde:
         edge = c * r ** (1.0 - _BBED_GAP) / _BBED_GAP
         if not math.isfinite(2.0 * max(c * c, edge * edge, scale * float(prefix[_BBED_N - 1]))):
             raise ParameterError(f"BBED variance overflows for c={c!r}, r={r!r}")
-        node_list, prefix_list = _BBED_T.tolist(), prefix.tolist()
-        g7 = list(zip(_G7_NODES1.tolist(), _G7_WEIGHTS.tolist()))
 
         def var(t):
             tt = _t(t)
-            if tt.ndim == 0:  # in Python floats: most calls ask for one time
-                t = real_parameter("t", tt, 0, 1, hi_open=True)
-                i = bisect.bisect_right(node_list, t) - 1
-                lo = node_list[i]
-                half = 0.5 * (t - lo) / ((1.0 - t) * (1.0 - lo))
-                ds = [(lo / (1.0 - lo) + half * x, w) for x, w in g7]
-                panel = sum(w * math.exp(a * (d / (1.0 + d)) - b) for d, w in ds)
-                return scale * ((1.0 - t) ** 2 * (prefix_list[i] + half * panel))
-            if not np.all((tt >= 0.0) & (tt < 1.0)):
-                raise ParameterError("BBED variance is defined for 0 <= t < 1")
+            ok = (tt >= 0.0) & (tt < 1.0)
+            if not ok.all():  # the first time outside [0, 1) raises
+                real_parameter("t", tt[~ok][0], 0, 1, hi_open=True)
             i = np.searchsorted(_BBED_T, tt, side="right") - 1
-            return scale * ((1.0 - tt) ** 2 * (prefix[i] + _bbed_panels(a, b, _BBED_T[i], tt)))
+            u = 1.0 - tt  # a product, not ** 2: NumPy sends a 0-d power to libm pow
+            return scale * (u * u * (prefix[i] + _bbed_panels(a, b, _BBED_T[i], tt)))
 
         def g(t):
             return c * r ** _t(t)

@@ -252,16 +252,19 @@ def ito_increment(sde: InterpolatingSde, t_from: float, t_to: float) -> float:
 
 def _prepare_state(sde, y, seed, x_init):
     """The start state and y as finite float arrays: x_init, or a draw from the
-    seed's channel 0 stream."""
+    seed's channel 0 stream. A start smaller than y (shape () or (1,) under (4,))
+    takes y's shape here, in a copy, so x_init is never written."""
     ya = _finite_array("y", y)
     if x_init is None:
         return np.asarray(reverse_init(sde, ya, _channel_rng(seed, 0)), dtype=float), ya
     x = _finite_array("x_init", x_init)
     if x.shape != ya.shape:
         try:
-            np.broadcast_shapes(x.shape, ya.shape)
+            shape = np.broadcast_shapes(x.shape, ya.shape)
         except ValueError:
             raise ShapeError(f"x_init shape {x.shape} does not broadcast with y shape {ya.shape}")
+        if shape != x.shape:
+            x = np.broadcast_to(x, shape).copy()
     return x, ya
 
 
@@ -431,16 +434,6 @@ def _solve_on_grid(spec: SolverSpec, sde: InterpolatingSde, y, grid: TimeGrid, s
     return SolveOutput(final_state=x, nfe=nfe_per_step(spec) * grid.n_steps, seed=seed)
 
 
-def _accumulate(acc, term):
-    """acc + term, written into acc when acc is an array of the sum's shape; a term
-    that broadcasts acc up (a scalar x_init under a y array) gives a new array."""
-    try:
-        acc += term
-    except ValueError:
-        return acc + term
-    return acc
-
-
 def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
                p: int = 1, kappa: float = 0.0, seed: int = 0, x_init=None) -> SolveOutput:
     """Exponential integrator of order p in {1, 2} for the reverse family.
@@ -452,7 +445,9 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     lambda = ln((1 - k)/sigma). Both take the same step rule and differ only in
     its coefficients, which are computed for the whole grid before the first
     step (:func:`_step_plan`) and reused by later solves with the same bundle,
-    grid, p, kappa > 0 and parameterization (:func:`_plan_for`).
+    grid, p, kappa > 0 and parameterization (:func:`_plan_for`). The state has its
+    full shape before the first model call (:func:`_prepare_state`), and the step adds
+    each model output into it in place: one that would grow it raises ShapeError.
     """
     spec = SolverSpec("isde", p=p, kappa=kappa)
     p, kappa = spec.p, spec.kappa
@@ -463,30 +458,41 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
         rng_ito = rng(1) if kappa > 0.0 else None
         yv = float(ya) if ya.ndim == 0 else ya  # the model still gets ya itself
 
-        def linear(phi_i, x):
-            """phi_i x + (1 - phi_i) y, in a new temporary."""
-            return _accumulate(phi_i * x, (1.0 - phi_i) * yv)
+        def output(x, t):
+            """The model's output at (x, t), as a float array that adds into x in place."""
+            f = np.asarray(model(x, ya, t), dtype=float)
+            if f.shape != x.shape:
+                try:
+                    np.broadcast_to(f, x.shape)
+                except ValueError:
+                    raise ShapeError(f"model output shape {f.shape} does not broadcast to the "
+                                     f"state shape {x.shape}") from None
+            return f
 
         # Each update takes the operations of the step formula (_StepPlan) in their
-        # written order, accumulated in the step's own temporaries: x and the model's
-        # outputs are never written.
+        # written order, accumulated in place in the step's own temporaries: x and the
+        # model's outputs are never written.
         def step(i, x, th, tl):
             phi, c, w0, t_mid, phi_mid, a_mid, d_mid, w1, ito_std = rows[i]
-            f = np.asarray(model(x, ya, th), dtype=float)
+            f = output(x, th)
             if p == 1:
                 corr = f * w0
             else:
-                x_mid = _accumulate(linear(phi_mid, x), a_mid * f)
-                f_mid = np.asarray(model(x_mid, ya, t_mid), dtype=float)
+                x_mid = phi_mid * x
+                x_mid += (1.0 - phi_mid) * yv
+                x_mid += a_mid * f
+                f_mid = output(x_mid, t_mid)
                 # f w0 after the stage, as written: at 1e5 paths the order of the
                 # allocations, not their number, sets a solve's page faults
                 corr = f * w0
                 slope = f - f_mid
                 slope /= d_mid
                 slope *= w1
-                corr = _accumulate(corr, slope)
+                corr += slope
             corr *= (1.0 + kappa ** 2) * c
-            x = _accumulate(linear(phi, x), corr)
+            x = phi * x
+            x += (1.0 - phi) * yv
+            x += corr
             if kappa > 0.0:
                 z = rng_ito.standard_normal(np.shape(x))
                 z *= kappa * ito_std

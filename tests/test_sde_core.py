@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 import isde
 from isde import SdeParams, make_sde, mean_evolution, sample_forward
@@ -217,20 +218,32 @@ def _schedule_times(sde):
 @pytest.mark.parametrize("name", ["fOUVE", "OUVE", "OT", "BrownianBridge", "BBED"])
 def test_a_time_alone_reads_its_value_in_an_array(all_sdes, name):
     # a model reads the schedule one time at a time and a step plan reads it over
-    # arrays: both must see one value per time. BBED's var (and sigma, its root) reads
-    # a time alone through a separate Python-float route by design, math.exp and its
-    # own summation order, so that a one-time read skips the array set-up; that route
-    # agrees within 3 ulp
+    # arrays: both must see one value per time
     sde = all_sdes[name]
     times = _schedule_times(sde)
     for field in ("k", "gamma", "g", "sigma", "var"):
         fn = getattr(sde, field)
         together = np.asarray(fn(times), dtype=float)
         alone = np.array([float(fn(t)) for t in times.tolist()])
-        if name == "BBED" and field in ("sigma", "var"):
-            assert np.max(np.abs(alone - together) / np.spacing(together)) <= 3.0, field
-        else:
-            assert alone.tobytes() == together.tobytes(), field
+        assert alone.tobytes() == together.tobytes(), field
+
+
+@settings(deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["BBED", "OT"]), c=st.floats(-100.0, 150.0),
+       r=st.floats(-100.0, 200.0), times=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                                    min_size=1, max_size=8))
+def test_a_time_alone_reads_as_in_an_array_for_any_parameters(kind, c, r, times):
+    # BBED's c and r (as log10, over the ranges of the quadrature test below) and OT's
+    # sigma_max = 10^c: var and sigma of one time equal that time inside an array
+    try:
+        sde = make_sde(SdeParams(kind="BBED", c=10.0 ** c, r=10.0 ** r) if kind == "BBED"
+                       else SdeParams(kind="OT", sigma_max=10.0 ** c))
+    except ParameterError:
+        reject()  # the variance or the diffusion overflows
+    ts = np.array(times)
+    for fn in (sde.var, sde.sigma):
+        alone = np.array([float(fn(t)) for t in times])
+        assert alone.tobytes() == np.asarray(fn(ts), dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("c, r", [(0.3, 4.0), (0.08, 40.0), (0.5, 0.3), (1e150, 4.0),

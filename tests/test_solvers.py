@@ -995,16 +995,33 @@ def test_solvers_leave_their_inputs_alone(fouve, gaussian_prior, spec, mode):
 @pytest.mark.parametrize("spec", _EVERY_KIND, ids=lambda s: f"{s.kind}-{s.p or 1}")
 @pytest.mark.parametrize("x_init", [0.3, [0.3]], ids=["scalar", "one-entry"])
 def test_scalar_start_under_a_y_vector(fouve, gaussian_prior, spec, x_init):
-    # a start of shape () or (1,) under y of shape (4,) broadcasts in the first step:
-    # the endpoint is bitwise that of the start spelled out in full, and the first
-    # model call still sees the start's own shape
+    # a start of shape () or (1,) under y of shape (4,) takes y's shape, in a copy,
+    # before the first model call: the endpoint is bitwise that of the start spelled
+    # out in full, and the caller's start is never written
     model = recording(analytic_score_model(gaussian_prior, fouve))
     grid, y = TimeGrid.for_sde(fouve, 11), np.array([0.5, 1.0, 1.5, 2.0])
-    out = run_solver(fouve, model, y, grid, spec, seed=5, x_init=x_init)
-    assert model.calls[0][0].shape == np.shape(x_init)
+    x0 = np.array(x_init, dtype=float)
+    kept = x0.copy()
+    out = run_solver(fouve, model, y, grid, spec, seed=5, x_init=x0)
+    assert model.calls[0][0].shape == (4,)
+    assert x0.shape == kept.shape and x0.tobytes() == kept.tobytes()
     full = run_solver(fouve, model, y, grid, spec, seed=5, x_init=np.full(4, 0.3))
     assert out.final_state.shape == (4,)
     assert out.final_state.tobytes() == full.final_state.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_isde_rejects_a_model_output_larger_than_the_state(fouve, p):
+    # the isde step adds the model's output into its state in place: an output that
+    # broadcasts to the state's shape adds in, and one that would grow the state is a
+    # ShapeError at the first model call
+    grid, y = TimeGrid.for_sde(fouve, 5), np.ones(4)
+    small = ScoreModel(lambda x, y, t: np.zeros(1), name="one-entry")
+    assert isde_solve(fouve, small, y, grid, p=p, x_init=np.zeros(4)).final_state.shape == (4,)
+    wide = ScoreModel(lambda x, y, t: np.zeros((3,) + np.shape(x)), name="wide")
+    with pytest.raises(ShapeError, match=r"output shape \(3, 4\) does not broadcast to the "
+                                         r"state shape \(4,\)"):
+        isde_solve(fouve, wide, y, grid, p=p, x_init=np.zeros(4))
 
 
 @pytest.mark.parametrize("spec", [
