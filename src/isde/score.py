@@ -14,7 +14,6 @@ counts its evaluations (the NFE bookkeeping used by the solvers) and carries a
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -251,45 +250,19 @@ class ScoreModel:
                 f"parameterization={self.parameterization!r}, nfe={self.nfe})")
 
 
-_MEMO_TIMES = 4096  # accepted times whose schedule values a model or a view keeps
-
-
-def _time_memo(read):
-    """``read(t)``, which checks the time t and reads the schedule there, kept for the
-    last ``_MEMO_TIMES`` times it accepted. A time it rejects raises and is not kept,
-    so it is checked again on every call (NaN never hits); ``typed=True`` keeps True,
-    1 and np.float64(1.0) apart from 1.0. An unhashable t, such as a 0-d array, is
-    read with no memo."""
-    kept = functools.lru_cache(_MEMO_TIMES, typed=True)(read)
-
-    def lookup(t):
-        try:
-            return kept(t)
-        except TypeError:  # unhashable: real_parameter turns any other TypeError into its own
-            return read(t)
-
-    return lookup
-
-
 def analytic_score_model(prior, sde: InterpolatingSde) -> ScoreModel:
     """Exact score of the tractable marginal, wrapped with NFE counting.
 
-    The prior is checked once, here. The check of t and the reads of k(t) and
-    var(t) share one memo (:func:`_time_memo`): a time the model has already
-    accepted costs one cache hit, and a rejected time is checked on every call.
-    Every call checks x and y.
+    The prior is checked once, here. Every call checks t, x and y, and reads k(t)
+    and var(t) from the bundle's memo (``sde.memo``).
     """
     rule = _score_rule(prior)
-
-    def schedule(t):
-        t = real_parameter("t", t, 0, sde.t_rev, lo_open=True)
-        return float(sde.k(t)), float(sde.var(t)), t
-
-    schedule = _time_memo(schedule)
+    t_rev, k, var = sde.t_rev, sde.memo.k, sde.memo.var
 
     def fn(x, y, t):
-        kv, var_t, t = schedule(t)
-        return rule(kv, var_t, real_array("x", x), real_array("y", y), t)
+        if type(t) is not float or not 0.0 < t <= t_rev:
+            t = real_parameter("t", t, 0, t_rev, lo_open=True)
+        return rule(k(t), var(t), real_array("x", x), real_array("y", y), t)
 
     return ScoreModel(fn, parameterization="score",
                       name=f"analytic-{type(prior).__name__}")
@@ -298,22 +271,19 @@ def analytic_score_model(prior, sde: InterpolatingSde) -> ScoreModel:
 def _sigma_view(model: ScoreModel, sde: InterpolatingSde, name: str, given: str, want: str,
                 convert) -> ScoreModel:
     """``model``, of parameterization ``given``, as a ``want`` model ``convert(output,
-    sigma_t)``. The check of t, the read of sigma(t) and the rejection of sigma = 0
-    (SingularityError) share one memo, as in :func:`analytic_score_model`; both
-    checks run before the wrapped model is called."""
+    sigma_t)``. Every call checks t in [0, t_max), reads sigma(t) from the bundle's
+    memo and rejects sigma = 0 (SingularityError), all before the wrapped model is
+    called with the checked float t."""
     if model.parameterization != given:
         raise ParameterError(f"{name} expects a model with parameterization '{given}'")
-
-    def sigma(t):
-        sig = float(sde.sigma(real_parameter("t", t)))
-        if sig == 0.0:
-            raise SingularityError(f"sigma(t) = 0 at t={t!r}; {want} view undefined")
-        return sig
-
-    sigma = _time_memo(sigma)
+    t_max, sigma = sde.t_max, sde.memo.sigma
 
     def fn(x, y, t):
+        if type(t) is not float or not 0.0 <= t < t_max:
+            t = real_parameter("t", t, 0, t_max, hi_open=True)
         sig = sigma(t)
+        if sig == 0.0:
+            raise SingularityError(f"sigma(t) = 0 at t={t!r}; {want} view undefined")
         return convert(model(x, y, t), sig)
 
     return ScoreModel(fn, parameterization=want, name=f"{want}({model.name})")

@@ -33,9 +33,11 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -97,9 +99,22 @@ class SdeParams:
             lo = value if name == "sigma_min" else 0
 
 
+_MEMO_TIMES = 4096  # times whose values a bundle's memo keeps, per callable
+
+
+def _time_memo(fn):
+    """``float(fn(t))`` for a float t, kept for the last ``_MEMO_TIMES`` times. It holds
+    fn, not the bundle, so a bundle is in no reference cycle and dies when dropped."""
+    return functools.lru_cache(_MEMO_TIMES)(lambda t: float(fn(t)))
+
+
 @dataclass(frozen=True)
 class InterpolatingSde:
-    """Immutable schedule bundle; all callables are vectorized over time."""
+    """Immutable schedule bundle; all callables are vectorized over time.
+
+    ``memo.k(t)``, and so for gamma, g, sigma and var, is the callable's value at a
+    float t (:func:`_time_memo`), shared by every model, view and solver on the
+    bundle, each of which checks t itself; ``dataclasses.replace`` builds a new one."""
 
     params: SdeParams
     k: callable = field(repr=False)
@@ -113,6 +128,11 @@ class InterpolatingSde:
     # fOUVE and OUVE: (c, zeta) with g^2 / (2 (1 - k)) = c e^{zeta t}; None for the
     # bridges (k = t), whose omega weights take quadrature in the log-distance to t = 1
     exp_weights: tuple | None = None
+    memo: SimpleNamespace = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        memos = {f: _time_memo(getattr(self, f)) for f in ("k", "gamma", "g", "sigma", "var")}
+        object.__setattr__(self, "memo", SimpleNamespace(**memos))
 
 
 def _t(value):

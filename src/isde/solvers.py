@@ -155,7 +155,7 @@ def reverse_init(sde: InterpolatingSde, y, rng: np.random.Generator, shape=None)
     except ValueError:
         raise ShapeError(f"y shape {ya.shape} does not broadcast to {target}")
     z = rng.standard_normal(target)
-    return ya + float(sde.sigma(sde.t_rev)) * z
+    return ya + sde.memo.sigma(sde.t_rev) * z
 
 
 def _transition_factor(k_to, k_from):
@@ -505,8 +505,8 @@ def isde_solve(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 
 
 def _score_eval(model: ScoreModel, sde: InterpolatingSde):
-    """Evaluate a model as a score regardless of its parameterization; a solve
-    builds this view once, so an eps model's view reads each time's sigma once."""
+    """Evaluate a model as a score regardless of its parameterization (an eps model
+    through :func:`score_from_eps`, which reads sigma from the bundle's memo)."""
     if getattr(model, "parameterization", "score") == "eps":
         return score_from_eps(model, sde)
 
@@ -517,17 +517,13 @@ def _score_eval(model: ScoreModel, sde: InterpolatingSde):
 
 def _reverse_drift(sde: InterpolatingSde, score, ya, kappa: float):
     """Drift gamma (y - x) - ((1 + kappa^2)/2) g^2 s of the reverse family, as f(x, t),
-    with s the score function of :func:`_score_eval`. One drift serves one solve and
-    reads gamma(t) and g(t)^2 once per distinct time t."""
+    with s the score function of :func:`_score_eval` and t a float; gamma(t) and g(t)
+    come from the bundle's memo, so all its solves read them once per distinct t."""
     half = 0.5 * (1.0 + kappa ** 2)
-    coefficients = {}
+    gamma, g = sde.memo.gamma, sde.memo.g
 
     def drift(x, t):
-        try:
-            gamma_t, half_g2 = coefficients[t]
-        except KeyError:
-            gamma_t, half_g2 = coefficients[t] = float(sde.gamma(t)), half * float(sde.g(t)) ** 2
-        return gamma_t * (ya - x) - half_g2 * score(x, ya, t)
+        return gamma(t) * (ya - x) - half * g(t) ** 2 * score(x, ya, t)
     return drift
 
 
@@ -540,7 +536,7 @@ def _em_step(sde: InterpolatingSde, score, ya, kappa: float, rng):
         dt = tl - th  # negative
         x = x + drift(x, th) * dt
         if kappa > 0.0:
-            x = x + kappa * float(sde.g(th)) * math.sqrt(-dt) * rng_ito.standard_normal(np.shape(x))
+            x = x + kappa * sde.memo.g(th) * math.sqrt(-dt) * rng_ito.standard_normal(np.shape(x))
         return x
     return step
 
@@ -566,7 +562,8 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
     corrector_stepsize ratio; r = 0 reproduces the predictor exactly (the
     corrector model call still happens, so NFE is 2 per step). Corrector noise
     comes from its own stream, leaving the predictor's draws unchanged. The
-    predictor and the corrector share one score view.
+    predictor and the corrector share one score view, and eta reads sigma from
+    the bundle's memo, which an eps model's view reads too.
     """
     spec = SolverSpec("pc", corrector_stepsize=corrector_stepsize)
     r = spec.corrector_stepsize
@@ -577,7 +574,7 @@ def pc_sampler(sde: InterpolatingSde, model: ScoreModel, y, grid: TimeGrid,
 
         def step(i, x, th, tl):
             x = predict(i, x, th, tl)
-            eta = 2.0 * (r * float(sde.sigma(tl))) ** 2
+            eta = 2.0 * (r * sde.memo.sigma(tl)) ** 2
             # the score as a temporary, so NumPy reuses its buffer for eta * score
             return (x + eta * score(x, ya, tl)
                     + math.sqrt(2.0 * eta) * rng_corr.standard_normal(np.shape(x)))

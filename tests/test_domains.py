@@ -178,6 +178,21 @@ def test_no_solver_field_is_checked_outside_its_spec():
     assert [where for name, where in named if name in fields] == []
 
 
+def test_only_the_bundle_and_the_plan_cache_keep_a_memo():
+    # schedule values are kept in one place, the bundle's memo (sde_core._time_memo);
+    # the other cache in the package is solvers._plan_for's, of array plans
+    where = []
+    for path in sorted(Path(isde.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {child: node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) for child in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                    or isinstance(node, ast.alias) and node.name in ("lru_cache", "cache")):
+                where.append((path.stem, owner.get(node)))
+    assert sorted(where) == [("sde_core", "_time_memo"), ("solvers", "_plan_for")]
+
+
 # (kind, field, a value its interval rejects): every field takes the number rule's bad
 # values, p also 3 and 2.0 (not integers in [1, 2]), rtol and atol also 0
 FIELD_CASES = [(kind, name, bad) for kind, reads in solvers._KIND_FIELDS.items()

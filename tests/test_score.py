@@ -1,5 +1,8 @@
 import dataclasses
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -300,14 +303,56 @@ def test_model_checks_its_prior_once_and_every_call(fouve):
 
 
 def test_model_memo_is_bounded(fouve, monkeypatch):
-    # the model keeps k and var of its last _MEMO_TIMES times and drops the oldest first
-    monkeypatch.setattr(isde.score, "_MEMO_TIMES", 3)
+    # the bundle's memo keeps k and var of its last _MEMO_TIMES times and drops the
+    # oldest first; a bundle takes the size in force when it is built
+    monkeypatch.setattr(isde.sde_core, "_MEMO_TIMES", 3)
     calls = []
     counted = dataclasses.replace(fouve, k=lambda t: calls.append(t) or fouve.k(t))
     model = analytic_score_model(_G, counted)
     for t in (0.1, 0.2, 0.3, 0.4, 0.4, 0.2, 0.1):
         assert model(0.3, 1.0, t) == analytic_score(_G, fouve, 0.3, 1.0, t)
     assert calls == [0.1, 0.2, 0.3, 0.4, 0.1]
+
+
+def test_the_bundle_owns_one_memo_for_every_reader(fouve):
+    # two models and two views on one bundle read k and sigma at t = 0.5 once between them
+    seen = []
+
+    def counting(field):
+        fn = getattr(fouve, field)
+        return lambda t: seen.append((field, t)) or fn(t)
+
+    counted = dataclasses.replace(fouve, k=counting("k"), sigma=counting("sigma"))
+    for model in (analytic_score_model(_G, counted), analytic_score_model(MIX, counted),
+                  eps_adapter(analytic_score_model(_G, counted), counted),
+                  score_from_eps(eps_adapter(analytic_score_model(MIX, counted), counted),
+                                 counted)):
+        model(0.3, 1.0, 0.5)
+    assert seen == [("k", 0.5), ("sigma", 0.5)]
+    # replace builds a fresh memo over the new bundle's own callables
+    fresh = dataclasses.replace(counted, k=fouve.k)
+    assert fresh.memo is not counted.memo
+    assert (fresh.memo.k(0.5), fresh.memo.sigma(0.5)) == (counted.memo.k(0.5),
+                                                          counted.memo.sigma(0.5))
+    assert seen == [("k", 0.5), ("sigma", 0.5), ("sigma", 0.5)]
+    # the memo takes no part in equality or the hash, so plan-cache keys keep
+    same = dataclasses.replace(fouve)
+    assert same == fouve and hash(same) == hash(fouve) and same.memo is not fouve.memo
+
+
+def test_a_dropped_bundle_dies_without_the_cyclic_collector():
+    # a memo that held its bundle would keep a dropped bundle alive until a gen-2 collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sde = isde.make_sde(isde.SdeParams(kind="BBED", c=0.3, r=4.0))
+        eps_adapter(analytic_score_model(_G, sde), sde)(0.3, 1.0, 0.5)
+        ref = weakref.ref(sde)
+        del sde
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_eps_view_reads_sigma_once_per_time(fouve):
@@ -367,7 +412,7 @@ def test_memo_checks_every_rejected_time_on_every_call(fouve, build):
 
 @pytest.mark.parametrize("build", _MEMO_VIEWS.values(), ids=_MEMO_VIEWS.keys())
 def test_memo_serves_other_time_types_bitwise(fouve, build):
-    # np.float64(0.5) and a 0-d array, which cannot be a memo key, give 0.5's output
+    # np.float64(0.5) and a 0-d array are checked into the float 0.5 and give its output
     x = np.linspace(-1.0, 2.0, 7)
     model = _served(build(fouve))
     want = model(x, 1.0, 0.5).tobytes()
@@ -387,6 +432,22 @@ def test_zero_sigma_view_raises_before_the_wrapped_model(ouve):
             with pytest.raises(SingularityError, match=r"^sigma\(t\) = 0 at t=0\.0;"):
                 model(0.3, 1.0, 0.0)
         assert inner.nfe == 2
+
+
+@pytest.mark.parametrize("view, given", [(eps_adapter, "score"), (score_from_eps, "eps")],
+                         ids=["eps_adapter", "score_from_eps"])
+@pytest.mark.parametrize("kind, t", [("BrownianBridge", 1.5), ("BrownianBridge", -0.25),
+                                     ("OUVE", -0.5)])
+def test_sigma_view_rejects_a_time_outside_the_schedule(all_sdes, view, given, kind, t):
+    # outside [0, t_max) the variance can be negative and sigma NaN: each view raises
+    # ParameterError naming t, with no warning, before it calls the wrapped model
+    inner = ScoreModel(lambda x, y, t: np.asarray(x, dtype=float), parameterization=given)
+    model = view(inner, all_sdes[kind])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=rf"^t must be a finite real in \[0, .*got {t}$"):
+            model(0.3, 1.0, t)
+    assert inner.nfe == 0
 
 
 def test_zero_variance_marginal_raises(fouve):

@@ -555,10 +555,10 @@ def test_model_reads_the_schedule_once_per_time(all_sdes, gaussian_prior, eps_mo
 @pytest.mark.parametrize("spec", [SolverSpec("euler_maruyama"), SolverSpec("pc"),
                                   SolverSpec("rk2"), SolverSpec("rk45")], ids=lambda s: s.kind)
 def test_classical_solve_reads_sigma_once_per_time(all_sdes, gaussian_prior, spec, eps_mode):
-    # one score view per solve, shared by PC's predictor and corrector, so an eps
-    # model's view reads each time's sigma once; PC's eta reads sigma(tl) once per
-    # step besides. The model reads an uncounted bundle, so only the solver's reads
-    # are counted, and x_init skips the start draw's sigma(t_rev)
+    # the solver's score view of an eps model and PC's eta read sigma from the
+    # bundle's memo, so each time's sigma is read once. The model reads an uncounted
+    # bundle, so only the solver's reads are counted, and x_init skips the start
+    # draw's sigma(t_rev)
     x0 = np.linspace(0.0, 1.5, 8)
     for name, sde in all_sdes.items():
         seen = []
@@ -574,11 +574,31 @@ def test_classical_solve_reads_sigma_once_per_time(all_sdes, gaussian_prior, spe
             model = eps_adapter(model, sde)
         grid = TimeGrid.for_sde(sde, 11)
         out = run_solver(counted, model, 1.0, grid, spec, seed=5, x_init=x0)
-        eta_reads = 10 if spec.kind == "pc" else 0
-        assert len(seen) - eta_reads == (len(set(seen)) if eps_mode else 0), name
+        assert len(seen) == len(set(seen)), name
         assert np.array_equal(out.final_state,
                               run_solver(sde, model, 1.0, grid, spec, seed=5, x_init=x0)
                               .final_state), name
+
+
+@pytest.mark.parametrize("spec", [SolverSpec("isde", p=2), SolverSpec("euler_maruyama"),
+                                  SolverSpec("pc"), SolverSpec("rk2"), SolverSpec("rk45")],
+                         ids=lambda s: s.kind)
+def test_a_solve_reads_sigma_once_per_time_per_bundle(all_sdes, gaussian_prior, spec):
+    # an eps model on a counting BBED bundle, solved from a drawn start: the draw, the
+    # eps view, the solver's score view and PC's eta all read the bundle's one memo
+    sde = all_sdes["BBED"]
+    seen = []
+
+    def sigma(t):
+        if np.ndim(t) == 0:
+            seen.append(float(t))
+        return sde.sigma(t)
+
+    counted = dataclasses.replace(sde, sigma=sigma)
+    model = recording(eps_adapter(analytic_score_model(gaussian_prior, counted), counted))
+    run_solver(counted, model, np.ones(4), TimeGrid.for_sde(counted, 11), spec, seed=5)
+    assert len(seen) == len(set(seen))
+    assert set(seen) == {t for _, t in model.calls} | {counted.t_rev}
 
 
 @pytest.mark.parametrize("spec", [
